@@ -217,6 +217,19 @@ impl<S: InteractionSource + ?Sized> InteractionSource for Box<S> {
     }
 }
 
+/// Interactions [`InteractionSequence::fill_from`] pulls per batch from an
+/// oblivious source.
+const FILL_CHUNK: usize = 4096;
+
+/// Panics unless both endpoints of `interaction` are below `n`.
+#[inline]
+fn check_in_range(interaction: Interaction, n: usize) {
+    assert!(
+        interaction.max().index() < n,
+        "interaction {interaction} out of range for {n} nodes"
+    );
+}
+
 /// A finite sequence of interactions; the interaction at index `t` occurs
 /// at time `t`.
 ///
@@ -314,7 +327,21 @@ impl InteractionSequence {
     /// `len` interactions, reusing the existing allocation. Sweep workers
     /// use this to refill one scratch buffer across many trials.
     ///
+    /// [`is_oblivious`] sources are pulled through
+    /// [`next_interaction_batch`] in fixed chunks, straight into the
+    /// buffer: one dynamic call per chunk instead of one per step.
+    /// Others are pulled one [`next_interaction`] per step. Both yield the
+    /// same sequence, and both stop early when the source runs out.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the source emits an interaction with a node `>=` its
+    /// node count.
+    ///
     /// [`materialize`]: InteractionSequence::materialize
+    /// [`is_oblivious`]: InteractionSource::is_oblivious
+    /// [`next_interaction_batch`]: InteractionSource::next_interaction_batch
+    /// [`next_interaction`]: InteractionSource::next_interaction
     pub fn fill_from<S>(&mut self, source: &mut S, len: usize)
     where
         S: InteractionSource + ?Sized,
@@ -327,10 +354,24 @@ impl InteractionSequence {
             owns_data: &owns,
             sink: NodeId(0),
         };
-        for t in 0..len {
-            match source.next_interaction(t as Time, &view) {
-                Some(i) => self.push(i),
-                None => break,
+        if source.is_oblivious() {
+            while self.len() < len {
+                let start = self.len();
+                let want = FILL_CHUNK.min(len - start);
+                source.next_interaction_batch(start as Time, &view, &mut self.interactions, want);
+                for &interaction in &self.interactions[start..] {
+                    check_in_range(interaction, n);
+                }
+                if self.len() - start < want {
+                    break;
+                }
+            }
+        } else {
+            for t in 0..len {
+                match source.next_interaction(t as Time, &view) {
+                    Some(i) => self.push(i),
+                    None => break,
+                }
             }
         }
     }
@@ -356,11 +397,7 @@ impl InteractionSequence {
     ///
     /// Panics if the interaction involves a node `>= node_count()`.
     pub fn push(&mut self, interaction: Interaction) {
-        assert!(
-            interaction.max().index() < self.n,
-            "interaction {interaction} out of range for {} nodes",
-            self.n
-        );
+        check_in_range(interaction, self.n);
         self.interactions.push(interaction);
     }
 
@@ -687,6 +724,55 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// An oblivious source over `n` nodes that emits `(0, 1)` until step
+    /// `bad_at`, then `(0, n + 1)`: out of range.
+    struct OutOfRangeAt {
+        n: usize,
+        bad_at: Time,
+    }
+
+    impl InteractionSource for OutOfRangeAt {
+        fn node_count(&self) -> usize {
+            self.n
+        }
+
+        fn is_oblivious(&self) -> bool {
+            true
+        }
+
+        fn next_interaction(&mut self, t: Time, _view: &AdversaryView<'_>) -> Option<Interaction> {
+            let b = if t == self.bad_at { self.n + 1 } else { 1 };
+            Some(Interaction::new(NodeId(0), NodeId(b)))
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "interaction {v0, v4} out of range for 3 nodes")]
+    fn batched_fill_rejects_out_of_range_nodes_with_the_push_message() {
+        let mut seq = InteractionSequence::new(3);
+        let mut source = OutOfRangeAt { n: 3, bad_at: 5000 };
+        seq.fill_from(&mut source, 6000);
+    }
+
+    #[test]
+    fn batched_fill_stops_at_an_exhausted_source_length() {
+        // Longer than one fill chunk, so the source runs dry mid-chunk
+        // after at least one full chunk.
+        let committed =
+            InteractionSequence::from_pairs(5, (0..FILL_CHUNK + 17).map(|t| (t % 4, 4)));
+        assert!(committed.stream(false).is_oblivious());
+        let mut scratch = InteractionSequence::from_pairs(9, vec![(7, 8); 3]);
+        scratch.fill_from(&mut committed.stream(false), 3 * FILL_CHUNK);
+        assert_eq!(scratch, committed);
+        // An exact multiple of the chunk, and an empty source.
+        let exact = committed.slice(0, FILL_CHUNK as Time);
+        scratch.fill_from(&mut exact.stream(false), 2 * FILL_CHUNK);
+        assert_eq!(scratch, exact);
+        scratch.fill_from(&mut InteractionSequence::new(2).stream(false), 10);
+        assert!(scratch.is_empty());
+        assert_eq!(scratch.node_count(), 2);
     }
 
     #[test]

@@ -21,13 +21,16 @@
 //!
 //! # Sharded execution
 //!
-//! Parallel batches are *sharded*: the trial indices are split into one
-//! contiguous chunk per worker, every worker owns a [`TrialRunner`] (reused
-//! engine scratch) plus — only on the materialising path — a scratch
-//! [`InteractionSequence`] refilled in place, and a local result vector.
-//! Nothing is shared while trials run — no mutex, no per-trial
-//! synchronisation — and the local vectors are concatenated once, in
-//! worker order, when the scope joins. Because trial `i` always uses the
+//! Parallel batches are *sharded*: every worker owns a [`TrialRunner`]
+//! (reused engine scratch) plus — only on the materialising path — a
+//! scratch [`InteractionSequence`] refilled in place, and keeps both for
+//! the whole batch. Workers claim trial indices from one shared atomic
+//! counter as they free up — one trial at a time on the scalar paths, a
+//! lane batch at a time on the lane tier — so a worker that drew short
+//! trials takes more of them instead of idling while another finishes a
+//! long one. The counter is the only thing shared while trials run; each
+//! claim's results stay with its worker until the scope joins, when they
+//! are put back in trial-index order. Because trial `i` always uses the
 //! sub-seed `SeedSequence::seed(i)` regardless of which worker executes
 //! it, serial and parallel runs of the same [`BatchConfig`] produce
 //! **identical** [`BatchResult`]s and raw [`TrialResult`]s, byte for byte.
@@ -36,6 +39,7 @@
 //! [`InteractionSequence`]: doda_core::InteractionSequence
 
 use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use doda_stats::Summary;
 use doda_workloads::{UniformWorkload, Workload};
@@ -105,37 +109,76 @@ impl BatchResult {
     }
 }
 
-/// Splits `trials` into contiguous per-worker chunks and concatenates the
-/// chunk results in worker order (the sharded-execution skeleton shared by
-/// every sweep entry point).
-pub(crate) fn shard<F>(trials: usize, parallel: bool, run_chunk: F) -> Vec<TrialResult>
-where
-    F: Fn(Range<usize>) -> Vec<TrialResult> + Sync,
-{
-    if parallel && trials > 1 {
-        let workers = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(2)
-            .min(trials);
-        let chunk = trials.div_ceil(workers);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|worker| {
-                    let run_chunk = &run_chunk;
-                    let start = worker * chunk;
-                    let end = trials.min(start + chunk);
-                    scope.spawn(move || run_chunk(start..end))
-                })
-                .collect();
-            let mut results = Vec::with_capacity(trials);
-            for handle in handles {
-                results.extend(handle.join().expect("batch worker thread panicked"));
-            }
-            results
-        })
-    } else {
-        run_chunk(0..trials)
+/// Runs trials `0..trials` and returns their results in trial-index order
+/// (the sharded-execution skeleton shared by every sweep entry point).
+///
+/// Every worker builds one state with `init` (its [`TrialRunner`] and
+/// scratch buffers) and keeps it across all the trials it runs; `run`
+/// returns the results of a range of trials in order.
+/// Serially, one worker runs `0..trials` in one call. In parallel, up to
+/// `available_parallelism` workers claim the next `grain` unclaimed trial
+/// indices from one atomic counter until none are left, where `grain` is
+/// `max_grain` (at least 1) capped at `⌈trials / workers⌉`, and the
+/// claimed ranges are put back in index order when the scope joins.
+///
+/// [`TrialRunner`]: crate::trial::TrialRunner
+pub(crate) fn shard<S>(
+    trials: usize,
+    parallel: bool,
+    max_grain: usize,
+    init: impl Fn() -> S + Sync,
+    run: impl Fn(&mut S, Range<usize>) -> Vec<TrialResult> + Sync,
+) -> Vec<TrialResult> {
+    if !parallel || trials <= 1 {
+        return run(&mut init(), 0..trials);
     }
+    let workers = std::thread::available_parallelism()
+        .map(|p| p.get())
+        .unwrap_or(2)
+        .min(trials);
+    let grain = max_grain.max(1).min(trials.div_ceil(workers));
+    let next = AtomicUsize::new(0);
+    let mut claims: Vec<(usize, Vec<TrialResult>)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut state = init();
+                    let mut claims = Vec::new();
+                    loop {
+                        // The counter publishes no data: each claim's
+                        // results reach the caller through `join`.
+                        let start = next.fetch_add(grain, Ordering::Relaxed);
+                        if start >= trials {
+                            return claims;
+                        }
+                        let end = trials.min(start + grain);
+                        claims.push((start, run(&mut state, start..end)));
+                    }
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|handle| handle.join().expect("batch worker thread panicked"))
+            .collect()
+    });
+    claims.sort_unstable_by_key(|&(start, _)| start);
+    claims
+        .into_iter()
+        .flat_map(|(_, results)| results)
+        .collect()
+}
+
+/// [`shard`] one trial at a time: `run_trial(state, i)` runs trial `i`.
+pub(crate) fn shard_trials<S>(
+    trials: usize,
+    parallel: bool,
+    init: impl Fn() -> S + Sync,
+    run_trial: impl Fn(&mut S, usize) -> TrialResult + Sync,
+) -> Vec<TrialResult> {
+    shard(trials, parallel, 1, init, |state, range| {
+        range.map(|trial| run_trial(state, trial)).collect()
+    })
 }
 
 /// Runs `config.trials` independent trials of `spec`, each over a fresh
@@ -282,6 +325,7 @@ mod tests {
 
     use super::*;
     use crate::scenario::Scenario;
+    use crate::trial::{TrialConfig, TrialRunner};
     use doda_core::fault::FaultProfile;
     use doda_workloads::ZipfWorkload;
 
@@ -293,6 +337,20 @@ mod tests {
             seed: 42,
             parallel,
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "batch worker thread panicked")]
+    fn a_panicking_trial_surfaces_as_a_worker_panic() {
+        let config = TrialConfig {
+            max_interactions: Some(1_000),
+            ..TrialConfig::default()
+        };
+        let _ = shard_trials(8, true, TrialRunner::new, |runner, trial| {
+            assert_ne!(trial, 5, "trial 5 fails");
+            let mut source = UniformWorkload::new(6).source(trial as u64);
+            runner.run_streamed(AlgorithmSpec::Gathering, source.as_mut(), &config)
+        });
     }
 
     #[test]

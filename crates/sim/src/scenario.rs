@@ -599,6 +599,66 @@ mod tests {
         }
     }
 
+    /// Hides a source's obliviousness, so `fill_from` pulls it one
+    /// `next_interaction` per step instead of in batches.
+    struct PerStep<'a>(&'a mut dyn InteractionSource);
+
+    impl InteractionSource for PerStep<'_> {
+        fn node_count(&self) -> usize {
+            self.0.node_count()
+        }
+
+        fn next_interaction(
+            &mut self,
+            t: doda_core::Time,
+            view: &AdversaryView<'_>,
+        ) -> Option<doda_core::Interaction> {
+            self.0.next_interaction(t, view)
+        }
+    }
+
+    /// `fill_from` pulls oblivious sources in batches; the sequence must be
+    /// the one a per-step pull builds, at lengths below, at and across the
+    /// batch size, over a stale scratch of another node count and length.
+    /// Covers every non-adaptive scenario, plus the two workloads no
+    /// scenario is backed by.
+    #[test]
+    fn batched_fill_matches_per_step_fill() {
+        type MakeSource = Box<dyn Fn() -> Box<dyn InteractionSource + Send>>;
+        let mut cases: Vec<(String, MakeSource)> = Scenario::registry()
+            .into_iter()
+            .filter(|s| !s.is_adaptive())
+            .map(|s| {
+                let n = s.min_nodes().max(9);
+                // Flattened round streams pull per step; the rest batch.
+                if s.round_source(n, 13).is_none() {
+                    assert!(s.source(n, 13).is_oblivious(), "{s}");
+                }
+                let make: MakeSource = Box::new(move || s.source(n, 13));
+                (s.to_string(), make)
+            })
+            .collect();
+        let workloads: [Box<dyn Workload>; 2] = [
+            Box::new(doda_workloads::RoundRobinWorkload::all_pairs(9)),
+            Box::new(doda_workloads::TreeRestrictedWorkload::random_tree(9)),
+        ];
+        for w in workloads {
+            let name = w.name().to_string();
+            assert!(w.source(13).is_oblivious(), "{name}");
+            cases.push((name, Box::new(move || w.source(13))));
+        }
+        for (name, make) in &cases {
+            for len in [0, 1, 200, 4096, 4096 * 2 + 33] {
+                let mut batched = InteractionSequence::from_pairs(4, vec![(0, 3); 50]);
+                batched.fill_from(make().as_mut(), len);
+                let mut per_step = InteractionSequence::from_pairs(4, vec![(0, 3); 50]);
+                per_step.fill_from(&mut PerStep(make().as_mut()), len);
+                assert_eq!(batched, per_step, "{name} at len {len}");
+                assert_eq!(batched.len(), len, "{name}");
+            }
+        }
+    }
+
     #[test]
     fn materialization_matches_the_stream_for_non_adaptive_scenarios() {
         for s in Scenario::registry() {

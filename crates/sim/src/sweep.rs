@@ -60,7 +60,7 @@ use crate::datum::{
     AggregateKind, CountFamily, DatumFamily, DistinctFamily, MaxFamily, MinFamily, QuantileFamily,
     SumFamily,
 };
-use crate::runner::{shard, summarize, BatchConfig, BatchResult};
+use crate::runner::{shard, shard_trials, summarize, BatchConfig, BatchResult};
 use crate::scenario::FaultedScenario;
 use crate::spec::AlgorithmSpec;
 use crate::trial::{ByzantineInjection, TrialConfig, TrialResult, TrialRunner};
@@ -237,10 +237,11 @@ impl<'a> Sweep<'a> {
         self
     }
 
-    /// Sets the lane-batch width `K` — consecutive trials stepped in
-    /// lockstep per worker on the lane tier (default, and maximum,
-    /// [`MAX_LANES`]). Grouping never changes a
-    /// result; this knob exists for benchmarking and tests.
+    /// Sets the lane-batch width `K` — the most consecutive trials stepped
+    /// in lockstep on the lane tier (default, and maximum, [`MAX_LANES`]).
+    /// A parallel sweep caps a batch at `⌈trials / workers⌉` so that every
+    /// worker gets one. Grouping never changes a result; this knob exists
+    /// for benchmarking and tests.
     ///
     /// # Panics
     ///
@@ -623,11 +624,11 @@ impl<'a> Sweep<'a> {
         let spec = self.spec;
 
         match self.resolve_scenario_path(&scenario) {
-            Path::Materialized => shard(self.trials, self.parallel, |range| {
-                let mut runner = TrialRunner::new();
-                let mut seq = InteractionSequence::new(n);
-                let mut results = Vec::with_capacity(range.len());
-                for trial in range {
+            Path::Materialized => shard_trials(
+                self.trials,
+                self.parallel,
+                || (TrialRunner::new(), InteractionSequence::new(n)),
+                |(runner, seq), trial| {
                     let trial_seed = seeds.seed(trial as u64);
                     let mut source = scenario.base.source(n, trial_seed);
                     seq.fill_from(source.as_mut(), horizon);
@@ -636,14 +637,14 @@ impl<'a> Sweep<'a> {
                         byzantine: scenario.byzantine_injection(trial_seed),
                         ..TrialConfig::default()
                     };
-                    results.push(runner.run(spec, &seq, &trial_config));
-                }
-                results
-            }),
-            Path::Streamed => shard(self.trials, self.parallel, |range| {
-                let mut runner = TrialRunner::new();
-                let mut results = Vec::with_capacity(range.len());
-                for trial in range {
+                    runner.run(spec, seq, &trial_config)
+                },
+            ),
+            Path::Streamed => shard_trials(
+                self.trials,
+                self.parallel,
+                TrialRunner::new,
+                |runner, trial| {
                     let trial_seed = seeds.seed(trial as u64);
                     let trial_config = TrialConfig {
                         max_interactions: Some(horizon as u64),
@@ -652,27 +653,27 @@ impl<'a> Sweep<'a> {
                         ..TrialConfig::default()
                     };
                     let mut source = scenario.base.source(n, trial_seed);
-                    results.push(runner.run_streamed(spec, source.as_mut(), &trial_config));
-                }
-                results
-            }),
-            Path::Rounds => shard(self.trials, self.parallel, |range| {
-                let mut runner = TrialRunner::new();
-                let mut results = Vec::with_capacity(range.len());
+                    runner.run_streamed(spec, source.as_mut(), &trial_config)
+                },
+            ),
+            Path::Rounds => {
                 let trial_config = TrialConfig {
                     max_interactions: Some(horizon as u64),
                     ..TrialConfig::default()
                 };
-                for trial in range {
-                    let trial_seed = seeds.seed(trial as u64);
-                    let mut rounds = scenario
-                        .base
-                        .round_source(n, trial_seed)
-                        .expect("the round path only resolves for round scenarios");
-                    results.push(runner.run_rounds(spec, rounds.as_mut(), &trial_config));
-                }
-                results
-            }),
+                shard_trials(
+                    self.trials,
+                    self.parallel,
+                    TrialRunner::new,
+                    |runner, trial| {
+                        let mut rounds = scenario
+                            .base
+                            .round_source(n, seeds.seed(trial as u64))
+                            .expect("the round path only resolves for round scenarios");
+                        runner.run_rounds(spec, rounds.as_mut(), &trial_config)
+                    },
+                )
+            }
             Path::Lanes => {
                 self.run_lanes_sharded(horizon, |trial_seed| scenario.base.source(n, trial_seed))
             }
@@ -681,26 +682,25 @@ impl<'a> Sweep<'a> {
                     .cluster_size
                     .unwrap_or_else(|| (n as f64).sqrt().ceil() as usize)
                     .max(1);
-                shard(self.trials, self.parallel, |range| {
-                    let mut runner = TrialRunner::new();
-                    let mut results = Vec::with_capacity(range.len());
-                    let trial_config = TrialConfig {
-                        max_interactions: Some(horizon as u64),
-                        ..TrialConfig::default()
-                    };
-                    for trial in range {
-                        let trial_seed = seeds.seed(trial as u64);
-                        results.push(runner.run_hierarchical(
+                let trial_config = TrialConfig {
+                    max_interactions: Some(horizon as u64),
+                    ..TrialConfig::default()
+                };
+                shard_trials(
+                    self.trials,
+                    self.parallel,
+                    TrialRunner::new,
+                    |runner, trial| {
+                        runner.run_hierarchical(
                             spec,
                             &scenario.base,
                             n,
                             k,
-                            trial_seed,
+                            seeds.seed(trial as u64),
                             &trial_config,
-                        ));
-                    }
-                    results
-                })
+                        )
+                    },
+                )
             }
         }
     }
@@ -712,25 +712,25 @@ impl<'a> Sweep<'a> {
         let spec = self.spec;
 
         match self.resolve_workload_path() {
-            Path::Materialized => shard(self.trials, self.parallel, |range| {
-                let mut runner = TrialRunner::new();
-                let mut seq = InteractionSequence::new(n);
-                let mut results = Vec::with_capacity(range.len());
-                for trial in range {
+            Path::Materialized => shard_trials(
+                self.trials,
+                self.parallel,
+                || (TrialRunner::new(), InteractionSequence::new(n)),
+                |(runner, seq), trial| {
                     let trial_seed = seeds.seed(trial as u64);
-                    workload.fill(&mut seq, horizon, trial_seed);
+                    workload.fill(seq, horizon, trial_seed);
                     let trial_config = TrialConfig {
                         byzantine: self.workload_byzantine_injection(trial_seed),
                         ..TrialConfig::default()
                     };
-                    results.push(runner.run(spec, &seq, &trial_config));
-                }
-                results
-            }),
-            Path::Streamed => shard(self.trials, self.parallel, |range| {
-                let mut runner = TrialRunner::new();
-                let mut results = Vec::with_capacity(range.len());
-                for trial in range {
+                    runner.run(spec, seq, &trial_config)
+                },
+            ),
+            Path::Streamed => shard_trials(
+                self.trials,
+                self.parallel,
+                TrialRunner::new,
+                |runner, trial| {
                     let trial_seed = seeds.seed(trial as u64);
                     let trial_config = TrialConfig {
                         max_interactions: Some(horizon as u64),
@@ -738,10 +738,9 @@ impl<'a> Sweep<'a> {
                         ..TrialConfig::default()
                     };
                     let mut source = workload.source(trial_seed);
-                    results.push(runner.run_streamed(spec, source.as_mut(), &trial_config));
-                }
-                results
-            }),
+                    runner.run_streamed(spec, source.as_mut(), &trial_config)
+                },
+            ),
             Path::Lanes => {
                 self.run_lanes_sharded(horizon, |trial_seed| workload.source(trial_seed))
             }
@@ -781,11 +780,11 @@ impl<'a> Sweep<'a> {
         let spec = self.spec;
 
         match self.demote_lanes(self.resolve_scenario_path(&scenario)) {
-            Path::Materialized => shard(self.trials, self.parallel, |range| {
-                let mut runner = TrialRunner::new();
-                let mut seq = InteractionSequence::new(n);
-                let mut results = Vec::with_capacity(range.len());
-                for trial in range {
+            Path::Materialized => shard_trials(
+                self.trials,
+                self.parallel,
+                || (TrialRunner::new(), InteractionSequence::new(n)),
+                |(runner, seq), trial| {
                     let trial_seed = seeds.seed(trial as u64);
                     let mut source = scenario.base.source(n, trial_seed);
                     seq.fill_from(source.as_mut(), horizon);
@@ -794,14 +793,14 @@ impl<'a> Sweep<'a> {
                         byzantine: scenario.byzantine_injection(trial_seed),
                         ..TrialConfig::default()
                     };
-                    results.push(runner.run_with(spec, &seq, &trial_config, datum));
-                }
-                results
-            }),
-            Path::Streamed => shard(self.trials, self.parallel, |range| {
-                let mut runner = TrialRunner::new();
-                let mut results = Vec::with_capacity(range.len());
-                for trial in range {
+                    runner.run_with(spec, seq, &trial_config, datum)
+                },
+            ),
+            Path::Streamed => shard_trials(
+                self.trials,
+                self.parallel,
+                TrialRunner::new,
+                |runner, trial| {
                     let trial_seed = seeds.seed(trial as u64);
                     let trial_config = TrialConfig {
                         max_interactions: Some(horizon as u64),
@@ -810,37 +809,27 @@ impl<'a> Sweep<'a> {
                         ..TrialConfig::default()
                     };
                     let mut source = scenario.base.source(n, trial_seed);
-                    results.push(runner.run_streamed_with(
-                        spec,
-                        source.as_mut(),
-                        &trial_config,
-                        datum,
-                    ));
-                }
-                results
-            }),
-            Path::Rounds => shard(self.trials, self.parallel, |range| {
-                let mut runner = TrialRunner::new();
-                let mut results = Vec::with_capacity(range.len());
+                    runner.run_streamed_with(spec, source.as_mut(), &trial_config, datum)
+                },
+            ),
+            Path::Rounds => {
                 let trial_config = TrialConfig {
                     max_interactions: Some(horizon as u64),
                     ..TrialConfig::default()
                 };
-                for trial in range {
-                    let trial_seed = seeds.seed(trial as u64);
-                    let mut rounds = scenario
-                        .base
-                        .round_source(n, trial_seed)
-                        .expect("the round path only resolves for round scenarios");
-                    results.push(runner.run_rounds_with(
-                        spec,
-                        rounds.as_mut(),
-                        &trial_config,
-                        datum,
-                    ));
-                }
-                results
-            }),
+                shard_trials(
+                    self.trials,
+                    self.parallel,
+                    TrialRunner::new,
+                    |runner, trial| {
+                        let mut rounds = scenario
+                            .base
+                            .round_source(n, seeds.seed(trial as u64))
+                            .expect("the round path only resolves for round scenarios");
+                        runner.run_rounds_with(spec, rounds.as_mut(), &trial_config, datum)
+                    },
+                )
+            }
             Path::Lanes => {
                 unreachable!("demote_lanes rejects the lane tier for non-default aggregates")
             }
@@ -849,27 +838,26 @@ impl<'a> Sweep<'a> {
                     .cluster_size
                     .unwrap_or_else(|| (n as f64).sqrt().ceil() as usize)
                     .max(1);
-                shard(self.trials, self.parallel, |range| {
-                    let mut runner = TrialRunner::new();
-                    let mut results = Vec::with_capacity(range.len());
-                    let trial_config = TrialConfig {
-                        max_interactions: Some(horizon as u64),
-                        ..TrialConfig::default()
-                    };
-                    for trial in range {
-                        let trial_seed = seeds.seed(trial as u64);
-                        results.push(runner.run_hierarchical_with(
+                let trial_config = TrialConfig {
+                    max_interactions: Some(horizon as u64),
+                    ..TrialConfig::default()
+                };
+                shard_trials(
+                    self.trials,
+                    self.parallel,
+                    TrialRunner::new,
+                    |runner, trial| {
+                        runner.run_hierarchical_with(
                             spec,
                             &scenario.base,
                             n,
                             k,
-                            trial_seed,
+                            seeds.seed(trial as u64),
                             &trial_config,
                             datum,
-                        ));
-                    }
-                    results
-                })
+                        )
+                    },
+                )
             }
         }
     }
@@ -887,25 +875,25 @@ impl<'a> Sweep<'a> {
         let spec = self.spec;
 
         match self.demote_lanes(self.resolve_workload_path()) {
-            Path::Materialized => shard(self.trials, self.parallel, |range| {
-                let mut runner = TrialRunner::new();
-                let mut seq = InteractionSequence::new(n);
-                let mut results = Vec::with_capacity(range.len());
-                for trial in range {
+            Path::Materialized => shard_trials(
+                self.trials,
+                self.parallel,
+                || (TrialRunner::new(), InteractionSequence::new(n)),
+                |(runner, seq), trial| {
                     let trial_seed = seeds.seed(trial as u64);
-                    workload.fill(&mut seq, horizon, trial_seed);
+                    workload.fill(seq, horizon, trial_seed);
                     let trial_config = TrialConfig {
                         byzantine: self.workload_byzantine_injection(trial_seed),
                         ..TrialConfig::default()
                     };
-                    results.push(runner.run_with(spec, &seq, &trial_config, datum));
-                }
-                results
-            }),
-            Path::Streamed => shard(self.trials, self.parallel, |range| {
-                let mut runner = TrialRunner::new();
-                let mut results = Vec::with_capacity(range.len());
-                for trial in range {
+                    runner.run_with(spec, seq, &trial_config, datum)
+                },
+            ),
+            Path::Streamed => shard_trials(
+                self.trials,
+                self.parallel,
+                TrialRunner::new,
+                |runner, trial| {
                     let trial_seed = seeds.seed(trial as u64);
                     let trial_config = TrialConfig {
                         max_interactions: Some(horizon as u64),
@@ -913,15 +901,9 @@ impl<'a> Sweep<'a> {
                         ..TrialConfig::default()
                     };
                     let mut source = workload.source(trial_seed);
-                    results.push(runner.run_streamed_with(
-                        spec,
-                        source.as_mut(),
-                        &trial_config,
-                        datum,
-                    ));
-                }
-                results
-            }),
+                    runner.run_streamed_with(spec, source.as_mut(), &trial_config, datum)
+                },
+            ),
             Path::Lanes => {
                 unreachable!("demote_lanes rejects the lane tier for non-default aggregates")
             }
@@ -932,11 +914,13 @@ impl<'a> Sweep<'a> {
         }
     }
 
-    /// The sharded lane driver: each worker chunk runs its trials in
-    /// consecutive lane batches of up to [`Sweep::lane_width`]. Lanes are
+    /// The sharded lane driver: trials run in lane batches of consecutive
+    /// indices, up to [`Sweep::lane_width`] wide. A parallel worker claims
+    /// one batch at a time, of `min(lane_width, ⌈trials / workers⌉)`
+    /// trials, so a small sweep still spreads over every worker. Lanes are
     /// fully independent (one source per lane), so the grouping — which
-    /// differs between serial and parallel runs at chunk boundaries —
-    /// never affects a per-trial result.
+    /// differs between serial and parallel runs — never affects a
+    /// per-trial result.
     fn run_lanes_sharded<F>(&self, horizon: usize, make_source: F) -> Vec<TrialResult>
     where
         F: Fn(u64) -> Box<dyn InteractionSource + Send> + Sync,
@@ -948,20 +932,25 @@ impl<'a> Sweep<'a> {
             max_interactions: Some(horizon as u64),
             ..TrialConfig::default()
         };
-        shard(self.trials, self.parallel, |range| {
-            let mut runner = TrialRunner::new();
-            let mut results = Vec::with_capacity(range.len());
-            let mut batch = range.start;
-            while batch < range.end {
-                let upper = range.end.min(batch + width);
-                let mut sources: Vec<_> = (batch..upper)
-                    .map(|trial| make_source(seeds.seed(trial as u64)))
-                    .collect();
-                results.extend(runner.run_lane_batch(spec, &mut sources, &trial_config));
-                batch = upper;
-            }
-            results
-        })
+        shard(
+            self.trials,
+            self.parallel,
+            width,
+            TrialRunner::new,
+            |runner, range| {
+                let mut results = Vec::with_capacity(range.len());
+                let mut batch = range.start;
+                while batch < range.end {
+                    let upper = range.end.min(batch + width);
+                    let mut sources: Vec<_> = (batch..upper)
+                        .map(|trial| make_source(seeds.seed(trial as u64)))
+                        .collect();
+                    results.extend(runner.run_lane_batch(spec, &mut sources, &trial_config));
+                    batch = upper;
+                }
+                results
+            },
+        )
     }
 }
 
@@ -989,6 +978,61 @@ mod tests {
                 .tier(ExecutionTier::Scalar)
                 .run();
             assert_eq!(lanes, scalar, "{scenario}");
+        }
+    }
+
+    /// Workers claim trials as they free up; whatever the claim order, a
+    /// parallel sweep returns the serial results in trial-index order, on
+    /// every path and for trial counts around the worker and lane-width
+    /// boundaries.
+    #[test]
+    fn claimed_trials_come_back_in_index_order_on_every_path() {
+        let on_path = |label: &str| match label {
+            "materialized" => Sweep::scenario(
+                AlgorithmSpec::WaitingGreedy { tau: None },
+                Scenario::Uniform,
+            ),
+            "streamed" => Sweep::scenario(
+                AlgorithmSpec::Waiting,
+                Scenario::Vehicular.with_faults(FaultProfile::crash(0.002)),
+            ),
+            "rounds" => Sweep::scenario(AlgorithmSpec::Gathering, Scenario::RandomMatching),
+            "hierarchical" => Sweep::scenario(AlgorithmSpec::Gathering, Scenario::Uniform)
+                .tier(ExecutionTier::Hierarchical),
+            _ => Sweep::scenario(AlgorithmSpec::Waiting, Scenario::Uniform),
+        };
+        let paths = [
+            ("materialized", MAX_LANES),
+            ("streamed", MAX_LANES),
+            ("rounds", MAX_LANES),
+            ("hierarchical", MAX_LANES),
+            ("lanes", 1),
+            ("lanes", 7),
+            ("lanes", 64),
+        ];
+        for trials in [1, 2, 3, 5, 64, 65, 129] {
+            for (label, width) in paths {
+                let sweep = || {
+                    on_path(label)
+                        .n(10)
+                        .lane_width(width)
+                        .trials(trials)
+                        .seed(11)
+                        .horizon(Some(2_000))
+                };
+                assert_eq!(sweep().path_label(), label);
+                let serial = sweep().run();
+                assert_eq!(serial.len(), trials, "{label}");
+                if trials > 2 {
+                    // Distinct results, so a permutation would show.
+                    assert!(serial.windows(2).any(|pair| pair[0] != pair[1]), "{label}");
+                }
+                assert_eq!(
+                    sweep().parallel(true).run(),
+                    serial,
+                    "{label} with {trials} trials"
+                );
+            }
         }
     }
 

@@ -134,6 +134,20 @@ impl<W: Workload + ?Sized> Workload for &W {
     }
 }
 
+/// FNV-1a over the `(a, b)` pairs of the first `len` interactions of
+/// `workload` at `seed`: a compact pin for golden-stream tests.
+#[cfg(test)]
+pub(crate) fn stream_fingerprint(workload: &dyn Workload, len: usize, seed: u64) -> u64 {
+    let n = workload.node_count() as u64;
+    workload
+        .generate(len, seed)
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325_u64, |hash, ti| {
+            let (a, b) = ti.interaction.pair();
+            (hash ^ (a.index() as u64 * n + b.index() as u64)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
