@@ -18,13 +18,19 @@
 //!   provided [`TransmissionSink`]. Monte-Carlo sweeps (see `doda-sim`)
 //!   keep one `Engine` per worker thread and run thousands of trials
 //!   through it.
+//!
+//! Every pairwise execution — honest or audited, run to completion or in
+//! slices — goes through one event loop, [`Engine::step_for`], and every
+//! presented interaction, pairwise or in a round, through one step. The
+//! audited Byzantine path differs only in its data plane: what a transfer
+//! carries and which receipts it leaves.
 
 use doda_graph::NodeId;
 
 use crate::algorithm::{Decision, DodaAlgorithm, InteractionContext};
 use crate::byzantine::{ByzantineInjector, ByzantineStrategy, Receipt, ReceiptSink};
 use crate::data::Aggregate;
-use crate::error::{EngineError, FaultError};
+use crate::error::{EngineError, FaultError, TransmissionError};
 use crate::fault::CrashPolicy;
 use crate::interaction::{Interaction, Time};
 use crate::outcome::{Completion, ExecutionOutcome, FaultTally, Transmission};
@@ -110,6 +116,158 @@ impl TransmissionSink for Vec<Transmission> {
         self.push(transmission);
     }
 }
+
+mod plane {
+    use super::*;
+
+    /// The data plane of [`Engine::step_for`]: what a transfer moves and
+    /// who observes it. The step rule — decide, the one-transmission
+    /// rule, the "output is ignored" rule, fault bookkeeping — is the
+    /// engine's; a plane only carries the payload.
+    ///
+    /// Every [`TransmissionSink`] is the zero-sized *honest* plane; the
+    /// *audited* plane ([`Audited`]) lets liars corrupt their transfer
+    /// and keeps the unit ledger behind the receipts.
+    pub trait DataPlane<A> {
+        /// Moves the sender's data to the receiver and reports the
+        /// transfer. Fails, touching nothing, if the model forbids it.
+        fn transfer<F>(
+            &mut self,
+            state: &mut NetworkState<A>,
+            transmission: Transmission,
+            initial_data: &mut F,
+        ) -> Result<(), TransmissionError>
+        where
+            F: FnMut(NodeId) -> A;
+
+        /// `node` arrived with a fresh datum. (Crashes and departures
+        /// need no hook: a dead node can neither send nor receive until it
+        /// arrives again.)
+        #[inline]
+        fn on_admitted(&mut self, _node: NodeId) {}
+    }
+
+    impl<A: Aggregate, T: TransmissionSink + ?Sized> DataPlane<A> for T {
+        #[inline]
+        fn transfer<F>(
+            &mut self,
+            state: &mut NetworkState<A>,
+            transmission: Transmission,
+            _initial_data: &mut F,
+        ) -> Result<(), TransmissionError>
+        where
+            F: FnMut(NodeId) -> A,
+        {
+            state.transmit(transmission.sender, transmission.receiver)?;
+            self.record(transmission);
+            Ok(())
+        }
+    }
+
+    /// The audited data plane behind [`Engine::run_audited`]: nodes the
+    /// injector marks as liars corrupt their one transfer, and every
+    /// transfer produces a [`Receipt`] from the unit ledger.
+    pub struct Audited<'a, T: ?Sized, R: ?Sized> {
+        transmissions: &'a mut T,
+        injector: &'a mut ByzantineInjector,
+        receipts: &'a mut R,
+        /// The original data units each live node currently carries.
+        /// Every node starts with its own single datum; honest transfers
+        /// move units, corrupting ones mint, double, or void them — which
+        /// is exactly what the receipts expose. A dead node's entry is
+        /// never read; arrival resets it.
+        units: Vec<u64>,
+    }
+
+    impl<'a, T: ?Sized, R: ?Sized> Audited<'a, T, R> {
+        /// A plane for a fresh run over `node_count` nodes (the injector
+        /// restarts its forgery stream).
+        pub fn new(
+            node_count: usize,
+            transmissions: &'a mut T,
+            injector: &'a mut ByzantineInjector,
+            receipts: &'a mut R,
+        ) -> Self {
+            injector.reset();
+            Audited {
+                transmissions,
+                injector,
+                receipts,
+                units: vec![1; node_count],
+            }
+        }
+    }
+
+    impl<A, T, R> DataPlane<A> for Audited<'_, T, R>
+    where
+        A: Aggregate,
+        T: TransmissionSink + ?Sized,
+        R: ReceiptSink + ?Sized,
+    {
+        fn transfer<F>(
+            &mut self,
+            state: &mut NetworkState<A>,
+            transmission: Transmission,
+            initial_data: &mut F,
+        ) -> Result<(), TransmissionError>
+        where
+            F: FnMut(NodeId) -> A,
+        {
+            let Transmission {
+                time,
+                sender,
+                receiver,
+            } = transmission;
+            let carried = self.units[sender.index()];
+            let corruption = self
+                .injector
+                .is_liar(sender)
+                .then(|| self.injector.strategy());
+            let delivered = match corruption {
+                None => {
+                    state.transmit(sender, receiver)?;
+                    carried
+                }
+                Some(ByzantineStrategy::Forge) => {
+                    let origin = self.injector.forged_origin(state.node_count());
+                    state.transmit_forged(sender, receiver, initial_data(origin))?;
+                    carried + 1
+                }
+                Some(ByzantineStrategy::Duplicate) => {
+                    state.transmit_duplicated(sender, receiver)?;
+                    2 * carried
+                }
+                Some(ByzantineStrategy::DropCarried) => {
+                    state.transmit_voided(sender, receiver)?;
+                    0
+                }
+                Some(ByzantineStrategy::Equivocate) => {
+                    state.transmit_equivocated(sender, receiver, initial_data(sender))?;
+                    1
+                }
+            };
+            self.units[receiver.index()] += delivered;
+            self.units[sender.index()] = 0;
+            self.transmissions.record(transmission);
+            self.receipts.record(Receipt {
+                time,
+                sender,
+                receiver,
+                carried_units: carried,
+                delivered_units: delivered,
+                corruption,
+            });
+            Ok(())
+        }
+
+        #[inline]
+        fn on_admitted(&mut self, node: NodeId) {
+            self.units[node.index()] = 1;
+        }
+    }
+}
+
+use plane::{Audited, DataPlane};
 
 /// The counters produced by one [`Engine::run`] execution.
 ///
@@ -348,8 +506,8 @@ impl<A: Aggregate> Engine<A> {
     ///
     /// Unlike [`run`], the `config.record_transmissions` flag is ignored:
     /// whether transmissions are observed is decided entirely by the sink
-    /// argument ([`DiscardTransmissions`] for none, `&mut Vec<Transmission>`
-    /// to collect them).
+    /// argument, any [`TransmissionSink`] ([`DiscardTransmissions`] for
+    /// none, `&mut Vec<Transmission>` to collect them).
     ///
     /// The source is driven through [`InteractionSource::next_event`], so
     /// fault-injecting sources ([`crate::fault::FaultedSource`]) compose
@@ -374,20 +532,20 @@ impl<A: Aggregate> Engine<A> {
     ///
     /// Panics if `sink` is out of range for `source.node_count()` or the
     /// node count is zero (propagated from [`NetworkState::reset`]).
-    pub fn run<F, S, D, T>(
+    pub fn run<F, S, D, P>(
         &mut self,
         algorithm: &mut D,
         source: &mut S,
         sink: NodeId,
         mut initial_data: F,
         config: EngineConfig,
-        transmissions: &mut T,
+        transmissions: &mut P,
     ) -> Result<RunStats, EngineError>
     where
         F: FnMut(NodeId) -> A,
         S: InteractionSource + ?Sized,
         D: DodaAlgorithm + ?Sized,
-        T: TransmissionSink + ?Sized,
+        P: DataPlane<A> + ?Sized,
     {
         let n = source.node_count();
         let mut run = self.begin_run(n, sink, &mut initial_data, config);
@@ -435,7 +593,7 @@ impl<A: Aggregate> Engine<A> {
         algorithm: &mut D,
         source: &mut S,
         sink: NodeId,
-        mut initial_data: F,
+        initial_data: F,
         config: EngineConfig,
         transmissions: &mut T,
         injector: &mut ByzantineInjector,
@@ -448,77 +606,8 @@ impl<A: Aggregate> Engine<A> {
         T: TransmissionSink + ?Sized,
         R: ReceiptSink + ?Sized,
     {
-        let n = source.node_count();
-        injector.reset();
-        // The unit ledger: original data units each node currently
-        // carries. Every node starts with its own single datum; honest
-        // transfers move units, corrupting ones mint, double, or void
-        // them — which is exactly what the receipts expose.
-        let mut units = vec![1u64; n];
-        let mut run = self.begin_run(n, sink, &mut initial_data, config);
-        loop {
-            if run.termination_time.is_some() || run.processed >= run.max_interactions {
-                break;
-            }
-            let t = run.processed;
-            let view = AdversaryView {
-                owns_data: &self.ownership,
-                sink,
-            };
-            let Some(event) = source.next_event(t, &view) else {
-                break;
-            };
-            run.processed += 1;
-
-            let interaction = match event {
-                StepEvent::Interaction(interaction) => interaction,
-                StepEvent::Lost(_) => {
-                    run.faults.lost_interactions += 1;
-                    continue;
-                }
-                StepEvent::Crash { node, policy } => {
-                    run.faults.crashes += 1;
-                    self.remove_node(node, sink, Some(policy), t, &mut run.faults)?;
-                    units[node.index()] = 0;
-                    if self.owners == 1 {
-                        run.termination_time = Some(t);
-                    }
-                    continue;
-                }
-                StepEvent::Departure(node) => {
-                    run.faults.departures += 1;
-                    self.remove_node(node, sink, None, t, &mut run.faults)?;
-                    units[node.index()] = 0;
-                    if self.owners == 1 {
-                        run.termination_time = Some(t);
-                    }
-                    continue;
-                }
-                StepEvent::Arrival(node) => {
-                    run.faults.arrivals += 1;
-                    self.admit_node(node, sink, &mut initial_data, t)?;
-                    units[node.index()] = 1;
-                    continue;
-                }
-            };
-
-            if let Some(done) = self.apply_interaction_audited(
-                algorithm,
-                t,
-                interaction,
-                sink,
-                transmissions,
-                &mut run.applied,
-                &mut run.ignored,
-                injector,
-                &mut initial_data,
-                &mut units,
-                receipts,
-            )? {
-                run.termination_time = Some(done);
-            }
-        }
-        Ok(self.finish_run(&run))
+        let mut plane = Audited::new(source.node_count(), transmissions, injector, receipts);
+        self.run(algorithm, source, sink, initial_data, config, &mut plane)
     }
 
     /// Starts a resumable run: resets the engine scratch for `node_count`
@@ -561,10 +650,13 @@ impl<A: Aggregate> Engine<A> {
     /// Advances a resumable run by at most `budget` events and reports why
     /// the slice stopped.
     ///
-    /// The slice pulls events from `source` exactly as [`Engine::run`]
-    /// does — same event handling, same completion detection, same error
-    /// surface — so a run advanced in arbitrary slices is byte-identical
-    /// to an uninterrupted one (pinned by `tests/checkpoint_resume.rs`).
+    /// This is the engine's only event loop: [`Engine::run`] and
+    /// [`Engine::run_audited`] are one unbounded slice, so a run advanced
+    /// in arbitrary slices is byte-identical to an uninterrupted one
+    /// (pinned by `tests/checkpoint_resume.rs`). `transmissions` is the
+    /// data plane: any [`TransmissionSink`] runs the honest plane, and
+    /// [`Engine::run_audited`] passes the audited one.
+    ///
     /// A [`StepOutcome::SourceExhausted`] slice is resumable: if the
     /// source later yields more events (an incrementally fed session
     /// inbox), calling `step_for` again continues the run where it
@@ -574,20 +666,20 @@ impl<A: Aggregate> Engine<A> {
     ///
     /// As [`Engine::run`]: a structurally invalid decision or an
     /// inconsistent fault event is a typed [`EngineError`].
-    pub fn step_for<F, S, D, T>(
+    pub fn step_for<F, S, D, P>(
         &mut self,
         run: &mut RunProgress,
         algorithm: &mut D,
         source: &mut S,
         mut initial_data: F,
         budget: u64,
-        transmissions: &mut T,
+        transmissions: &mut P,
     ) -> Result<StepOutcome, EngineError>
     where
         F: FnMut(NodeId) -> A,
         S: InteractionSource + ?Sized,
         D: DodaAlgorithm + ?Sized,
-        T: TransmissionSink + ?Sized,
+        P: DataPlane<A> + ?Sized,
     {
         let sink = run.sink;
         let slice_end = run
@@ -614,45 +706,25 @@ impl<A: Aggregate> Engine<A> {
             };
             run.processed += 1;
 
-            let interaction = match event {
-                StepEvent::Interaction(interaction) => interaction,
-                StepEvent::Lost(_) => {
-                    run.faults.lost_interactions += 1;
-                    continue;
-                }
+            match event {
+                StepEvent::Interaction(interaction) => self.apply_interaction(
+                    run,
+                    algorithm,
+                    t,
+                    interaction,
+                    transmissions,
+                    &mut initial_data,
+                )?,
+                StepEvent::Lost(_) => run.faults.lost_interactions += 1,
                 StepEvent::Crash { node, policy } => {
-                    run.faults.crashes += 1;
-                    self.remove_node(node, sink, Some(policy), t, &mut run.faults)?;
-                    if self.owners == 1 {
-                        run.termination_time = Some(t);
-                    }
-                    continue;
+                    self.remove_node(run, node, Some(policy), t)?
                 }
-                StepEvent::Departure(node) => {
-                    run.faults.departures += 1;
-                    self.remove_node(node, sink, None, t, &mut run.faults)?;
-                    if self.owners == 1 {
-                        run.termination_time = Some(t);
-                    }
-                    continue;
-                }
+                StepEvent::Departure(node) => self.remove_node(run, node, None, t)?,
                 StepEvent::Arrival(node) => {
                     run.faults.arrivals += 1;
                     self.admit_node(node, sink, &mut initial_data, t)?;
-                    continue;
+                    transmissions.on_admitted(node);
                 }
-            };
-
-            if let Some(done) = self.apply_interaction(
-                algorithm,
-                t,
-                interaction,
-                sink,
-                transmissions,
-                &mut run.applied,
-                &mut run.ignored,
-            )? {
-                run.termination_time = Some(done);
             }
         }
     }
@@ -762,39 +834,25 @@ impl<A: Aggregate> Engine<A> {
         T: TransmissionSink + ?Sized,
     {
         let n = rounds.node_count();
-        self.state.reset(n, sink, &mut initial_data);
-        self.ownership.clear();
-        self.ownership.resize(n, true);
-        self.live.clear();
-        self.live.resize(n, true);
-        self.owners = n;
-
-        let mut applied = 0u64;
-        let mut ignored = 0u64;
-        let mut processed = 0u64;
+        let mut run = self.begin_run(n, sink, &mut initial_data, config);
         let mut rounds_processed = 0u64;
         let mut consecutive_empty = 0u64;
-        let mut termination_time = if self.owners == 1 { Some(0) } else { None };
-
-        while termination_time.is_none() && processed < config.max_interactions {
-            // Split borrows: the view reads `self.ownership` while the
-            // source fills the disjoint `self.round_scratch` field, so the
-            // scratch is moved out for the duration of the round.
-            let mut matching = std::mem::take(&mut self.round_scratch);
+        // Split borrows: the view reads `self.ownership` while the source
+        // fills the scratch matching, so the scratch is moved out for the
+        // duration of the run.
+        let mut matching = std::mem::take(&mut self.round_scratch);
+        while !run.terminated() && run.processed < run.max_interactions {
             matching.reset(n);
             let view = AdversaryView {
                 owns_data: &self.ownership,
                 sink,
             };
-            let more = rounds.next_round(rounds_processed, &view, &mut matching);
-            if !more {
-                self.round_scratch = matching;
+            if !rounds.next_round(rounds_processed, &view, &mut matching) {
                 break;
             }
             rounds_processed += 1;
             if matching.is_empty() {
                 consecutive_empty += 1;
-                self.round_scratch = matching;
                 if consecutive_empty >= MAX_CONSECUTIVE_EMPTY_ROUNDS {
                     break;
                 }
@@ -803,163 +861,50 @@ impl<A: Aggregate> Engine<A> {
             consecutive_empty = 0;
 
             for &interaction in matching.as_slice() {
-                if termination_time.is_some() || processed >= config.max_interactions {
+                if run.terminated() || run.processed >= run.max_interactions {
                     break;
                 }
-                let t = processed;
-                processed += 1;
+                let t = run.processed;
+                run.processed += 1;
                 let step = self.apply_interaction(
+                    &mut run,
                     algorithm,
                     t,
                     interaction,
-                    sink,
                     transmissions,
-                    &mut applied,
-                    &mut ignored,
+                    &mut initial_data,
                 );
-                match step {
-                    Ok(Some(done)) => termination_time = Some(done),
-                    Ok(None) => {}
-                    Err(e) => {
-                        self.round_scratch = matching;
-                        return Err(e);
-                    }
+                if let Err(e) = step {
+                    self.round_scratch = matching;
+                    return Err(e);
                 }
             }
-            self.round_scratch = matching;
         }
-
-        let completion = match termination_time {
-            Some(_) => Completion::Aggregated,
-            None => Completion::Starved,
-        };
+        self.round_scratch = matching;
         Ok(RoundRunStats {
-            run: RunStats {
-                node_count: n,
-                sink,
-                termination_time,
-                interactions_processed: processed,
-                transmissions: applied,
-                ignored_decisions: ignored,
-                remaining_owners: self.owners,
-                completion,
-                faults: FaultTally::default(),
-            },
+            run: self.finish_run(&run),
             rounds_processed,
         })
     }
 
     /// Applies one presented interaction — the step shared verbatim by the
-    /// pairwise path ([`Engine::run`]) and the round path
+    /// pairwise path ([`Engine::step_for`]) and the round path
     /// ([`Engine::run_rounds`]), which is what makes the two byte-identical
     /// on singleton rounds: dead-endpoint check, algorithm decision,
-    /// transmission bookkeeping. Returns `Some(t)` when the step completed
-    /// the aggregation.
-    #[allow(clippy::too_many_arguments)]
-    fn apply_interaction<D, T>(
+    /// transmission bookkeeping, and completion when the transfer leaves
+    /// the sink the sole owner. The transfer itself runs through `plane`.
+    fn apply_interaction<D, P, F>(
         &mut self,
+        run: &mut RunProgress,
         algorithm: &mut D,
         t: Time,
         interaction: Interaction,
-        sink: NodeId,
-        transmissions: &mut T,
-        applied: &mut u64,
-        ignored: &mut u64,
-    ) -> Result<Option<Time>, EngineError>
-    where
-        D: DodaAlgorithm + ?Sized,
-        T: TransmissionSink + ?Sized,
-    {
-        for endpoint in [interaction.min(), interaction.max()] {
-            if !self.live.get(endpoint.index()).copied().unwrap_or(false) {
-                return Err(EngineError::InvalidFault {
-                    time: t,
-                    cause: FaultError::DeadParticipant {
-                        interaction,
-                        node: endpoint,
-                    },
-                });
-            }
-        }
-
-        let ctx = InteractionContext {
-            time: t,
-            interaction,
-            min_owns_data: self.owns(interaction.min()),
-            max_owns_data: self.owns(interaction.max()),
-            sink,
-        };
-        match algorithm.decide(&ctx) {
-            Decision::Idle => {}
-            Decision::Transmit { sender, receiver } => {
-                if !interaction.involves(sender)
-                    || !interaction.involves(receiver)
-                    || sender == receiver
-                {
-                    return Err(EngineError::DecisionOutsideInteraction {
-                        time: t,
-                        interaction,
-                        sender,
-                        receiver,
-                    });
-                }
-                if !ctx.both_own_data() || sender == sink {
-                    // "The output is ignored if the interacting nodes do
-                    // not both have data." A decision asking the sink to
-                    // transmit is likewise ignored rather than fatal: it
-                    // can only come from an algorithm treating the sink
-                    // as a regular node, and the model simply forbids
-                    // the transfer.
-                    *ignored += 1;
-                } else {
-                    self.state
-                        .transmit(sender, receiver)
-                        .map_err(|cause| EngineError::InvalidTransmission { time: t, cause })?;
-                    self.ownership[sender.index()] = false;
-                    self.owners -= 1;
-                    *applied += 1;
-                    transmissions.record(Transmission {
-                        time: t,
-                        sender,
-                        receiver,
-                    });
-                    algorithm.on_transmission(t, sender, receiver);
-                    // The sink can never transmit and never dies, so it
-                    // always owns data: a single remaining owner must be
-                    // the sink.
-                    if self.owners == 1 {
-                        return Ok(Some(t));
-                    }
-                }
-            }
-        }
-        Ok(None)
-    }
-
-    /// The audited variant of [`Engine::apply_interaction`]: identical
-    /// decision handling and model rules, but the transfer itself routes
-    /// through the sender's [`ByzantineStrategy`] (if it is a liar),
-    /// maintains the unit ledger, and emits one [`Receipt`] per applied
-    /// transmission.
-    #[allow(clippy::too_many_arguments)]
-    fn apply_interaction_audited<D, T, R, F>(
-        &mut self,
-        algorithm: &mut D,
-        t: Time,
-        interaction: Interaction,
-        sink: NodeId,
-        transmissions: &mut T,
-        applied: &mut u64,
-        ignored: &mut u64,
-        injector: &mut ByzantineInjector,
+        plane: &mut P,
         initial_data: &mut F,
-        units: &mut [u64],
-        receipts: &mut R,
-    ) -> Result<Option<Time>, EngineError>
+    ) -> Result<(), EngineError>
     where
         D: DodaAlgorithm + ?Sized,
-        T: TransmissionSink + ?Sized,
-        R: ReceiptSink + ?Sized,
+        P: DataPlane<A> + ?Sized,
         F: FnMut(NodeId) -> A,
     {
         for endpoint in [interaction.min(), interaction.max()] {
@@ -974,6 +919,7 @@ impl<A: Aggregate> Engine<A> {
             }
         }
 
+        let sink = run.sink;
         let ctx = InteractionContext {
             time: t,
             interaction,
@@ -981,92 +927,50 @@ impl<A: Aggregate> Engine<A> {
             max_owns_data: self.owns(interaction.max()),
             sink,
         };
-        match algorithm.decide(&ctx) {
-            Decision::Idle => {}
-            Decision::Transmit { sender, receiver } => {
-                if !interaction.involves(sender)
-                    || !interaction.involves(receiver)
-                    || sender == receiver
-                {
-                    return Err(EngineError::DecisionOutsideInteraction {
-                        time: t,
-                        interaction,
-                        sender,
-                        receiver,
-                    });
-                }
-                if !ctx.both_own_data() || sender == sink {
-                    // The paper's "output is ignored" rule, exactly as
-                    // on the honest path.
-                    *ignored += 1;
-                } else {
-                    let carried = units[sender.index()];
-                    let corruption = if injector.is_liar(sender) {
-                        Some(injector.strategy())
-                    } else {
-                        None
-                    };
-                    let invalid = |cause| EngineError::InvalidTransmission { time: t, cause };
-                    let delivered = match corruption {
-                        None => {
-                            self.state.transmit(sender, receiver).map_err(invalid)?;
-                            units[receiver.index()] += carried;
-                            carried
-                        }
-                        Some(ByzantineStrategy::Forge) => {
-                            let origin = injector.forged_origin(self.state.node_count());
-                            self.state
-                                .transmit_forged(sender, receiver, initial_data(origin))
-                                .map_err(invalid)?;
-                            units[receiver.index()] += carried + 1;
-                            carried + 1
-                        }
-                        Some(ByzantineStrategy::Duplicate) => {
-                            self.state
-                                .transmit_duplicated(sender, receiver)
-                                .map_err(invalid)?;
-                            units[receiver.index()] += 2 * carried;
-                            2 * carried
-                        }
-                        Some(ByzantineStrategy::DropCarried) => {
-                            self.state
-                                .transmit_voided(sender, receiver)
-                                .map_err(invalid)?;
-                            0
-                        }
-                        Some(ByzantineStrategy::Equivocate) => {
-                            self.state
-                                .transmit_equivocated(sender, receiver, initial_data(sender))
-                                .map_err(invalid)?;
-                            units[receiver.index()] += 1;
-                            1
-                        }
-                    };
-                    units[sender.index()] = 0;
-                    self.ownership[sender.index()] = false;
-                    self.owners -= 1;
-                    *applied += 1;
-                    transmissions.record(Transmission {
-                        time: t,
-                        sender,
-                        receiver,
-                    });
-                    receipts.record(Receipt {
-                        time: t,
-                        sender,
-                        receiver,
-                        carried_units: carried,
-                        delivered_units: delivered,
-                        corruption,
-                    });
-                    algorithm.on_transmission(t, sender, receiver);
-                    if self.owners == 1 {
-                        return Ok(Some(t));
-                    }
-                }
-            }
+        let Decision::Transmit { sender, receiver } = algorithm.decide(&ctx) else {
+            return Ok(());
+        };
+        if !interaction.involves(sender) || !interaction.involves(receiver) || sender == receiver {
+            return Err(EngineError::DecisionOutsideInteraction {
+                time: t,
+                interaction,
+                sender,
+                receiver,
+            });
         }
-        Ok(None)
+        if !ctx.both_own_data() || sender == sink {
+            // "The output is ignored if the interacting nodes do not both
+            // have data." A decision asking the sink to transmit is
+            // likewise ignored rather than fatal: it can only come from an
+            // algorithm treating the sink as a regular node, and the model
+            // simply forbids the transfer.
+            run.ignored += 1;
+            return Ok(());
+        }
+        let transmission = Transmission {
+            time: t,
+            sender,
+            receiver,
+        };
+        plane
+            .transfer(&mut self.state, transmission, initial_data)
+            .map_err(|cause| EngineError::InvalidTransmission { time: t, cause })?;
+        self.disown(run, sender, t);
+        run.applied += 1;
+        algorithm.on_transmission(t, sender, receiver);
+        Ok(())
+    }
+
+    /// `node` stops owning data at `t`, by transmission or by fault. The
+    /// sink can never transmit and never dies, so it always owns data: a
+    /// single remaining owner must be the sink, and the run completes.
+    #[inline]
+    fn disown(&mut self, run: &mut RunProgress, node: NodeId, t: Time) {
+        self.ownership[node.index()] = false;
+        self.owners -= 1;
+        if self.owners == 1 {
+            run.termination_time = Some(t);
+        }
     }
 
     /// Applies a crash (`policy` set) or departure (`policy` `None`):
@@ -1074,14 +978,18 @@ impl<A: Aggregate> Engine<A> {
     /// to the lost or recovered accounting bin.
     fn remove_node(
         &mut self,
+        run: &mut RunProgress,
         node: NodeId,
-        sink: NodeId,
         policy: Option<CrashPolicy>,
         time: Time,
-        faults: &mut FaultTally,
     ) -> Result<(), EngineError> {
+        let faults = &mut run.faults;
+        match policy {
+            Some(_) => faults.crashes += 1,
+            None => faults.departures += 1,
+        }
         let fault = |cause| EngineError::InvalidFault { time, cause };
-        if node == sink {
+        if node == run.sink {
             return Err(fault(FaultError::TargetsSink { node }));
         }
         if node.index() >= self.live.len() {
@@ -1102,8 +1010,7 @@ impl<A: Aggregate> Engine<A> {
                     faults.data_lost += 1;
                 }
             }
-            self.ownership[node.index()] = false;
-            self.owners -= 1;
+            self.disown(run, node, time);
         }
         Ok(())
     }
@@ -1509,6 +1416,77 @@ mod tests {
                 engine.state().ownership_bitmap(),
                 reference.state().ownership_bitmap()
             );
+        }
+    }
+
+    /// The audited plane slices like the honest one: `step_for` at any
+    /// budget, with or without a crash plan, reproduces `run_audited` —
+    /// the counters, the receipt log and the verdict.
+    #[test]
+    fn audited_step_for_slices_reproduce_run_audited() {
+        use crate::byzantine::{ByzantineProfile, Tally};
+        use crate::data::IdSet;
+        use crate::fault::{FaultProfile, FaultedSource};
+
+        let n = 12;
+        let seq = star_sequence(n, 4);
+        let config = EngineConfig::sweep(1_000);
+        let injector =
+            || ByzantineInjector::new(ByzantineProfile::forge(0.3), n, NodeId(0), 5).unwrap();
+        let verdict = |log: &[Receipt]| {
+            let mut tally = Tally::new();
+            log.iter().for_each(|receipt| tally.record(*receipt));
+            tally.verdict::<IdSet>()
+        };
+        for faults in [FaultProfile::none(), FaultProfile::crash(0.1)] {
+            let crash = faults.crash;
+            let source = || FaultedSource::new(seq.stream(false), faults, 9);
+            let mut reference: Engine<IdSet> = Engine::new();
+            let mut expected = Vec::new();
+            let stats = reference
+                .run_audited(
+                    &mut Gathering::new(),
+                    &mut source().unwrap(),
+                    NodeId(0),
+                    IdSet::singleton,
+                    config,
+                    &mut DiscardTransmissions,
+                    &mut injector(),
+                    &mut expected,
+                )
+                .unwrap();
+            assert!(expected.iter().any(|r| !r.is_honest()), "crash {crash}");
+            assert_eq!(stats.faults.crashes > 0, crash > 0.0);
+
+            for budget in [1u64, 3, u64::MAX] {
+                let mut engine: Engine<IdSet> = Engine::new();
+                let mut injector = injector();
+                let mut log = Vec::new();
+                let mut discard = DiscardTransmissions;
+                let mut plane = Audited::new(n, &mut discard, &mut injector, &mut log);
+                let mut algo = Gathering::new();
+                let mut source = source().unwrap();
+                let mut run = engine.begin_run(n, NodeId(0), IdSet::singleton, config);
+                while engine
+                    .step_for(
+                        &mut run,
+                        &mut algo,
+                        &mut source,
+                        IdSet::singleton,
+                        budget,
+                        &mut plane,
+                    )
+                    .unwrap()
+                    .can_continue()
+                {}
+                assert_eq!(
+                    engine.finish_run(&run),
+                    stats,
+                    "crash {crash}, budget {budget}"
+                );
+                assert_eq!(log, expected, "crash {crash}, budget {budget}");
+                assert_eq!(verdict(&log), verdict(&expected), "crash {crash}");
+            }
         }
     }
 

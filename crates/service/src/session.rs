@@ -29,7 +29,7 @@ use doda_core::error::FaultError;
 use doda_core::sequence::{AdversaryView, InteractionSource, StepEvent};
 use doda_core::{DiscardTransmissions, DodaAlgorithm, Interaction, Time};
 use doda_graph::NodeId;
-use doda_sim::{finish_trial, AlgorithmSpec, FaultedScenario, Sweep, TrialResult};
+use doda_sim::{finish_trial, AlgorithmSpec, FaultedScenario, TrialResult};
 use doda_stats::rng::SeedSequence;
 
 use crate::error::ServiceError;
@@ -287,31 +287,24 @@ impl Session {
                 "invalid byzantine plan for scenario '{scenario}': {e}"
             )));
         }
-        // A session steps the engine in slices off `scenario.source`;
-        // that path cannot reproduce the audited `run_audited` execution,
-        // so accepting a Byzantine plan here would silently return an
-        // unaudited result where the equivalent sweep returns a verdict.
-        // Byzantine scenarios run through `Sweep` instead.
+        // A session steps the engine on the honest data plane; accepting
+        // a Byzantine plan here would silently return an unaudited result
+        // where the equivalent sweep returns a verdict. Byzantine
+        // scenarios run through `Sweep` instead.
         if scenario.byzantine.is_some() {
             return Err(ServiceError::InvalidScenario(format!(
                 "scenario '{scenario}' carries a byzantine plan; sessions cannot audit \
                  the data plane — run it through a sweep"
             )));
         }
-        // Sessions resolve through the sweep's tier logic: a spec the
-        // sweep would materialise has no incremental form, so no session
-        // can serve it. (The fast tiers — rounds, lanes — are
-        // byte-identical to the scalar stream the session runs, so any
-        // other label is admissible.)
-        let label = Sweep::scenario(spec, scenario).n(n).path_label();
-        if label == "materialized" {
+        // A spec the sweep would materialise has no incremental form, so
+        // no session can serve it. (The fast tiers — rounds, lanes — are
+        // byte-identical to the scalar stream the session runs.)
+        let Some(algorithm) = spec.instantiate_online() else {
             return Err(ServiceError::UnsupportedSpec {
                 spec: spec.to_string(),
             });
-        }
-        let algorithm = spec
-            .instantiate_online()
-            .expect("non-materialized specs always instantiate online");
+        };
         // Trial 0 of a sweep with this seed.
         let trial_seed = SeedSequence::new(seed).seed(0);
         let source = scenario.source(n, trial_seed);

@@ -605,3 +605,49 @@ fn an_external_open_over_zero_nodes_is_refused_not_fatal() {
         }
     }
 }
+
+#[test]
+fn scenario_admission_refuses_with_typed_errors() {
+    use doda_core::byzantine::ByzantineProfile;
+
+    let mut manager = SessionManager::with_workers(1);
+    let config = SessionConfig::default();
+    let greedy = AlgorithmSpec::WaitingGreedy { tau: None };
+    let mut open = |id, spec, scenario: doda_sim::FaultedScenario, n| {
+        manager.open_scenario(SessionId(id), spec, scenario, n, 1, &config)
+    };
+
+    // A spec the sweep would materialise has no incremental form.
+    assert!(matches!(
+        open(1, greedy, Scenario::Uniform.into(), 8),
+        Err(ServiceError::UnsupportedSpec { .. })
+    ));
+    // Oracles over an adaptive stream are refused before anything else.
+    assert!(matches!(
+        open(2, greedy, Scenario::AdaptiveIsolator.into(), 8),
+        Err(ServiceError::InvalidScenario(_))
+    ));
+    // Sessions cannot audit the data plane.
+    let forged = Scenario::Uniform.with_byzantine(ByzantineProfile::forge(0.1));
+    assert!(matches!(
+        open(3, AlgorithmSpec::Gathering, forged, 8),
+        Err(ServiceError::InvalidScenario(_))
+    ));
+    // The oblivious trap needs at least 4 nodes.
+    assert!(matches!(
+        open(
+            4,
+            AlgorithmSpec::Gathering,
+            Scenario::ObliviousTrap.into(),
+            3
+        ),
+        Err(ServiceError::InvalidScenario(_))
+    ));
+    assert!(open(
+        5,
+        AlgorithmSpec::Gathering,
+        Scenario::ObliviousTrap.into(),
+        4
+    )
+    .is_ok());
+}

@@ -22,8 +22,8 @@
 //!   algorithm × trials × seed × parallelism × execution tier
 //!   ([`sweep::ExecutionTier`]: auto / scalar / lockstep **lanes** /
 //!   native rounds);
-//! * [`runner`] keeps the legacy batch entry points as thin wrappers over
-//!   [`sweep::Sweep`] and summarises results;
+//! * [`runner`] holds the batch shape and summary, and shards a sweep's
+//!   trials over worker threads;
 //! * [`table`] renders result rows as Markdown/CSV for EXPERIMENTS.md and
 //!   the examples.
 //!
@@ -58,10 +58,7 @@ pub use datum::{
     AggregateKind, CountFamily, DatumFamily, DistinctFamily, ExactOrigins, MaxFamily, MinFamily,
     QuantileFamily, SumFamily,
 };
-#[allow(deprecated)]
-pub use runner::{
-    run_batch, run_batch_detailed, run_scenario_trials, run_trials, BatchConfig, BatchResult,
-};
+pub use runner::{BatchConfig, BatchResult};
 pub use scenario::{FaultedScenario, Scenario};
 pub use spec::{AlgorithmSpec, KnowledgeRequirement};
 pub use sweep::{ExecutionTier, Sweep};
@@ -73,10 +70,7 @@ pub use trial::{
 /// Commonly used items for examples and benches.
 pub mod prelude {
     pub use crate::datum::{AggregateKind, DatumFamily, ExactOrigins};
-    #[allow(deprecated)]
-    pub use crate::runner::{
-        run_batch, run_batch_detailed, run_scenario_trials, run_trials, BatchConfig, BatchResult,
-    };
+    pub use crate::runner::{BatchConfig, BatchResult};
     pub use crate::scenario::{FaultedScenario, Scenario};
     pub use crate::spec::{AlgorithmSpec, KnowledgeRequirement};
     pub use crate::sweep::{ExecutionTier, Sweep};

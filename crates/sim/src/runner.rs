@@ -1,10 +1,10 @@
-//! Multi-trial batches.
+//! Multi-trial batches: the batch shape ([`BatchConfig`], which
+//! [`Sweep::config`](crate::Sweep::config) copies), its summary
+//! ([`BatchResult`]), and the sharded claim loop every sweep runs on.
 //!
 //! A batch fixes an algorithm, a node count and a trial count; each trial
-//! draws an independent interaction stream from a workload or scenario (by
-//! default the uniform randomized adversary — the paper's Section 4
-//! setting), runs the algorithm, and the batch summarises the interaction
-//! counts.
+//! draws an independent interaction stream from a workload or scenario,
+//! runs the algorithm, and the batch summarises the interaction counts.
 //!
 //! # Streaming-first execution
 //!
@@ -12,19 +12,19 @@
 //! is `false`) run **streamed**: each trial pulls interactions one at a
 //! time from a seeded source, so a sweep's memory footprint is `O(n)`
 //! regardless of the horizon, and adaptive adversaries (which cannot be
-//! pre-generated at all) sweep through the exact same machinery
-//! ([`run_scenario_trials`]). Knowledge-based algorithms materialise each
-//! trial's sequence into a per-worker scratch buffer first, because their
-//! oracles are functions of the future. Both paths produce byte-identical
-//! results for the same seed, enforced by `tests/determinism.rs` and the
+//! pre-generated at all) sweep through the exact same machinery.
+//! Knowledge-based algorithms materialise each trial's sequence into a
+//! per-worker scratch buffer first, because their oracles are functions
+//! of the future. Both paths produce byte-identical results for the same
+//! seed, enforced by `tests/determinism.rs` and the
 //! `streaming_equivalence` property suite.
 //!
 //! # Sharded execution
 //!
 //! Parallel batches are *sharded*: every worker owns a [`TrialRunner`]
-//! (reused engine scratch) plus — only on the materialising path — a
-//! scratch [`InteractionSequence`] refilled in place, and keeps both for
-//! the whole batch. Workers claim trial indices from one shared atomic
+//! (reused engine scratch) plus a scratch [`InteractionSequence`] that the
+//! materialising path refills in place, and keeps both for the whole
+//! batch. Workers claim trial indices from one shared atomic
 //! counter as they free up — one trial at a time on the scalar paths, a
 //! lane batch at a time on the lane tier — so a worker that drew short
 //! trials takes more of them instead of idling while another finishes a
@@ -42,11 +42,8 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use doda_stats::Summary;
-use doda_workloads::{UniformWorkload, Workload};
 
-use crate::scenario::FaultedScenario;
 use crate::spec::AlgorithmSpec;
-use crate::sweep::Sweep;
 use crate::trial::TrialResult;
 
 /// Configuration of a batch of independent randomized-adversary trials.
@@ -169,92 +166,6 @@ pub(crate) fn shard<S>(
         .collect()
 }
 
-/// [`shard`] one trial at a time: `run_trial(state, i)` runs trial `i`.
-pub(crate) fn shard_trials<S>(
-    trials: usize,
-    parallel: bool,
-    init: impl Fn() -> S + Sync,
-    run_trial: impl Fn(&mut S, usize) -> TrialResult + Sync,
-) -> Vec<TrialResult> {
-    shard(trials, parallel, 1, init, |state, range| {
-        range.map(|trial| run_trial(state, trial)).collect()
-    })
-}
-
-/// Runs `config.trials` independent trials of `spec`, each over a fresh
-/// interaction stream drawn from `workload`, and returns the raw per-trial
-/// results in trial-index order.
-///
-/// **Deprecation note:** this is a thin wrapper over the unified sweep
-/// builder — [`Sweep::workload`] with [`Sweep::config`] — kept so existing
-/// call sites migrate without churn. New code should use [`Sweep`], which
-/// additionally exposes the execution tier
-/// ([`crate::sweep::ExecutionTier`]) and lane width.
-///
-/// # Panics
-///
-/// Panics if `workload.node_count() != config.n`, or if a worker thread
-/// panics.
-#[deprecated(note = "use Sweep")]
-pub fn run_trials<W>(spec: AlgorithmSpec, workload: &W, config: &BatchConfig) -> Vec<TrialResult>
-where
-    W: Workload + Sync + ?Sized,
-{
-    Sweep::workload(spec, &workload).config(config).run()
-}
-
-/// Runs `config.trials` independent trials of `spec` against `scenario` —
-/// the scenario-registry counterpart of [`run_trials`], covering the
-/// adversaries (oblivious trap, weighted, **adaptive**) alongside the
-/// synthetic workloads, and — through the [`FaultedScenario`] axis — any
-/// of them with a fault plan layered on top (a plain
-/// [`crate::scenario::Scenario`] converts implicitly, fault-free).
-///
-/// Adaptive scenarios construct a fresh live adversary per trial and run
-/// it streamed through the same sharded machinery; serial and parallel
-/// runs remain byte-identical because the adversary's decisions depend
-/// only on its own trial's execution. Fault plans preserve that: trial
-/// `i` derives its fault-stream seed from its own trial seed, no matter
-/// which worker executes it. On the materialising path the per-worker
-/// scratch sequence is filled from the **base** stream (oracles describe
-/// the committed schedule, not the faults) and the plan is injected at
-/// execution time.
-///
-/// **Round scenarios** ([`crate::scenario::Scenario::is_round`]) run
-/// their fault-free knowledge-free trials through the engine's native
-/// batched round path ([`crate::trial::TrialRunner::run_rounds`]); faulted and
-/// materialising trials consume the flattened round stream instead (the
-/// fault layer and the oracles are pairwise constructs). The round and
-/// flattened paths are byte-identical on any round stream — pinned by
-/// `tests/round_equivalence.rs` — so the routing never changes a number.
-///
-/// **Deprecation note:** this is a thin wrapper over the unified sweep
-/// builder — [`Sweep::scenario`] with [`Sweep::config`] — kept so existing
-/// call sites migrate without churn. New code should use [`Sweep`], which
-/// additionally exposes the execution tier
-/// ([`crate::sweep::ExecutionTier`]) and lane width. The automatic
-/// routing described above is exactly [`Sweep`]'s
-/// [`Auto`](crate::sweep::ExecutionTier::Auto) tier.
-///
-/// # Panics
-///
-/// Panics if `spec` requires materialisation and `scenario` is adaptive
-/// (an adaptive adversary's stream depends on the execution, so no
-/// faithful sequence exists to build oracles from — check
-/// [`FaultedScenario::supports`] first), if the fault plan is invalid for
-/// `config.n` (the typed [`doda_core::fault::FaultConfigError`] is the
-/// panic message — check [`FaultedScenario::validate`] first), if
-/// `config.n` is below [`FaultedScenario::min_nodes`], or if a worker
-/// thread panics.
-#[deprecated(note = "use Sweep")]
-pub fn run_scenario_trials(
-    spec: AlgorithmSpec,
-    scenario: impl Into<FaultedScenario>,
-    config: &BatchConfig,
-) -> Vec<TrialResult> {
-    Sweep::scenario(spec, scenario).config(config).run()
-}
-
 /// Summarises raw trial results into a [`BatchResult`].
 ///
 /// # Panics
@@ -289,45 +200,15 @@ pub(crate) fn summarize(
     }
 }
 
-/// Runs a batch against the uniform randomized adversary and returns its
-/// summary together with the raw per-trial results.
-///
-/// **Deprecation note:** prefer [`Sweep::scenario`] with
-/// [`crate::scenario::Scenario::Uniform`] and [`Sweep::run_summarized`];
-/// this wrapper is kept for existing call sites.
-///
-/// # Panics
-///
-/// Panics if every trial fails to terminate (no summary can be formed); in
-/// practice this means the horizon was far too small for the algorithm.
-#[deprecated(note = "use Sweep")]
-pub fn run_batch_detailed(
-    spec: AlgorithmSpec,
-    config: &BatchConfig,
-) -> (BatchResult, Vec<TrialResult>) {
-    let workload = UniformWorkload::new(config.n);
-    let results = Sweep::workload(spec, &workload).config(config).run();
-    (summarize(spec, config, &results), results)
-}
-
-/// Runs a batch and returns only its summary.
-#[deprecated(note = "use Sweep")]
-pub fn run_batch(spec: AlgorithmSpec, config: &BatchConfig) -> BatchResult {
-    #[allow(deprecated)]
-    run_batch_detailed(spec, config).0
-}
-
 #[cfg(test)]
 mod tests {
-    // The deprecated wrappers stay under test until they are removed:
-    // these tests pin that each one still matches its `Sweep` equivalent.
-    #![allow(deprecated)]
-
     use super::*;
-    use crate::scenario::Scenario;
+    use crate::datum::ExactOrigins;
+    use crate::scenario::{FaultedScenario, Scenario};
+    use crate::sweep::Sweep;
     use crate::trial::{TrialConfig, TrialRunner};
     use doda_core::fault::FaultProfile;
-    use doda_workloads::ZipfWorkload;
+    use doda_workloads::{UniformWorkload, Workload, ZipfWorkload};
 
     fn config(n: usize, trials: usize, parallel: bool) -> BatchConfig {
         BatchConfig {
@@ -346,16 +227,27 @@ mod tests {
             max_interactions: Some(1_000),
             ..TrialConfig::default()
         };
-        let _ = shard_trials(8, true, TrialRunner::new, |runner, trial| {
-            assert_ne!(trial, 5, "trial 5 fails");
-            let mut source = UniformWorkload::new(6).source(trial as u64);
-            runner.run_streamed(AlgorithmSpec::Gathering, source.as_mut(), &config)
+        let _ = shard(8, true, 1, TrialRunner::new, |runner, trials| {
+            trials
+                .map(|trial| {
+                    assert_ne!(trial, 5, "trial 5 fails");
+                    let mut source = UniformWorkload::new(6).source(trial as u64);
+                    runner.run_streamed(
+                        AlgorithmSpec::Gathering,
+                        source.as_mut(),
+                        &config,
+                        &ExactOrigins,
+                    )
+                })
+                .collect()
         });
     }
 
     #[test]
     fn sequential_batch_summarises_trials() {
-        let (result, raw) = run_batch_detailed(AlgorithmSpec::Gathering, &config(12, 8, false));
+        let (result, raw) = Sweep::scenario(AlgorithmSpec::Gathering, Scenario::Uniform)
+            .config(&config(12, 8, false))
+            .run_summarized();
         assert_eq!(result.trials, 8);
         assert_eq!(result.completed, 8);
         assert_eq!(raw.len(), 8);
@@ -366,8 +258,12 @@ mod tests {
 
     #[test]
     fn parallel_and_sequential_agree() {
-        let sequential = run_batch_detailed(AlgorithmSpec::Gathering, &config(10, 6, false));
-        let parallel = run_batch_detailed(AlgorithmSpec::Gathering, &config(10, 6, true));
+        let sequential = Sweep::scenario(AlgorithmSpec::Gathering, Scenario::Uniform)
+            .config(&config(10, 6, false))
+            .run_summarized();
+        let parallel = Sweep::scenario(AlgorithmSpec::Gathering, Scenario::Uniform)
+            .config(&config(10, 6, true))
+            .run_summarized();
         // Same seeds per trial index regardless of sharding, so both the
         // summary and the raw per-trial results are identical.
         assert_eq!(sequential, parallel);
@@ -383,7 +279,9 @@ mod tests {
             parallel: false,
         };
         let workload = ZipfWorkload::new(10, 1.2);
-        let raw = run_trials(AlgorithmSpec::Waiting, &workload, &cfg);
+        let raw = Sweep::workload(AlgorithmSpec::Waiting, &workload)
+            .config(&cfg)
+            .run();
         assert_eq!(raw.len(), 4);
         assert!(raw.iter().all(|r| !r.terminated()));
     }
@@ -392,7 +290,9 @@ mod tests {
     #[should_panic(expected = "workload is over")]
     fn run_trials_rejects_mismatched_node_counts() {
         let workload = ZipfWorkload::new(8, 1.2);
-        let _ = run_trials(AlgorithmSpec::Waiting, &workload, &config(10, 2, false));
+        let _ = Sweep::workload(AlgorithmSpec::Waiting, &workload)
+            .config(&config(10, 2, false))
+            .run();
     }
 
     #[test]
@@ -404,20 +304,21 @@ mod tests {
             seed: 9,
             parallel: false,
         };
-        let serial =
-            run_scenario_trials(AlgorithmSpec::Gathering, Scenario::AdaptiveIsolator, &cfg);
-        let parallel = run_scenario_trials(
-            AlgorithmSpec::Gathering,
-            Scenario::AdaptiveIsolator,
-            &BatchConfig {
+        let serial = Sweep::scenario(AlgorithmSpec::Gathering, Scenario::AdaptiveIsolator)
+            .config(&cfg)
+            .run();
+        let parallel = Sweep::scenario(AlgorithmSpec::Gathering, Scenario::AdaptiveIsolator)
+            .config(&BatchConfig {
                 parallel: true,
                 ..cfg
-            },
-        );
+            })
+            .run();
         assert_eq!(serial, parallel);
         assert!(serial.iter().all(|r| r.terminated() && r.data_conserved));
         // The same adversary starves Waiting for the whole horizon.
-        let waiting = run_scenario_trials(AlgorithmSpec::Waiting, Scenario::AdaptiveIsolator, &cfg);
+        let waiting = Sweep::scenario(AlgorithmSpec::Waiting, Scenario::AdaptiveIsolator)
+            .config(&cfg)
+            .run();
         assert!(waiting.iter().all(|r| !r.terminated()));
         assert!(waiting.iter().all(|r| r.interactions_processed == 4_000));
     }
@@ -431,20 +332,22 @@ mod tests {
             seed: 4,
             parallel: false,
         };
-        let raw = run_scenario_trials(
+        let raw = Sweep::scenario(
             AlgorithmSpec::WaitingGreedy { tau: None },
             Scenario::Uniform,
-            &cfg,
-        );
+        )
+        .config(&cfg)
+        .run();
         assert_eq!(raw.len(), 3);
         assert!(raw.iter().all(|r| r.terminated()));
         // The scenario and workload views of "uniform" are the same process:
         // identical seeds produce identical trials.
-        let via_workload = run_trials(
+        let via_workload = Sweep::workload(
             AlgorithmSpec::WaitingGreedy { tau: None },
             &UniformWorkload::new(10),
-            &cfg,
-        );
+        )
+        .config(&cfg)
+        .run();
         assert_eq!(raw, via_workload);
     }
 
@@ -462,15 +365,13 @@ mod tests {
             AlgorithmSpec::WaitingGreedy { tau: None },
         ] {
             let scenario = Scenario::Uniform.with_faults(FaultProfile::crash(0.002));
-            let serial = run_scenario_trials(spec, scenario, &cfg);
-            let parallel = run_scenario_trials(
-                spec,
-                scenario,
-                &BatchConfig {
+            let serial = Sweep::scenario(spec, scenario).config(&cfg).run();
+            let parallel = Sweep::scenario(spec, scenario)
+                .config(&BatchConfig {
                     parallel: true,
                     ..cfg
-                },
-            );
+                })
+                .run();
             assert_eq!(serial, parallel, "{spec}");
             assert!(serial.iter().all(|r| r.data_conserved || !r.terminated()));
         }
@@ -490,15 +391,15 @@ mod tests {
             Scenario::Tournament,
             Scenario::IntervalConnected { t: 8 },
         ] {
-            let serial = run_scenario_trials(AlgorithmSpec::Gathering, scenario, &cfg);
-            let parallel = run_scenario_trials(
-                AlgorithmSpec::Gathering,
-                scenario,
-                &BatchConfig {
+            let serial = Sweep::scenario(AlgorithmSpec::Gathering, scenario)
+                .config(&cfg)
+                .run();
+            let parallel = Sweep::scenario(AlgorithmSpec::Gathering, scenario)
+                .config(&BatchConfig {
                     parallel: true,
                     ..cfg
-                },
-            );
+                })
+                .run();
             assert_eq!(serial, parallel, "{scenario}");
             assert!(
                 serial.iter().all(|r| r.terminated() && r.data_conserved),
@@ -506,7 +407,9 @@ mod tests {
             );
         }
         // The sink-unmatched round trap starves even Gathering.
-        let starved = run_scenario_trials(AlgorithmSpec::Gathering, Scenario::RoundIsolator, &cfg);
+        let starved = Sweep::scenario(AlgorithmSpec::Gathering, Scenario::RoundIsolator)
+            .config(&cfg)
+            .run();
         assert!(starved
             .iter()
             .all(|r| !r.terminated() && r.interactions_processed == 6_000));
@@ -522,15 +425,15 @@ mod tests {
             parallel: false,
         };
         let scenario = Scenario::RandomMatching.with_faults(FaultProfile::lossy(0.2));
-        let serial = run_scenario_trials(AlgorithmSpec::Gathering, scenario, &cfg);
-        let parallel = run_scenario_trials(
-            AlgorithmSpec::Gathering,
-            scenario,
-            &BatchConfig {
+        let serial = Sweep::scenario(AlgorithmSpec::Gathering, scenario)
+            .config(&cfg)
+            .run();
+        let parallel = Sweep::scenario(AlgorithmSpec::Gathering, scenario)
+            .config(&BatchConfig {
                 parallel: true,
                 ..cfg
-            },
-        );
+            })
+            .run();
         assert_eq!(serial, parallel);
         assert!(serial.iter().any(|r| r.faults.lost_interactions > 0));
         assert!(serial.iter().all(|r| !r.terminated() || r.data_conserved));
@@ -539,12 +442,15 @@ mod tests {
     #[test]
     fn fault_free_faulted_scenario_reproduces_the_plain_scenario() {
         let cfg = config(10, 5, false);
-        let plain = run_scenario_trials(AlgorithmSpec::Gathering, Scenario::Uniform, &cfg);
-        let wrapped = run_scenario_trials(
+        let plain = Sweep::scenario(AlgorithmSpec::Gathering, Scenario::Uniform)
+            .config(&cfg)
+            .run();
+        let wrapped = Sweep::scenario(
             AlgorithmSpec::Gathering,
             FaultedScenario::from(Scenario::Uniform),
-            &cfg,
-        );
+        )
+        .config(&cfg)
+        .run();
         assert_eq!(plain, wrapped);
         assert!(plain.iter().all(|r| r.faults.is_clean()));
     }
@@ -556,26 +462,35 @@ mod tests {
             min_live: 1,
             ..FaultProfile::churn(0.5, 0.0)
         });
-        let _ = run_scenario_trials(AlgorithmSpec::Gathering, bad, &config(8, 2, false));
+        let _ = Sweep::scenario(AlgorithmSpec::Gathering, bad)
+            .config(&config(8, 2, false))
+            .run();
     }
 
     #[test]
     #[should_panic(expected = "is adaptive")]
     fn scenario_sweep_rejects_oracles_over_adaptive_streams() {
         let cfg = config(10, 2, false);
-        let _ = run_scenario_trials(
-            AlgorithmSpec::OfflineOptimal,
-            Scenario::AdaptiveIsolator,
-            &cfg,
-        );
+        let _ = Sweep::scenario(AlgorithmSpec::OfflineOptimal, Scenario::AdaptiveIsolator)
+            .config(&cfg)
+            .run();
     }
 
     #[test]
     fn ordering_offline_fastest_waiting_slowest() {
         let cfg = config(16, 6, false);
-        let offline = run_batch(AlgorithmSpec::OfflineOptimal, &cfg);
-        let gathering = run_batch(AlgorithmSpec::Gathering, &cfg);
-        let waiting = run_batch(AlgorithmSpec::Waiting, &cfg);
+        let offline = Sweep::scenario(AlgorithmSpec::OfflineOptimal, Scenario::Uniform)
+            .config(&cfg)
+            .run_summarized()
+            .0;
+        let gathering = Sweep::scenario(AlgorithmSpec::Gathering, Scenario::Uniform)
+            .config(&cfg)
+            .run_summarized()
+            .0;
+        let waiting = Sweep::scenario(AlgorithmSpec::Waiting, Scenario::Uniform)
+            .config(&cfg)
+            .run_summarized()
+            .0;
         assert!(offline.interactions.mean < gathering.interactions.mean);
         assert!(gathering.interactions.mean < waiting.interactions.mean);
     }
@@ -590,7 +505,10 @@ mod tests {
             parallel: false,
         };
         assert_eq!(cfg.horizon_len(), 2_000);
-        let result = run_batch(AlgorithmSpec::Gathering, &cfg);
+        let result = Sweep::scenario(AlgorithmSpec::Gathering, Scenario::Uniform)
+            .config(&cfg)
+            .run_summarized()
+            .0;
         assert_eq!(result.completed, 3);
     }
 
@@ -604,6 +522,9 @@ mod tests {
             seed: 1,
             parallel: false,
         };
-        let _ = run_batch(AlgorithmSpec::Waiting, &cfg);
+        let _ = Sweep::scenario(AlgorithmSpec::Waiting, Scenario::Uniform)
+            .config(&cfg)
+            .run_summarized()
+            .0;
     }
 }

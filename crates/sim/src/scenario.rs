@@ -5,7 +5,7 @@
 //! generators of `doda-workloads` *and* the adversaries of
 //! `doda-adversary` (weighted randomized, the oblivious star-then-ring
 //! trap, and the sweepable online **adaptive** isolator). Every consumer —
-//! the sharded batch runner ([`crate::runner::run_scenario_trials`]), the
+//! the sweep builder ([`crate::Sweep::scenario`]), the
 //! `doda-bench` perf grid, the experiment harness and the examples —
 //! enumerates the same registry instead of hand-wiring its own list of
 //! generators.
@@ -522,8 +522,8 @@ impl FaultedScenario {
 
     /// A seeded streaming source with the fault plan already applied —
     /// the composite view for direct engine use (sweeps go through
-    /// [`crate::runner::run_scenario_trials`], which injects faults per
-    /// trial instead).
+    /// [`crate::Sweep::scenario`], which injects faults per trial
+    /// instead).
     ///
     /// # Panics
     ///
@@ -548,9 +548,8 @@ const FAULT_STREAM_LABEL: u64 = 0xFA;
 
 /// The seed-stream label separating Byzantine randomness (liar selection
 /// and forgery draws) from the base and fault streams' (see
-/// [`FaultedScenario::byzantine_injection`]; `pub(crate)` so workload
-/// sweeps seed their Byzantine plans identically).
-pub(crate) const BYZANTINE_STREAM_LABEL: u64 = 0xB2;
+/// [`FaultedScenario::byzantine_injection`]).
+const BYZANTINE_STREAM_LABEL: u64 = 0xB2;
 
 impl std::fmt::Display for FaultedScenario {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

@@ -1,17 +1,8 @@
 //! The unified sweep builder — one entry point for every batch shape.
 //!
-//! Before this module, the sweep surface was split three ways:
-//! [`crate::runner::run_trials`] for workloads,
-//! [`crate::runner::run_scenario_trials`] for the scenario registry, and
-//! direct [`TrialRunner`] calls for anyone needing the round or streamed
-//! path explicitly — with the execution-path choice (streamed vs
-//! materialised vs native rounds) buried inside each function. The lane
-//! tier made that split untenable: a fourth path cannot be wedged into
-//! three entry points.
-//!
-//! [`Sweep`] collapses the surface into one builder over the full cross
-//! product — interaction family (scenario or workload) × algorithm ×
-//! trials × seed × parallelism × [`ExecutionTier`]:
+//! [`Sweep`] is one builder over the full cross product — interaction
+//! family (scenario or workload) × algorithm × trials × seed × parallelism
+//! × [`ExecutionTier`] × [`AggregateKind`]:
 //!
 //! ```
 //! use doda_sim::{AlgorithmSpec, Scenario, Sweep};
@@ -25,14 +16,21 @@
 //! assert!(results.iter().all(|r| r.terminated()));
 //! ```
 //!
+//! [`Sweep::run`] first resolves the sweep — admission checks, then the
+//! tier — once for both families: a workload is a pairwise, fault-free,
+//! non-adaptive family that fixes one node count. One dispatcher then
+//! shards the trials over worker threads and runs each on the resolved
+//! [`TrialRunner`] entry point, with the datum family the aggregate kind
+//! selects ([`ExactOrigins`] by default).
+//!
 //! # Execution tiers
 //!
 //! | tier | what runs | when [`ExecutionTier::Auto`] picks it |
 //! |------|-----------|---------------------------------------|
 //! | materialised scalar | [`TrialRunner::run`] over a per-worker scratch sequence | the spec's oracles need the future |
-//! | streamed scalar | [`TrialRunner::run_streamed`], `O(n)` memory | a fault plan is present (faults are a scalar-path feature), or no faster tier applies |
-//! | native rounds | [`TrialRunner::run_rounds`], one matching per round | the scenario is round-based, fault-free, spec knowledge-free |
-//! | **lanes** | [`TrialRunner::run_lane_batch`]: up to 64 trials in lockstep through bit-lane state | the spec has a lane kernel ([`AlgorithmSpec::lane_algorithm`]) and the trials are fault-free and pairwise |
+//! | streamed scalar | [`TrialRunner::run_streamed`], `O(n)` memory | a fault or Byzantine plan is present (both are scalar-path features), or no faster tier applies |
+//! | native rounds | [`TrialRunner::run_rounds`], one matching per round | the scenario is round-based, fault-free and honest, spec knowledge-free |
+//! | **lanes** | [`TrialRunner::run_lane_batch`]: up to 64 trials in lockstep through bit-lane state | the spec has a lane kernel ([`AlgorithmSpec::lane_algorithm`]), the trials are fault-free, honest and pairwise, and the aggregate is the default |
 //! | **hierarchical** | [`TrialRunner::run_hierarchical`]: cluster election, intra-cluster aggregation, then an aggregator-only phase | never — opt in with [`Sweep::tier`] |
 //!
 //! Every flat tier is byte-identical per trial to the scalar reference on
@@ -57,13 +55,13 @@ use doda_stats::rng::SeedSequence;
 use doda_workloads::Workload;
 
 use crate::datum::{
-    AggregateKind, CountFamily, DatumFamily, DistinctFamily, MaxFamily, MinFamily, QuantileFamily,
-    SumFamily,
+    AggregateKind, CountFamily, DatumFamily, DistinctFamily, ExactOrigins, MaxFamily, MinFamily,
+    QuantileFamily, SumFamily,
 };
-use crate::runner::{shard, shard_trials, summarize, BatchConfig, BatchResult};
-use crate::scenario::FaultedScenario;
+use crate::runner::{shard, summarize, BatchConfig, BatchResult};
+use crate::scenario::{FaultedScenario, Scenario};
 use crate::spec::AlgorithmSpec;
-use crate::trial::{ByzantineInjection, TrialConfig, TrialResult, TrialRunner};
+use crate::trial::{TrialConfig, TrialResult, TrialRunner};
 
 /// The execution tier of a sweep: which engine path runs the trials.
 ///
@@ -140,6 +138,22 @@ enum Path {
     Lanes,
     Rounds,
     Hierarchical,
+}
+
+/// A sweep resolved for running ([`Sweep::plan`]): the node count, the
+/// per-trial horizon and path, and how a trial seed becomes the trial's
+/// stream and plans.
+struct Plan<'s> {
+    n: usize,
+    horizon: usize,
+    path: Path,
+    /// The scenario behind the sweep: the round and hierarchical tiers
+    /// build their streams from it (`None` for a workload).
+    scenario: Option<Scenario>,
+    /// The trial's pairwise base stream, from its trial seed.
+    source: Box<dyn Fn(u64) -> Box<dyn InteractionSource + Send> + Sync + 's>,
+    /// The fault and Byzantine plans, seeded per trial.
+    planes: FaultedScenario,
 }
 
 /// A batch of independent trials: one algorithm against one interaction
@@ -322,16 +336,11 @@ impl<'a> Sweep<'a> {
     ///
     /// # Panics
     ///
-    /// Panics when a forced tier is inadmissible, with the same message
+    /// Panics when the sweep is inadmissible — an inadmissible forced
+    /// tier, spec, plan or node count — with the same message
     /// [`Sweep::run`] would produce.
     pub fn path_label(&self) -> &'static str {
-        let path = self.demote_lanes(match &self.family {
-            Family::Scenario(scenario) => {
-                self.resolve_scenario_path(&self.effective_scenario(*scenario))
-            }
-            Family::Workload(_) => self.resolve_workload_path(),
-        });
-        match path {
+        match self.plan().path {
             Path::Materialized => "materialized",
             Path::Streamed => "streamed",
             Path::Rounds => "rounds",
@@ -346,52 +355,22 @@ impl<'a> Sweep<'a> {
     /// # Panics
     ///
     /// Panics on inadmissible combinations — an adaptive scenario with a
-    /// knowledge-based spec, an invalid fault plan, a forced tier the
-    /// family, spec or [`Sweep::aggregate`] cannot take (see
+    /// knowledge-based spec, an invalid fault or Byzantine plan, a forced
+    /// tier the family, spec or [`Sweep::aggregate`] cannot take (see
     /// [`ExecutionTier`]), a scenario sweep without [`Sweep::n`], or a
     /// workload sweep whose explicit `n` mismatches the workload — and if
     /// a worker thread panics.
     pub fn run(&self) -> Vec<TrialResult> {
-        // The default kind keeps the original monomorphic path: existing
-        // sweeps compile to exactly the code they ran before aggregates
-        // became selectable.
+        let plan = self.plan();
         match self.aggregate {
-            AggregateKind::IdSet => match self.family {
-                Family::Scenario(scenario) => self.run_scenario(scenario),
-                Family::Workload(workload) => self.run_workload(workload),
-            },
-            AggregateKind::Count => self.run_family(&CountFamily),
-            AggregateKind::Sum => self.run_family(&SumFamily::new(self.seed)),
-            AggregateKind::Min => self.run_family(&MinFamily::new(self.seed)),
-            AggregateKind::Max => self.run_family(&MaxFamily::new(self.seed)),
-            AggregateKind::Distinct => self.run_family(&DistinctFamily::new(self.seed)),
-            AggregateKind::Quantile => self.run_family(&QuantileFamily::new(self.seed)),
+            AggregateKind::IdSet => self.dispatch(&plan, &ExactOrigins),
+            AggregateKind::Count => self.dispatch(&plan, &CountFamily),
+            AggregateKind::Sum => self.dispatch(&plan, &SumFamily::new(self.seed)),
+            AggregateKind::Min => self.dispatch(&plan, &MinFamily::new(self.seed)),
+            AggregateKind::Max => self.dispatch(&plan, &MaxFamily::new(self.seed)),
+            AggregateKind::Distinct => self.dispatch(&plan, &DistinctFamily::new(self.seed)),
+            AggregateKind::Quantile => self.dispatch(&plan, &QuantileFamily::new(self.seed)),
         }
-    }
-
-    /// Runs a non-default datum family through the generic trial surface.
-    fn run_family<D: DatumFamily>(&self, datum: &D) -> Vec<TrialResult> {
-        match self.family {
-            Family::Scenario(scenario) => self.run_scenario_with(scenario, datum),
-            Family::Workload(workload) => self.run_workload_with(workload, datum),
-        }
-    }
-
-    /// Applies the aggregate-kind constraint to a resolved path: the lane
-    /// tier steps ownership bits only — no aggregate state exists in its
-    /// SoA lanes — so non-default kinds run the streamed path instead
-    /// (under [`ExecutionTier::Auto`]) or refuse a forced lane tier.
-    fn demote_lanes(&self, path: Path) -> Path {
-        if path != Path::Lanes || self.aggregate == AggregateKind::IdSet {
-            return path;
-        }
-        assert!(
-            self.tier != ExecutionTier::Lanes,
-            "the lane tier tracks no aggregates; aggregate '{}' sweeps run \
-             the scalar tiers",
-            self.aggregate
-        );
-        Path::Streamed
     }
 
     /// Runs the sweep and summarises it, returning the summary together
@@ -435,520 +414,237 @@ impl<'a> Sweep<'a> {
         }
     }
 
-    fn horizon_len(&self, n: usize) -> usize {
-        self.horizon
-            .unwrap_or_else(|| doda_adversary::RandomizedAdversary::default_horizon(n))
-    }
-
-    /// The scenario with the builder's Byzantine profile applied
-    /// ([`Sweep::byzantine`] overrides any plan the entry carries).
-    fn effective_scenario(&self, scenario: FaultedScenario) -> FaultedScenario {
-        match self.byzantine {
-            None => scenario,
-            Some(profile) => scenario.with_byzantine(profile),
-        }
-    }
-
-    /// The per-trial Byzantine injection of a **workload** sweep: the
-    /// builder's profile seeded exactly as a scenario entry would seed it
-    /// ([`FaultedScenario::byzantine_injection`]), so a workload sweep and
-    /// the equivalent scenario sweep corrupt identically per trial seed.
-    fn workload_byzantine_injection(&self, trial_seed: u64) -> Option<ByzantineInjection> {
-        self.byzantine.map(|profile| ByzantineInjection {
-            profile,
-            seed: SeedSequence::new(trial_seed).seed(crate::scenario::BYZANTINE_STREAM_LABEL),
-        })
-    }
-
-    /// Resolves the tier for a scenario sweep (see the module docs).
-    fn resolve_scenario_path(&self, scenario: &FaultedScenario) -> Path {
-        match self.tier {
-            ExecutionTier::Auto => {
-                if self.spec.requires_materialization() {
-                    Path::Materialized
-                } else if scenario.faults.is_some() || scenario.byzantine.is_some() {
-                    // Both planes are scalar-path features: faults perturb
-                    // the stream, byzantine plans need the audited engine.
-                    Path::Streamed
-                } else if scenario.is_round() {
-                    Path::Rounds
-                } else if self.spec.lane_algorithm().is_some() {
-                    Path::Lanes
-                } else {
-                    Path::Streamed
-                }
+    /// Resolves the sweep into a [`Plan`]: the admission checks, then the
+    /// tier (see the module docs). A workload is a pairwise, fault-free,
+    /// non-adaptive family that fixes one node count; the builder's
+    /// Byzantine profile ([`Sweep::byzantine`]) overrides any plan a
+    /// scenario entry carries, and a workload's is seeded exactly as a
+    /// scenario entry would seed it, so both families corrupt identically
+    /// per trial seed.
+    fn plan(&self) -> Plan<'_> {
+        let spec = self.spec;
+        let (subject, scenario, faults, byzantine) = match self.family {
+            Family::Scenario(entry) => {
+                let entry = match self.byzantine {
+                    None => entry,
+                    Some(profile) => entry.with_byzantine(profile),
+                };
+                let subject = format!("scenario '{entry}'");
+                (subject, Some(entry.base), entry.faults, entry.byzantine)
             }
-            ExecutionTier::Scalar => {
-                if self.spec.requires_materialization() {
-                    Path::Materialized
-                } else {
-                    Path::Streamed
-                }
-            }
+            Family::Workload(workload) => (
+                format!("workload '{}'", workload.name()),
+                None,
+                None,
+                self.byzantine,
+            ),
+        };
+        // One entry carries either family's planes, so both are admitted
+        // and seeded alike (a workload's base is a placeholder never read).
+        let planes = FaultedScenario {
+            base: scenario.unwrap_or(Scenario::Uniform),
+            faults,
+            byzantine,
+        };
+
+        assert!(
+            scenario.map_or(true, |s| s.supports(spec)),
+            "{subject} is adaptive: {spec} requires {} knowledge, which would \
+             need materialising a stream that depends on the execution itself",
+            spec.knowledge()
+        );
+        let n = self.resolved_n();
+        // A fault plan that could strand the execution below two live
+        // nodes must be a typed error before any trial runs — never a hang.
+        planes
+            .validate(n)
+            .unwrap_or_else(|e| panic!("invalid fault plan for {subject}: {e}"));
+        planes
+            .validate_byzantine()
+            .unwrap_or_else(|e| panic!("invalid byzantine plan for {subject}: {e}"));
+
+        let materialize = spec.requires_materialization();
+        let round = scenario.is_some_and(|s| s.is_round());
+        // Fault and Byzantine plans run on the scalar tiers only.
+        let scalar_only = |tier: &str| {
+            assert!(
+                faults.is_none(),
+                "the {tier} tier is fault-free by contract; {subject} carries a \
+                 fault plan, which the scalar tier runs"
+            );
+            assert!(
+                byzantine.is_none(),
+                "the {tier} tier is honest by contract; {subject} carries a \
+                 byzantine plan, which the audited scalar tier runs"
+            );
+        };
+        let mut path = match self.tier {
+            ExecutionTier::Auto if materialize => Path::Materialized,
+            // Both planes are scalar-path features: faults perturb the
+            // stream, byzantine plans need the audited engine.
+            ExecutionTier::Auto if faults.is_some() || byzantine.is_some() => Path::Streamed,
+            ExecutionTier::Auto if round => Path::Rounds,
+            ExecutionTier::Auto if spec.lane_algorithm().is_some() => Path::Lanes,
+            ExecutionTier::Auto => Path::Streamed,
+            ExecutionTier::Scalar if materialize => Path::Materialized,
+            ExecutionTier::Scalar => Path::Streamed,
             ExecutionTier::Lanes => {
                 assert!(
-                    self.spec.lane_algorithm().is_some(),
-                    "{} requires {} knowledge and has no lane kernel",
-                    self.spec,
-                    self.spec.knowledge()
+                    spec.lane_algorithm().is_some(),
+                    "{spec} requires {} knowledge and has no lane kernel",
+                    spec.knowledge()
                 );
-                assert!(
-                    scenario.faults.is_none(),
-                    "the lane tier is fault-free by contract; scenario \
-                     '{scenario}' carries a fault plan"
-                );
-                assert!(
-                    scenario.byzantine.is_none(),
-                    "the lane tier is honest by contract; scenario \
-                     '{scenario}' carries a byzantine plan"
-                );
+                scalar_only("lane");
                 Path::Lanes
             }
             ExecutionTier::Rounds => {
                 assert!(
-                    scenario.is_round(),
-                    "scenario '{scenario}' is pairwise; the round tier needs a \
-                     round scenario"
+                    round,
+                    "{subject} is pairwise; the round tier needs a round scenario"
                 );
+                scalar_only("round");
                 assert!(
-                    scenario.faults.is_none(),
-                    "fault plans compose over the flattened round stream (the \
-                     scalar tier), not over the batched round path"
-                );
-                assert!(
-                    scenario.byzantine.is_none(),
-                    "byzantine plans compose over the flattened round stream \
-                     (the audited scalar tier), not over the batched round path"
-                );
-                assert!(
-                    !self.spec.requires_materialization(),
-                    "{} requires {} knowledge and cannot run round-streamed",
-                    self.spec,
-                    self.spec.knowledge()
+                    !materialize,
+                    "{spec} requires {} knowledge and cannot run round-streamed",
+                    spec.knowledge()
                 );
                 Path::Rounds
             }
             ExecutionTier::Hierarchical => {
                 assert!(
-                    !self.spec.requires_materialization(),
-                    "{} requires {} knowledge and cannot run hierarchically: \
-                     its oracles describe one flat committed schedule, not \
-                     per-cluster sub-streams",
-                    self.spec,
-                    self.spec.knowledge()
-                );
-                assert!(
-                    scenario.faults.is_none(),
-                    "the hierarchical tier is fault-free by contract; scenario \
-                     '{scenario}' carries a fault plan"
-                );
-                assert!(
-                    scenario.byzantine.is_none(),
-                    "the hierarchical tier is honest by contract; scenario \
-                     '{scenario}' carries a byzantine plan"
-                );
-                Path::Hierarchical
-            }
-        }
-    }
-
-    /// Resolves the tier for a workload sweep: workloads are pairwise,
-    /// infinite and fault-free, so only the round tier is off-limits.
-    fn resolve_workload_path(&self) -> Path {
-        match self.tier {
-            ExecutionTier::Auto => {
-                if self.spec.requires_materialization() {
-                    Path::Materialized
-                } else if self.byzantine.is_some() {
-                    Path::Streamed
-                } else if self.spec.lane_algorithm().is_some() {
-                    Path::Lanes
-                } else {
-                    Path::Streamed
-                }
-            }
-            ExecutionTier::Scalar => {
-                if self.spec.requires_materialization() {
-                    Path::Materialized
-                } else {
-                    Path::Streamed
-                }
-            }
-            ExecutionTier::Lanes => {
-                assert!(
-                    self.spec.lane_algorithm().is_some(),
-                    "{} requires {} knowledge and has no lane kernel",
-                    self.spec,
-                    self.spec.knowledge()
-                );
-                assert!(
-                    self.byzantine.is_none(),
-                    "the lane tier is honest by contract; the sweep carries \
-                     a byzantine plan"
-                );
-                Path::Lanes
-            }
-            ExecutionTier::Rounds => {
-                panic!("workloads are pairwise streams; the round tier needs a round scenario")
-            }
-            ExecutionTier::Hierarchical => {
-                panic!(
-                    "workloads fix one node count; the hierarchical tier \
+                    scenario.is_some(),
+                    "{subject} fixes one node count; the hierarchical tier \
                      re-instantiates the scenario family at cluster size — \
                      use Sweep::scenario"
-                )
+                );
+                assert!(
+                    !materialize,
+                    "{spec} requires {} knowledge and cannot run hierarchically: \
+                     its oracles describe one flat committed schedule, not \
+                     per-cluster sub-streams",
+                    spec.knowledge()
+                );
+                scalar_only("hierarchical");
+                Path::Hierarchical
             }
+        };
+        // The lane tier steps ownership bits only — no aggregate state
+        // exists in its SoA lanes — so non-default kinds run the streamed
+        // path instead (under `Auto`) or refuse a forced lane tier.
+        if path == Path::Lanes && self.aggregate != AggregateKind::IdSet {
+            assert!(
+                self.tier != ExecutionTier::Lanes,
+                "the lane tier tracks no aggregates; aggregate '{}' sweeps run \
+                 the scalar tiers",
+                self.aggregate
+            );
+            path = Path::Streamed;
+        }
+
+        let source: Box<dyn Fn(u64) -> Box<dyn InteractionSource + Send> + Sync> = match self.family
+        {
+            Family::Scenario(_) => Box::new(move |seed| planes.base.source(n, seed)),
+            Family::Workload(workload) => Box::new(move |seed| workload.source(seed)),
+        };
+        Plan {
+            n,
+            horizon: self
+                .horizon
+                .unwrap_or_else(|| doda_adversary::RandomizedAdversary::default_horizon(n)),
+            path,
+            scenario,
+            source,
+            planes,
         }
     }
 
-    fn run_scenario(&self, scenario: FaultedScenario) -> Vec<TrialResult> {
-        let scenario = self.effective_scenario(scenario);
-        assert!(
-            scenario.supports(self.spec),
-            "scenario '{scenario}' is adaptive: {} requires {} knowledge, which would \
-             need materialising a stream that depends on the execution itself",
-            self.spec,
-            self.spec.knowledge()
-        );
-        let n = self.resolved_n();
-        // A fault plan that could strand the execution below two live
-        // nodes must be a typed error before any trial runs — never a hang.
-        scenario
-            .validate(n)
-            .unwrap_or_else(|e| panic!("invalid fault plan for scenario '{scenario}': {e}"));
-        scenario
-            .validate_byzantine()
-            .unwrap_or_else(|e| panic!("invalid byzantine plan for scenario '{scenario}': {e}"));
-        let seeds = SeedSequence::new(self.seed);
-        let horizon = self.horizon_len(n);
+    /// Runs the planned trials with `family`'s data: the one dispatcher
+    /// behind every path. Workers claim one trial at a time on the scalar
+    /// paths and one lane batch of up to [`Sweep::lane_width`] consecutive
+    /// trials on the lane tier (see [`crate::runner`]). Lanes are fully
+    /// independent (one source per lane), so the grouping — which differs
+    /// between serial and parallel runs — never affects a per-trial result.
+    fn dispatch<D: DatumFamily>(&self, plan: &Plan<'_>, family: &D) -> Vec<TrialResult> {
         let spec = self.spec;
-
-        match self.resolve_scenario_path(&scenario) {
-            Path::Materialized => shard_trials(
-                self.trials,
-                self.parallel,
-                || (TrialRunner::new(), InteractionSequence::new(n)),
-                |(runner, seq), trial| {
-                    let trial_seed = seeds.seed(trial as u64);
-                    let mut source = scenario.base.source(n, trial_seed);
-                    seq.fill_from(source.as_mut(), horizon);
-                    let trial_config = TrialConfig {
-                        fault: scenario.fault_injection(trial_seed),
-                        byzantine: scenario.byzantine_injection(trial_seed),
-                        ..TrialConfig::default()
-                    };
-                    runner.run(spec, seq, &trial_config)
-                },
-            ),
-            Path::Streamed => shard_trials(
-                self.trials,
-                self.parallel,
-                TrialRunner::new,
-                |runner, trial| {
-                    let trial_seed = seeds.seed(trial as u64);
-                    let trial_config = TrialConfig {
-                        max_interactions: Some(horizon as u64),
-                        fault: scenario.fault_injection(trial_seed),
-                        byzantine: scenario.byzantine_injection(trial_seed),
-                        ..TrialConfig::default()
-                    };
-                    let mut source = scenario.base.source(n, trial_seed);
-                    runner.run_streamed(spec, source.as_mut(), &trial_config)
-                },
-            ),
-            Path::Rounds => {
-                let trial_config = TrialConfig {
-                    max_interactions: Some(horizon as u64),
-                    ..TrialConfig::default()
-                };
-                shard_trials(
-                    self.trials,
-                    self.parallel,
-                    TrialRunner::new,
-                    |runner, trial| {
-                        let mut rounds = scenario
-                            .base
-                            .round_source(n, seeds.seed(trial as u64))
-                            .expect("the round path only resolves for round scenarios");
-                        runner.run_rounds(spec, rounds.as_mut(), &trial_config)
-                    },
-                )
-            }
-            Path::Lanes => {
-                self.run_lanes_sharded(horizon, |trial_seed| scenario.base.source(n, trial_seed))
-            }
-            Path::Hierarchical => {
-                let k = self
-                    .cluster_size
-                    .unwrap_or_else(|| (n as f64).sqrt().ceil() as usize)
-                    .max(1);
-                let trial_config = TrialConfig {
-                    max_interactions: Some(horizon as u64),
-                    ..TrialConfig::default()
-                };
-                shard_trials(
-                    self.trials,
-                    self.parallel,
-                    TrialRunner::new,
-                    |runner, trial| {
-                        runner.run_hierarchical(
-                            spec,
-                            &scenario.base,
-                            n,
-                            k,
-                            seeds.seed(trial as u64),
-                            &trial_config,
-                        )
-                    },
-                )
-            }
-        }
-    }
-
-    fn run_workload(&self, workload: &(dyn Workload + Sync)) -> Vec<TrialResult> {
-        let n = self.resolved_n();
         let seeds = SeedSequence::new(self.seed);
-        let horizon = self.horizon_len(n);
-        let spec = self.spec;
-
-        match self.resolve_workload_path() {
-            Path::Materialized => shard_trials(
-                self.trials,
-                self.parallel,
-                || (TrialRunner::new(), InteractionSequence::new(n)),
-                |(runner, seq), trial| {
-                    let trial_seed = seeds.seed(trial as u64);
-                    workload.fill(seq, horizon, trial_seed);
-                    let trial_config = TrialConfig {
-                        byzantine: self.workload_byzantine_injection(trial_seed),
-                        ..TrialConfig::default()
-                    };
-                    runner.run(spec, seq, &trial_config)
-                },
-            ),
-            Path::Streamed => shard_trials(
-                self.trials,
-                self.parallel,
-                TrialRunner::new,
-                |runner, trial| {
-                    let trial_seed = seeds.seed(trial as u64);
-                    let trial_config = TrialConfig {
-                        max_interactions: Some(horizon as u64),
-                        byzantine: self.workload_byzantine_injection(trial_seed),
-                        ..TrialConfig::default()
-                    };
-                    let mut source = workload.source(trial_seed);
-                    runner.run_streamed(spec, source.as_mut(), &trial_config)
-                },
-            ),
-            Path::Lanes => {
-                self.run_lanes_sharded(horizon, |trial_seed| workload.source(trial_seed))
-            }
-            Path::Rounds => unreachable!("resolve_workload_path rejects the round tier"),
-            Path::Hierarchical => {
-                unreachable!("resolve_workload_path rejects the hierarchical tier")
-            }
-        }
-    }
-
-    /// [`Sweep::run_scenario`] for a non-default datum family: identical
-    /// resolution and seeding, with the lane path demoted to streamed
-    /// ([`Sweep::demote_lanes`]) and every trial routed through the
-    /// generic `_with` surface of [`TrialRunner`].
-    fn run_scenario_with<D: DatumFamily>(
-        &self,
-        scenario: FaultedScenario,
-        datum: &D,
-    ) -> Vec<TrialResult> {
-        let scenario = self.effective_scenario(scenario);
-        assert!(
-            scenario.supports(self.spec),
-            "scenario '{scenario}' is adaptive: {} requires {} knowledge, which would \
-             need materialising a stream that depends on the execution itself",
-            self.spec,
-            self.spec.knowledge()
-        );
-        let n = self.resolved_n();
-        scenario
-            .validate(n)
-            .unwrap_or_else(|e| panic!("invalid fault plan for scenario '{scenario}': {e}"));
-        scenario
-            .validate_byzantine()
-            .unwrap_or_else(|e| panic!("invalid byzantine plan for scenario '{scenario}': {e}"));
-        let seeds = SeedSequence::new(self.seed);
-        let horizon = self.horizon_len(n);
-        let spec = self.spec;
-
-        match self.demote_lanes(self.resolve_scenario_path(&scenario)) {
-            Path::Materialized => shard_trials(
-                self.trials,
-                self.parallel,
-                || (TrialRunner::new(), InteractionSequence::new(n)),
-                |(runner, seq), trial| {
-                    let trial_seed = seeds.seed(trial as u64);
-                    let mut source = scenario.base.source(n, trial_seed);
-                    seq.fill_from(source.as_mut(), horizon);
-                    let trial_config = TrialConfig {
-                        fault: scenario.fault_injection(trial_seed),
-                        byzantine: scenario.byzantine_injection(trial_seed),
-                        ..TrialConfig::default()
-                    };
-                    runner.run_with(spec, seq, &trial_config, datum)
-                },
-            ),
-            Path::Streamed => shard_trials(
-                self.trials,
-                self.parallel,
-                TrialRunner::new,
-                |runner, trial| {
-                    let trial_seed = seeds.seed(trial as u64);
-                    let trial_config = TrialConfig {
-                        max_interactions: Some(horizon as u64),
-                        fault: scenario.fault_injection(trial_seed),
-                        byzantine: scenario.byzantine_injection(trial_seed),
-                        ..TrialConfig::default()
-                    };
-                    let mut source = scenario.base.source(n, trial_seed);
-                    runner.run_streamed_with(spec, source.as_mut(), &trial_config, datum)
-                },
-            ),
-            Path::Rounds => {
-                let trial_config = TrialConfig {
-                    max_interactions: Some(horizon as u64),
-                    ..TrialConfig::default()
-                };
-                shard_trials(
-                    self.trials,
-                    self.parallel,
-                    TrialRunner::new,
-                    |runner, trial| {
-                        let mut rounds = scenario
-                            .base
-                            .round_source(n, seeds.seed(trial as u64))
-                            .expect("the round path only resolves for round scenarios");
-                        runner.run_rounds_with(spec, rounds.as_mut(), &trial_config, datum)
-                    },
-                )
-            }
-            Path::Lanes => {
-                unreachable!("demote_lanes rejects the lane tier for non-default aggregates")
-            }
-            Path::Hierarchical => {
-                let k = self
-                    .cluster_size
-                    .unwrap_or_else(|| (n as f64).sqrt().ceil() as usize)
-                    .max(1);
-                let trial_config = TrialConfig {
-                    max_interactions: Some(horizon as u64),
-                    ..TrialConfig::default()
-                };
-                shard_trials(
-                    self.trials,
-                    self.parallel,
-                    TrialRunner::new,
-                    |runner, trial| {
-                        runner.run_hierarchical_with(
-                            spec,
-                            &scenario.base,
-                            n,
-                            k,
-                            seeds.seed(trial as u64),
-                            &trial_config,
-                            datum,
-                        )
-                    },
-                )
-            }
-        }
-    }
-
-    /// [`Sweep::run_workload`] for a non-default datum family; see
-    /// [`Sweep::run_scenario_with`].
-    fn run_workload_with<D: DatumFamily>(
-        &self,
-        workload: &(dyn Workload + Sync),
-        datum: &D,
-    ) -> Vec<TrialResult> {
-        let n = self.resolved_n();
-        let seeds = SeedSequence::new(self.seed);
-        let horizon = self.horizon_len(n);
-        let spec = self.spec;
-
-        match self.demote_lanes(self.resolve_workload_path()) {
-            Path::Materialized => shard_trials(
-                self.trials,
-                self.parallel,
-                || (TrialRunner::new(), InteractionSequence::new(n)),
-                |(runner, seq), trial| {
-                    let trial_seed = seeds.seed(trial as u64);
-                    workload.fill(seq, horizon, trial_seed);
-                    let trial_config = TrialConfig {
-                        byzantine: self.workload_byzantine_injection(trial_seed),
-                        ..TrialConfig::default()
-                    };
-                    runner.run_with(spec, seq, &trial_config, datum)
-                },
-            ),
-            Path::Streamed => shard_trials(
-                self.trials,
-                self.parallel,
-                TrialRunner::new,
-                |runner, trial| {
-                    let trial_seed = seeds.seed(trial as u64);
-                    let trial_config = TrialConfig {
-                        max_interactions: Some(horizon as u64),
-                        byzantine: self.workload_byzantine_injection(trial_seed),
-                        ..TrialConfig::default()
-                    };
-                    let mut source = workload.source(trial_seed);
-                    runner.run_streamed_with(spec, source.as_mut(), &trial_config, datum)
-                },
-            ),
-            Path::Lanes => {
-                unreachable!("demote_lanes rejects the lane tier for non-default aggregates")
-            }
-            Path::Rounds => unreachable!("resolve_workload_path rejects the round tier"),
-            Path::Hierarchical => {
-                unreachable!("resolve_workload_path rejects the hierarchical tier")
-            }
-        }
-    }
-
-    /// The sharded lane driver: trials run in lane batches of consecutive
-    /// indices, up to [`Sweep::lane_width`] wide. A parallel worker claims
-    /// one batch at a time, of `min(lane_width, ⌈trials / workers⌉)`
-    /// trials, so a small sweep still spreads over every worker. Lanes are
-    /// fully independent (one source per lane), so the grouping — which
-    /// differs between serial and parallel runs — never affects a
-    /// per-trial result.
-    fn run_lanes_sharded<F>(&self, horizon: usize, make_source: F) -> Vec<TrialResult>
-    where
-        F: Fn(u64) -> Box<dyn InteractionSource + Send> + Sync,
-    {
-        let seeds = SeedSequence::new(self.seed);
-        let width = self.lane_width;
-        let spec = self.spec;
-        let trial_config = TrialConfig {
-            max_interactions: Some(horizon as u64),
+        let budget = Some(plan.horizon as u64);
+        let config = |trial_seed, max_interactions| TrialConfig {
+            max_interactions,
+            fault: plan.planes.fault_injection(trial_seed),
+            byzantine: plan.planes.byzantine_injection(trial_seed),
             ..TrialConfig::default()
         };
+        let lanes = plan.path == Path::Lanes;
+        let width = if lanes { self.lane_width } else { 1 };
+        let cluster_size = self
+            .cluster_size
+            .unwrap_or_else(|| (plan.n as f64).sqrt().ceil() as usize)
+            .max(1);
+        let init = || (TrialRunner::new(), InteractionSequence::new(plan.n));
         shard(
             self.trials,
             self.parallel,
             width,
-            TrialRunner::new,
-            |runner, range| {
-                let mut results = Vec::with_capacity(range.len());
-                let mut batch = range.start;
-                while batch < range.end {
-                    let upper = range.end.min(batch + width);
-                    let mut sources: Vec<_> = (batch..upper)
-                        .map(|trial| make_source(seeds.seed(trial as u64)))
+            init,
+            |(runner, seq), trials| {
+                if lanes {
+                    // Lanes carry no plans, so every trial shares one config.
+                    let config = config(0, budget);
+                    return trials
+                        .clone()
+                        .step_by(width)
+                        .flat_map(|batch| {
+                            let mut sources: Vec<_> = (batch..trials.end.min(batch + width))
+                                .map(|trial| (plan.source)(seeds.seed(trial as u64)))
+                                .collect();
+                            runner.run_lane_batch(spec, &mut sources, &config, family)
+                        })
                         .collect();
-                    results.extend(runner.run_lane_batch(spec, &mut sources, &trial_config));
-                    batch = upper;
                 }
-                results
+                trials
+                    .map(|trial| {
+                        let seed = seeds.seed(trial as u64);
+                        match plan.path {
+                            Path::Materialized => {
+                                seq.fill_from((plan.source)(seed).as_mut(), plan.horizon);
+                                runner.run(spec, seq, &config(seed, None), family)
+                            }
+                            Path::Streamed => {
+                                let mut source = (plan.source)(seed);
+                                runner.run_streamed(
+                                    spec,
+                                    source.as_mut(),
+                                    &config(seed, budget),
+                                    family,
+                                )
+                            }
+                            Path::Rounds => {
+                                let mut rounds = plan
+                                    .scenario
+                                    .and_then(|s| s.round_source(plan.n, seed))
+                                    .expect("the round path only resolves for round scenarios");
+                                runner.run_rounds(
+                                    spec,
+                                    rounds.as_mut(),
+                                    &config(seed, budget),
+                                    family,
+                                )
+                            }
+                            Path::Hierarchical => runner.run_hierarchical(
+                                spec,
+                                plan.scenario
+                                    .as_ref()
+                                    .expect("the hierarchical path only resolves for scenarios"),
+                                plan.n,
+                                cluster_size,
+                                seed,
+                                &config(seed, budget),
+                                family,
+                            ),
+                            Path::Lanes => unreachable!("lane trials run in batches above"),
+                        }
+                    })
+                    .collect()
             },
         )
     }
@@ -1105,8 +801,7 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn summaries_match_the_legacy_runner() {
+    fn run_summarized_summarizes_run() {
         let config = BatchConfig {
             n: 12,
             trials: 6,
@@ -1114,11 +809,10 @@ mod tests {
             seed: 42,
             parallel: false,
         };
-        let (summary, raw) = Sweep::scenario(AlgorithmSpec::Gathering, Scenario::Uniform)
-            .config(&config)
-            .run_summarized();
-        let legacy = crate::runner::run_batch_detailed(AlgorithmSpec::Gathering, &config);
-        assert_eq!((summary, raw), legacy);
+        let sweep = Sweep::scenario(AlgorithmSpec::Gathering, Scenario::Uniform).config(&config);
+        let raw = sweep.run();
+        let expected = summarize(AlgorithmSpec::Gathering, &config, &raw);
+        assert_eq!(sweep.run_summarized(), (expected, raw));
     }
 
     #[test]

@@ -18,10 +18,10 @@ pub fn registry_cases() -> Vec<FaultedScenario> {
 }
 
 /// The registry minus entries carrying a Byzantine plan. For suites
-/// that drive the engine directly (checkpoint slicing, hand-rolled
-/// `run`/`step_for` loops): those paths cannot reproduce the audited
-/// `run_audited` execution, so Byzantine entries are out of scope by
-/// construction rather than by a per-suite filter that can drift.
+/// that drive the engine directly on the honest data plane (checkpoint
+/// slicing, hand-rolled `run`/`step_for` loops): they cannot reproduce
+/// the audited `run_audited` execution, so Byzantine entries are out of
+/// scope by construction rather than by a per-suite filter that can drift.
 pub fn byzantine_free_registry_cases() -> Vec<FaultedScenario> {
     FaultedScenario::registry()
         .into_iter()

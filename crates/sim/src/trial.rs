@@ -2,12 +2,14 @@
 //!
 //! [`TrialRunner`] is the sweep-facing entry point: it owns a reusable
 //! [`Engine`] so that running thousands of trials reuses one set of
-//! scratch allocations. [`TrialRunner::run_streamed`] is the primary path
-//! — it drives a knowledge-free algorithm straight off an
-//! [`InteractionSource`] in `O(n)` memory; [`TrialRunner::run`] executes
-//! over a materialised sequence for the algorithms whose oracles need the
-//! future. [`run_trial_on_sequence`] remains as a stateless convenience
-//! for one-off trials.
+//! scratch allocations, and every entry point takes the [`DatumFamily`]
+//! the nodes carry ([`ExactOrigins`] by default). [`TrialRunner::run`]
+//! (materialised, for oracles that need the future) and
+//! [`TrialRunner::run_streamed`] (`O(n)` memory, any source) differ only
+//! in how they build the algorithm and whether they price the cost: both
+//! run one execution, where a fault plan wraps the source and a Byzantine
+//! plan selects the audited data plane. The round, lane and hierarchical
+//! tiers are fault-free and honest.
 
 use doda_core::algebra::AggregateSummary;
 use doda_core::byzantine::{ByzantineInjector, ByzantineProfile, Tally, Verdict};
@@ -19,7 +21,7 @@ use doda_core::hierarchy::ClusterPlan;
 use doda_core::lane::{LaneEngine, LaneRunStats};
 use doda_core::outcome::{Completion, FaultTally};
 use doda_core::round::RoundSource;
-use doda_core::{InteractionSequence, InteractionSource, Time};
+use doda_core::{DodaAlgorithm, InteractionSequence, InteractionSource, Time};
 use doda_graph::NodeId;
 use doda_stats::rng::SeedSequence;
 
@@ -101,6 +103,36 @@ pub struct TrialConfig {
     /// and reproduces the unaudited trial byte for byte apart from the
     /// `Some(Clean)` verdict.
     pub byzantine: Option<ByzantineInjection>,
+}
+
+impl TrialConfig {
+    /// The engine budget of an unmaterialised trial: the explicit one, or
+    /// the engine's default.
+    fn stream_budget(&self) -> u64 {
+        self.max_interactions
+            .unwrap_or(EngineConfig::default().max_interactions)
+    }
+
+    /// Asserts what the fault-free, honest tiers (`tier` trials) require:
+    /// no cost, no fault plan and no Byzantine plan. Faulted and audited
+    /// trials run on the scalar paths (round streams flattened).
+    fn assert_plain(&self, tier: &str) {
+        assert!(
+            !self.compute_cost,
+            "the paper's cost function needs the materialised sequence; \
+             {tier} trials cannot compute it"
+        );
+        assert!(
+            self.fault.is_none(),
+            "fault plans run on the scalar path; the {tier} tier is \
+             fault-free by contract"
+        );
+        assert!(
+            self.byzantine.is_none(),
+            "byzantine plans run on the audited scalar path; the {tier} \
+             tier is honest by contract"
+        );
+    }
 }
 
 impl Default for TrialConfig {
@@ -186,12 +218,11 @@ impl TrialResult {
 /// (the Monte-Carlo sweeps of Sections 4–5) reuse one set of allocations.
 /// The sharded batch runner keeps one `TrialRunner` per worker thread.
 ///
-/// The runner is generic over the [`Aggregate`] the nodes carry,
-/// defaulting to [`IdSet`] — the exact-conservation datum every
-/// pre-algebra sweep ran. The inherent methods without a `_with` suffix
-/// live on `TrialRunner<IdSet>` and behave exactly as before; the
-/// `_with` methods take a [`DatumFamily`] and run any aggregate
-/// ([`crate::Sweep::aggregate`] is the sweep-facing selector).
+/// The runner is generic over the [`Aggregate`] the nodes carry, and every
+/// entry point takes the [`DatumFamily`] that seeds and checks it:
+/// [`ExactOrigins`] (nodes carry [`IdSet`]s, results carry no
+/// [`AggregateSummary`]) is the exact-conservation default every sweep
+/// runs unless [`crate::Sweep::aggregate`] selects another.
 #[derive(Debug)]
 pub struct TrialRunner<A: Aggregate = IdSet> {
     engine: Engine<A>,
@@ -213,282 +244,6 @@ impl<A: Aggregate> TrialRunner<A> {
         }
     }
 
-    /// Runs `spec` over a concrete, pre-materialised sequence with the
-    /// given datum family, reusing this runner's scratch. The generic
-    /// form of [`TrialRunner::run`], which documents the fault/oracle
-    /// staleness semantics and the panic conditions.
-    pub fn run_with<D>(
-        &mut self,
-        spec: AlgorithmSpec,
-        seq: &InteractionSequence,
-        config: &TrialConfig,
-        family: &D,
-    ) -> TrialResult
-    where
-        D: DatumFamily<Agg = A>,
-    {
-        assert!(
-            !(config.compute_cost && config.fault.is_some()),
-            "the paper's cost function is defined over the committed fault-free \
-             sequence; a faulted execution's termination time indexes the engine \
-             clock (schedule + fault events), so its cost is undefined"
-        );
-        let n = seq.node_count();
-        let sink = config.sink;
-        let max_interactions = config.max_interactions.unwrap_or(seq.len() as u64);
-        let engine_config = EngineConfig::sweep(max_interactions);
-        let Some(mut algorithm) = spec.instantiate(seq, sink) else {
-            // Spanning tree over a disconnected underlying graph: no
-            // algorithm could aggregate on this sequence; report a
-            // non-terminated trial.
-            return TrialResult {
-                algorithm: spec.label().to_string(),
-                n,
-                termination_time: None,
-                interactions_processed: 0,
-                transmissions: 0,
-                ignored_decisions: 0,
-                data_conserved: false,
-                completion: Completion::Starved,
-                faults: FaultTally::default(),
-                cost: None,
-                aggregate: None,
-                // No interaction ever ran, so an audited trial's ledger is
-                // trivially clean (byzantine plan ⇒ Some verdict, always).
-                verdict: config.byzantine.map(|_| Verdict::Clean),
-            };
-        };
-        let mut audit: Option<Tally> = None;
-        let stats = match (config.fault, config.byzantine) {
-            (None, None) => self.engine.run(
-                algorithm.as_mut(),
-                &mut seq.stream(false),
-                sink,
-                |v| family.initial(v),
-                engine_config,
-                &mut DiscardTransmissions,
-            ),
-            (Some(injection), None) => {
-                // The oracles above were built from the base sequence (the
-                // committed schedule); only execution sees the faults.
-                let mut faulted =
-                    FaultedSource::new(seq.stream(false), injection.profile, injection.seed)
-                        .unwrap_or_else(|e| panic!("invalid fault plan: {e}"));
-                self.engine.run(
-                    algorithm.as_mut(),
-                    &mut faulted,
-                    sink,
-                    |v| family.initial(v),
-                    engine_config,
-                    &mut DiscardTransmissions,
-                )
-            }
-            (fault, Some(byz)) => {
-                // Byzantine corruption lives on the data plane: the same
-                // schedule (faulted or not) runs through the audited engine
-                // path, which records a receipt per transfer.
-                let mut injector = ByzantineInjector::new(byz.profile, n, sink, byz.seed)
-                    .unwrap_or_else(|e| panic!("invalid byzantine plan: {e}"));
-                let mut tally = Tally::new();
-                let stats = match fault {
-                    None => self.engine.run_audited(
-                        algorithm.as_mut(),
-                        &mut seq.stream(false),
-                        sink,
-                        |v| family.initial(v),
-                        engine_config,
-                        &mut DiscardTransmissions,
-                        &mut injector,
-                        &mut tally,
-                    ),
-                    Some(injection) => {
-                        let mut faulted = FaultedSource::new(
-                            seq.stream(false),
-                            injection.profile,
-                            injection.seed,
-                        )
-                        .unwrap_or_else(|e| panic!("invalid fault plan: {e}"));
-                        self.engine.run_audited(
-                            algorithm.as_mut(),
-                            &mut faulted,
-                            sink,
-                            |v| family.initial(v),
-                            engine_config,
-                            &mut DiscardTransmissions,
-                            &mut injector,
-                            &mut tally,
-                        )
-                    }
-                };
-                audit = Some(tally);
-                stats
-            }
-        }
-        .expect("the provided algorithms never emit structurally invalid decisions");
-        let cost = config
-            .compute_cost
-            .then(|| cost_of_duration(seq, sink, stats.termination_time, config.max_convergecasts));
-        let mut result = self.finish_with(spec, family, stats, cost);
-        result.verdict = audit.map(|tally| tally.verdict::<A>());
-        result
-    }
-
-    /// Runs `spec` **streamed** with the given datum family. The generic
-    /// form of [`TrialRunner::run_streamed`], which documents the
-    /// budget/cost semantics and the panic conditions.
-    pub fn run_streamed_with<S, D>(
-        &mut self,
-        spec: AlgorithmSpec,
-        source: &mut S,
-        config: &TrialConfig,
-        family: &D,
-    ) -> TrialResult
-    where
-        S: InteractionSource + ?Sized,
-        D: DatumFamily<Agg = A>,
-    {
-        assert!(
-            !config.compute_cost,
-            "the paper's cost function needs the materialised sequence; \
-             streamed trials cannot compute it"
-        );
-        let sink = config.sink;
-        let max_interactions = config
-            .max_interactions
-            .unwrap_or(EngineConfig::default().max_interactions);
-        let Some(mut algorithm) = spec.instantiate_online() else {
-            panic!(
-                "{spec} requires {} knowledge and cannot run streamed; \
-                 materialise the source and use TrialRunner::run",
-                spec.knowledge()
-            );
-        };
-        let engine_config = EngineConfig::sweep(max_interactions);
-        let mut audit: Option<Tally> = None;
-        let stats = match (config.fault, config.byzantine) {
-            (None, None) => self.engine.run(
-                algorithm.as_mut(),
-                source,
-                sink,
-                |v| family.initial(v),
-                engine_config,
-                &mut DiscardTransmissions,
-            ),
-            (Some(injection), None) => {
-                let mut faulted = FaultedSource::new(source, injection.profile, injection.seed)
-                    .unwrap_or_else(|e| panic!("invalid fault plan: {e}"));
-                self.engine.run(
-                    algorithm.as_mut(),
-                    &mut faulted,
-                    sink,
-                    |v| family.initial(v),
-                    engine_config,
-                    &mut DiscardTransmissions,
-                )
-            }
-            (fault, Some(byz)) => {
-                let n = source.node_count();
-                let mut injector = ByzantineInjector::new(byz.profile, n, sink, byz.seed)
-                    .unwrap_or_else(|e| panic!("invalid byzantine plan: {e}"));
-                let mut tally = Tally::new();
-                let stats = match fault {
-                    None => self.engine.run_audited(
-                        algorithm.as_mut(),
-                        source,
-                        sink,
-                        |v| family.initial(v),
-                        engine_config,
-                        &mut DiscardTransmissions,
-                        &mut injector,
-                        &mut tally,
-                    ),
-                    Some(injection) => {
-                        let mut faulted =
-                            FaultedSource::new(source, injection.profile, injection.seed)
-                                .unwrap_or_else(|e| panic!("invalid fault plan: {e}"));
-                        self.engine.run_audited(
-                            algorithm.as_mut(),
-                            &mut faulted,
-                            sink,
-                            |v| family.initial(v),
-                            engine_config,
-                            &mut DiscardTransmissions,
-                            &mut injector,
-                            &mut tally,
-                        )
-                    }
-                };
-                audit = Some(tally);
-                stats
-            }
-        }
-        .expect("the provided algorithms never emit structurally invalid decisions");
-        let mut result = self.finish_with(spec, family, stats, None);
-        result.verdict = audit.map(|tally| tally.verdict::<A>());
-        result
-    }
-
-    /// Runs `spec` over a **round** stream with the given datum family.
-    /// The generic form of [`TrialRunner::run_rounds`], which documents
-    /// the budget semantics and the panic conditions.
-    pub fn run_rounds_with<R, D>(
-        &mut self,
-        spec: AlgorithmSpec,
-        rounds: &mut R,
-        config: &TrialConfig,
-        family: &D,
-    ) -> TrialResult
-    where
-        R: RoundSource + ?Sized,
-        D: DatumFamily<Agg = A>,
-    {
-        assert!(
-            !config.compute_cost,
-            "the paper's cost function needs a materialised sequence; \
-             round trials cannot compute it"
-        );
-        assert!(
-            config.fault.is_none(),
-            "fault plans compose over the flattened round stream \
-             (FaultedSource over FlattenedRounds, via run_streamed), not \
-             over the batched round path"
-        );
-        assert!(
-            config.byzantine.is_none(),
-            "byzantine plans compose over the flattened round stream \
-             (run_audited over FlattenedRounds, via run_streamed), not \
-             over the batched round path"
-        );
-        let sink = config.sink;
-        let max_interactions = config
-            .max_interactions
-            .unwrap_or(EngineConfig::default().max_interactions);
-        let Some(mut algorithm) = spec.instantiate_online() else {
-            panic!(
-                "{spec} requires {} knowledge and cannot run round-streamed; \
-                 materialise the flattened stream and use TrialRunner::run",
-                spec.knowledge()
-            );
-        };
-        let stats = self
-            .engine
-            .run_rounds(
-                algorithm.as_mut(),
-                rounds,
-                sink,
-                |v| family.initial(v),
-                EngineConfig::sweep(max_interactions),
-                &mut DiscardTransmissions,
-            )
-            .expect("the provided algorithms never emit structurally invalid decisions");
-        self.finish_with(spec, family, stats.run, None)
-    }
-}
-
-/// The default exact-origins surface: every method behaves exactly as it
-/// did before the runner became generic — nodes carry [`IdSet`]s, results
-/// carry no [`AggregateSummary`].
-impl TrialRunner {
     /// Runs `spec` over a concrete, pre-materialised sequence, reusing
     /// this runner's scratch.
     ///
@@ -510,13 +265,63 @@ impl TrialRunner {
     /// with a fault plan: the paper's cost function indexes the committed
     /// sequence by time, and a faulted execution's clock includes fault
     /// events, so no faithful duration exists to price.
-    pub fn run(
+    pub fn run<D>(
         &mut self,
         spec: AlgorithmSpec,
         seq: &InteractionSequence,
         config: &TrialConfig,
-    ) -> TrialResult {
-        self.run_with(spec, seq, config, &ExactOrigins)
+        family: &D,
+    ) -> TrialResult
+    where
+        D: DatumFamily<Agg = A>,
+    {
+        assert!(
+            !(config.compute_cost && config.fault.is_some()),
+            "the paper's cost function is defined over the committed fault-free \
+             sequence; a faulted execution's termination time indexes the engine \
+             clock (schedule + fault events), so its cost is undefined"
+        );
+        let Some(mut algorithm) = spec.instantiate(seq, config.sink) else {
+            // Spanning tree over a disconnected underlying graph: no
+            // algorithm could aggregate on this sequence; report a
+            // non-terminated trial.
+            return TrialResult {
+                algorithm: spec.label().to_string(),
+                n: seq.node_count(),
+                termination_time: None,
+                interactions_processed: 0,
+                transmissions: 0,
+                ignored_decisions: 0,
+                data_conserved: false,
+                completion: Completion::Starved,
+                faults: FaultTally::default(),
+                cost: None,
+                aggregate: None,
+                // No interaction ever ran, so an audited trial's ledger is
+                // trivially clean (byzantine plan ⇒ Some verdict, always).
+                verdict: config.byzantine.map(|_| Verdict::Clean),
+            };
+        };
+        // The oracles above were built from the base sequence (the
+        // committed schedule); only execution sees the faults.
+        let max_interactions = config.max_interactions.unwrap_or(seq.len() as u64);
+        let mut result = self.execute(
+            spec,
+            algorithm.as_mut(),
+            &mut seq.stream(false),
+            config,
+            max_interactions,
+            family,
+        );
+        if config.compute_cost {
+            result.cost = Some(cost_of_duration(
+                seq,
+                config.sink,
+                result.termination_time,
+                config.max_convergecasts,
+            ));
+        }
+        result
     }
 
     /// Runs `spec` **streamed**: the engine pulls interactions straight
@@ -535,16 +340,117 @@ impl TrialRunner {
     /// materialise the source and go through [`TrialRunner::run`]), if
     /// `config.compute_cost` is set, or if the algorithm produces a
     /// structurally invalid decision.
-    pub fn run_streamed<S>(
+    pub fn run_streamed<S, D>(
         &mut self,
         spec: AlgorithmSpec,
         source: &mut S,
         config: &TrialConfig,
+        family: &D,
     ) -> TrialResult
     where
         S: InteractionSource + ?Sized,
+        D: DatumFamily<Agg = A>,
     {
-        self.run_streamed_with(spec, source, config, &ExactOrigins)
+        assert!(
+            !config.compute_cost,
+            "the paper's cost function needs the materialised sequence; \
+             streamed trials cannot compute it"
+        );
+        let mut algorithm = online(spec, "streamed");
+        let max_interactions = config.stream_budget();
+        self.execute(
+            spec,
+            algorithm.as_mut(),
+            source,
+            config,
+            max_interactions,
+            family,
+        )
+    }
+
+    /// The one trial execution behind [`TrialRunner::run`] and
+    /// [`TrialRunner::run_streamed`]: the fault plan wraps the source in a
+    /// [`FaultedSource`], and the Byzantine plan picks the audited data
+    /// plane ([`doda_core::Engine::run_audited`]) over the honest one. The
+    /// two planes compose freely: the schedule never sees the audit.
+    fn execute<S, D>(
+        &mut self,
+        spec: AlgorithmSpec,
+        algorithm: &mut dyn DodaAlgorithm,
+        source: &mut S,
+        config: &TrialConfig,
+        max_interactions: u64,
+        family: &D,
+    ) -> TrialResult
+    where
+        S: InteractionSource + ?Sized,
+        D: DatumFamily<Agg = A>,
+    {
+        match config.fault {
+            None => self.run_plane(spec, algorithm, source, config, max_interactions, family),
+            Some(injection) => {
+                let mut faulted = FaultedSource::new(source, injection.profile, injection.seed)
+                    .unwrap_or_else(|e| panic!("invalid fault plan: {e}"));
+                self.run_plane(
+                    spec,
+                    algorithm,
+                    &mut faulted,
+                    config,
+                    max_interactions,
+                    family,
+                )
+            }
+        }
+    }
+
+    /// Runs one execution on the data plane `config` asks for; the audited
+    /// plane's result carries the verdict.
+    fn run_plane<S, D>(
+        &mut self,
+        spec: AlgorithmSpec,
+        algorithm: &mut dyn DodaAlgorithm,
+        source: &mut S,
+        config: &TrialConfig,
+        max_interactions: u64,
+        family: &D,
+    ) -> TrialResult
+    where
+        S: InteractionSource + ?Sized,
+        D: DatumFamily<Agg = A>,
+    {
+        let sink = config.sink;
+        let initial = |v| family.initial(v);
+        let engine_config = EngineConfig::sweep(max_interactions);
+        let mut tally = Tally::new();
+        let stats = match config.byzantine {
+            None => self.engine.run(
+                algorithm,
+                source,
+                sink,
+                initial,
+                engine_config,
+                &mut DiscardTransmissions,
+            ),
+            Some(byz) => {
+                let n = source.node_count();
+                let mut injector = ByzantineInjector::new(byz.profile, n, sink, byz.seed)
+                    .unwrap_or_else(|e| panic!("invalid byzantine plan: {e}"));
+                self.engine.run_audited(
+                    algorithm,
+                    source,
+                    sink,
+                    initial,
+                    engine_config,
+                    &mut DiscardTransmissions,
+                    &mut injector,
+                    &mut tally,
+                )
+            }
+        }
+        .expect("the provided algorithms never emit structurally invalid decisions");
+        let mut result = finish_trial_with(spec, &self.engine, family, stats, None);
+        result.verdict = config.byzantine.map(|_| tally.verdict::<A>());
+        result
     }
 
     /// Runs `spec` over a **round** stream: the engine pulls one matching
@@ -562,44 +468,36 @@ impl TrialRunner {
     ///
     /// Panics if `spec` requires knowledge of the future (materialise the
     /// flattened stream and use [`TrialRunner::run`]), if
-    /// `config.compute_cost` is set, or if a fault plan is configured —
-    /// faults compose over the *flattened* stream
-    /// (`FaultedSource<FlattenedRounds<R>>` via [`TrialRunner::run_streamed`]),
-    /// not over the batched round path.
-    pub fn run_rounds<R>(
+    /// `config.compute_cost` is set, or if a fault or Byzantine plan is
+    /// configured — both compose over the *flattened* stream
+    /// (`FlattenedRounds<R>` via [`TrialRunner::run_streamed`]), not over
+    /// the batched round path.
+    pub fn run_rounds<R, D>(
         &mut self,
         spec: AlgorithmSpec,
         rounds: &mut R,
         config: &TrialConfig,
+        family: &D,
     ) -> TrialResult
     where
         R: RoundSource + ?Sized,
+        D: DatumFamily<Agg = A>,
     {
-        self.run_rounds_with(spec, rounds, config, &ExactOrigins)
-    }
-
-    /// Runs one **hierarchical** trial with exact origin sets; the
-    /// [`IdSet`] form of [`TrialRunner::run_hierarchical_with`], which
-    /// documents the phase structure and the panic conditions.
-    pub fn run_hierarchical(
-        &mut self,
-        spec: AlgorithmSpec,
-        scenario: &Scenario,
-        n: usize,
-        target_cluster_size: usize,
-        trial_seed: u64,
-        config: &TrialConfig,
-    ) -> TrialResult {
-        let family = ExactOrigins;
-        self.run_hierarchical_with(
-            spec,
-            scenario,
-            n,
-            target_cluster_size,
-            trial_seed,
-            config,
-            &family,
-        )
+        config.assert_plain("round");
+        let max_interactions = config.stream_budget();
+        let mut algorithm = online(spec, "round-streamed");
+        let stats = self
+            .engine
+            .run_rounds(
+                algorithm.as_mut(),
+                rounds,
+                config.sink,
+                |v| family.initial(v),
+                EngineConfig::sweep(max_interactions),
+                &mut DiscardTransmissions,
+            )
+            .expect("the provided algorithms never emit structurally invalid decisions");
+        finish_trial_with(spec, &self.engine, family, stats.run, None)
     }
 
     /// Runs one trial per source through the **lane tier**
@@ -613,33 +511,28 @@ impl TrialRunner {
     /// # Panics
     ///
     /// Panics if `spec` has no lane kernel
-    /// ([`AlgorithmSpec::lane_algorithm`] is `None`), if a fault plan or
-    /// cost computation is configured (both are scalar-path features), if
-    /// the batch is empty, oversized, or mixes node counts, or if a source
-    /// emits a fault event.
-    pub fn run_lane_batch<S>(
+    /// ([`AlgorithmSpec::lane_algorithm`] is `None`), if a fault plan,
+    /// Byzantine plan or cost computation is configured (all are
+    /// scalar-path features), if `family` reports an aggregate summary
+    /// (lanes track ownership bits, never aggregates), if the batch is
+    /// empty, oversized, or mixes node counts, or if a source emits a
+    /// fault event.
+    pub fn run_lane_batch<S, D>(
         &mut self,
         spec: AlgorithmSpec,
         sources: &mut [S],
         config: &TrialConfig,
+        family: &D,
     ) -> Vec<TrialResult>
     where
         S: InteractionSource,
+        D: DatumFamily<Agg = A>,
     {
+        config.assert_plain("lane");
         assert!(
-            !config.compute_cost,
-            "the paper's cost function needs the materialised sequence; \
-             lane trials cannot compute it"
-        );
-        assert!(
-            config.fault.is_none(),
-            "fault plans run on the scalar path; the lane tier is \
-             fault-free by contract"
-        );
-        assert!(
-            config.byzantine.is_none(),
-            "byzantine plans run on the audited scalar path; the lane \
-             tier is honest by contract"
+            family.summary(&family.initial(config.sink)).is_none(),
+            "the lane tier tracks no aggregates; families with a summary \
+             run the scalar tiers"
         );
         let Some(algorithm) = spec.lane_algorithm() else {
             panic!(
@@ -648,18 +541,14 @@ impl TrialRunner {
                 spec.knowledge()
             );
         };
-        let max_interactions = config
-            .max_interactions
-            .unwrap_or(EngineConfig::default().max_interactions);
+        let max_interactions = config.stream_budget();
         self.lanes
             .run_lanes(algorithm, sources, config.sink, max_interactions)
             .into_iter()
             .map(|stats| finish_lane(spec, stats))
             .collect()
     }
-}
 
-impl<A: Aggregate> TrialRunner<A> {
     /// Runs one **hierarchical** trial: a seeded [`ClusterPlan`] election
     /// partitions the non-sink nodes into clusters of
     /// `target_cluster_size`, each cluster aggregates toward its elected
@@ -688,7 +577,7 @@ impl<A: Aggregate> TrialRunner<A> {
     /// `target_cluster_size` (or the aggregator count) is below the
     /// scenario's minimum node count.
     #[allow(clippy::too_many_arguments)]
-    pub fn run_hierarchical_with<D>(
+    pub fn run_hierarchical<D>(
         &mut self,
         spec: AlgorithmSpec,
         scenario: &Scenario,
@@ -701,27 +590,8 @@ impl<A: Aggregate> TrialRunner<A> {
     where
         D: DatumFamily<Agg = A>,
     {
-        assert!(
-            !config.compute_cost,
-            "the paper's cost function needs the materialised sequence; \
-             hierarchical trials cannot compute it"
-        );
-        assert!(
-            config.fault.is_none(),
-            "fault plans run on the flat paths; the hierarchical tier is \
-             fault-free by contract"
-        );
-        assert!(
-            config.byzantine.is_none(),
-            "byzantine plans run on the audited flat paths; the \
-             hierarchical tier is honest by contract"
-        );
-        assert!(
-            spec.instantiate_online().is_some(),
-            "{spec} requires {} knowledge and cannot run hierarchically; \
-             materialise the source and use TrialRunner::run",
-            spec.knowledge()
-        );
+        config.assert_plain("hierarchical");
+        online(spec, "hierarchically");
         let sink = config.sink;
         let seeds = SeedSequence::new(trial_seed);
         let plan = ClusterPlan::elect(n, sink, target_cluster_size, seeds.seed(HIER_ELECT_LABEL));
@@ -739,9 +609,7 @@ impl<A: Aggregate> TrialRunner<A> {
             plan.cluster_count() + 1
         );
 
-        let mut remaining = config
-            .max_interactions
-            .unwrap_or(EngineConfig::default().max_interactions);
+        let mut remaining = config.stream_budget();
         let mut interactions = 0u64;
         let mut transmissions = 0u64;
         let mut ignored = 0u64;
@@ -834,9 +702,7 @@ impl<A: Aggregate> TrialRunner<A> {
         F: FnMut(NodeId) -> A,
     {
         debug_assert!(local_n >= 2);
-        let mut algorithm = spec
-            .instantiate_online()
-            .expect("checked by run_hierarchical");
+        let mut algorithm = online(spec, "hierarchically");
         self.engine
             .run(
                 algorithm.as_mut(),
@@ -848,21 +714,22 @@ impl<A: Aggregate> TrialRunner<A> {
             )
             .expect("the provided algorithms never emit structurally invalid decisions")
     }
+}
 
-    /// Packages the engine counters into a [`TrialResult`]; see
-    /// [`finish_trial_with`].
-    fn finish_with<D>(
-        &self,
-        spec: AlgorithmSpec,
-        family: &D,
-        stats: RunStats,
-        cost: Option<Cost>,
-    ) -> TrialResult
-    where
-        D: DatumFamily<Agg = A>,
-    {
-        finish_trial_with(spec, &self.engine, family, stats, cost)
-    }
+/// Instantiates knowledge-free `spec` for a trial that never materialises
+/// its stream (`how` names that path in the panic).
+///
+/// # Panics
+///
+/// Panics if `spec` requires knowledge of the future.
+fn online(spec: AlgorithmSpec, how: &str) -> Box<dyn DodaAlgorithm + Send> {
+    spec.instantiate_online().unwrap_or_else(|| {
+        panic!(
+            "{spec} requires {} knowledge and cannot run {how}; \
+             materialise the source and use TrialRunner::run",
+            spec.knowledge()
+        )
+    })
 }
 
 /// Packages the engine counters (plus the data-conservation check read
@@ -975,7 +842,7 @@ pub fn run_trial_on_sequence(
     seq: &InteractionSequence,
     config: &TrialConfig,
 ) -> TrialResult {
-    TrialRunner::new().run(spec, seq, config)
+    TrialRunner::new().run(spec, seq, config, &ExactOrigins)
 }
 
 #[cfg(test)]
@@ -1052,7 +919,7 @@ mod tests {
                 AlgorithmSpec::Waiting,
                 AlgorithmSpec::WaitingGreedy { tau: None },
             ] {
-                let reused = runner.run(spec, &seq, &config);
+                let reused = runner.run(spec, &seq, &config, &ExactOrigins);
                 let fresh = run_trial_on_sequence(spec, &seq, &config);
                 assert_eq!(reused, fresh, "{spec} diverged at n={n}, seed={seed}");
             }
@@ -1073,29 +940,68 @@ mod tests {
         assert!(result.interactions_processed <= 10);
     }
 
-    #[test]
-    fn streamed_trial_matches_materialized_trial() {
-        let horizon = 3_000usize;
+    /// The materialised and streamed entry points share one execution, so
+    /// they agree under any `(fault, byzantine)` composition.
+    fn assert_streamed_matches_materialized(
+        fault: Option<FaultInjection>,
+        byzantine: Option<ByzantineInjection>,
+    ) {
+        let horizon = 4_000usize;
+        let config = TrialConfig {
+            max_interactions: Some(horizon as u64),
+            fault,
+            byzantine,
+            ..TrialConfig::default()
+        };
         let mut runner = TrialRunner::new();
         for (n, seed) in [(8usize, 1u64), (12, 2), (6, 3)] {
             let workload = UniformWorkload::new(n);
+            let seq = workload.generate(horizon, seed);
             for spec in [AlgorithmSpec::Gathering, AlgorithmSpec::Waiting] {
-                let seq = workload.generate(horizon, seed);
-                let materialized = runner.run(spec, &seq, &TrialConfig::default());
+                let materialized = runner.run(spec, &seq, &config, &ExactOrigins);
                 let streamed = runner.run_streamed(
                     spec,
                     workload.source(seed).as_mut(),
-                    &TrialConfig {
-                        max_interactions: Some(horizon as u64),
-                        ..TrialConfig::default()
-                    },
+                    &config,
+                    &ExactOrigins,
                 );
                 assert_eq!(
                     streamed, materialized,
-                    "{spec} diverged at n={n}, seed={seed}"
+                    "{spec} diverged under {config:?} at n={n}, seed={seed}"
                 );
+                assert_eq!(streamed.verdict.is_some(), byzantine.is_some());
             }
         }
+    }
+
+    fn lossy_crashes() -> FaultInjection {
+        FaultInjection {
+            profile: doda_core::fault::FaultProfile {
+                loss: 0.1,
+                ..doda_core::fault::FaultProfile::crash(0.001)
+            },
+            seed: 0xFA7,
+        }
+    }
+
+    #[test]
+    fn streamed_trial_matches_materialized_trial() {
+        assert_streamed_matches_materialized(None, None);
+    }
+
+    #[test]
+    fn faulted_streamed_trial_matches_faulted_materialized_trial() {
+        assert_streamed_matches_materialized(Some(lossy_crashes()), None);
+    }
+
+    #[test]
+    fn byzantine_streamed_trial_matches_byzantine_materialized_trial() {
+        let forgers = ByzantineInjection {
+            profile: doda_core::byzantine::ByzantineProfile::forge(0.25),
+            seed: 0xB12,
+        };
+        assert_streamed_matches_materialized(None, Some(forgers));
+        assert_streamed_matches_materialized(Some(lossy_crashes()), Some(forgers));
     }
 
     #[test]
@@ -1106,47 +1012,25 @@ mod tests {
             ..TrialConfig::default()
         };
         let mut isolator = doda_adversary::IsolatorAdversary::new(16);
-        let gathering = runner.run_streamed(AlgorithmSpec::Gathering, &mut isolator, &config);
+        let gathering = runner.run_streamed(
+            AlgorithmSpec::Gathering,
+            &mut isolator,
+            &config,
+            &ExactOrigins,
+        );
         assert!(gathering.terminated());
         assert!(gathering.data_conserved);
         assert_eq!(gathering.transmissions, 15);
 
         let mut isolator = doda_adversary::IsolatorAdversary::new(16);
-        let waiting = runner.run_streamed(AlgorithmSpec::Waiting, &mut isolator, &config);
+        let waiting = runner.run_streamed(
+            AlgorithmSpec::Waiting,
+            &mut isolator,
+            &config,
+            &ExactOrigins,
+        );
         assert!(!waiting.terminated());
         assert_eq!(waiting.interactions_processed, 5_000);
-    }
-
-    #[test]
-    fn faulted_streamed_trial_matches_faulted_materialized_trial() {
-        use doda_core::fault::FaultProfile;
-
-        let horizon = 4_000usize;
-        let mut runner = TrialRunner::new();
-        let injection = FaultInjection {
-            profile: FaultProfile {
-                loss: 0.1,
-                ..FaultProfile::crash(0.001)
-            },
-            seed: 0xFA7,
-        };
-        for (n, seed) in [(8usize, 1u64), (12, 2)] {
-            let workload = UniformWorkload::new(n);
-            for spec in [AlgorithmSpec::Gathering, AlgorithmSpec::Waiting] {
-                let seq = workload.generate(horizon, seed);
-                let config = TrialConfig {
-                    max_interactions: Some(horizon as u64),
-                    fault: Some(injection),
-                    ..TrialConfig::default()
-                };
-                let materialized = runner.run(spec, &seq, &config);
-                let streamed = runner.run_streamed(spec, workload.source(seed).as_mut(), &config);
-                assert_eq!(
-                    streamed, materialized,
-                    "{spec} diverged under faults at n={n}, seed={seed}"
-                );
-            }
-        }
     }
 
     #[test]
@@ -1170,6 +1054,7 @@ mod tests {
                 AlgorithmSpec::Gathering,
                 workload.source(seed).as_mut(),
                 &config,
+                &ExactOrigins,
             );
             assert!(result.terminated(), "seed {seed}");
             // Conservation holds whether or not data was lost.
@@ -1185,36 +1070,6 @@ mod tests {
             }
         }
         assert!(survivor_trials > 0, "crashes must cost data in some trials");
-    }
-
-    #[test]
-    fn byzantine_streamed_trial_matches_byzantine_materialized_trial() {
-        use doda_core::byzantine::ByzantineProfile;
-
-        let horizon = 4_000usize;
-        let mut runner = TrialRunner::new();
-        let injection = ByzantineInjection {
-            profile: ByzantineProfile::forge(0.25),
-            seed: 0xB12,
-        };
-        for (n, seed) in [(8usize, 1u64), (12, 2)] {
-            let workload = UniformWorkload::new(n);
-            for spec in [AlgorithmSpec::Gathering, AlgorithmSpec::Waiting] {
-                let seq = workload.generate(horizon, seed);
-                let config = TrialConfig {
-                    max_interactions: Some(horizon as u64),
-                    byzantine: Some(injection),
-                    ..TrialConfig::default()
-                };
-                let materialized = runner.run(spec, &seq, &config);
-                let streamed = runner.run_streamed(spec, workload.source(seed).as_mut(), &config);
-                assert_eq!(
-                    streamed, materialized,
-                    "{spec} diverged under byzantine nodes at n={n}, seed={seed}"
-                );
-                assert!(streamed.verdict.is_some(), "audited trials carry a verdict");
-            }
-        }
     }
 
     #[test]
@@ -1238,11 +1093,13 @@ mod tests {
                 AlgorithmSpec::Gathering,
                 workload.source(seed).as_mut(),
                 &honest_config,
+                &ExactOrigins,
             );
             let mut audited = runner.run_streamed(
                 AlgorithmSpec::Gathering,
                 workload.source(seed).as_mut(),
                 &audited_config,
+                &ExactOrigins,
             );
             assert_eq!(audited.verdict, Some(Verdict::Clean), "seed {seed}");
             audited.verdict = None;
@@ -1275,6 +1132,7 @@ mod tests {
             AlgorithmSpec::Gathering,
             workload.source(7).as_mut(),
             &config,
+            &ExactOrigins,
         );
         // Both planes ran: the schedule saw the fault stream, and the
         // audit reconciled the liars' transfers.
@@ -1297,6 +1155,21 @@ mod tests {
                 }),
                 ..TrialConfig::default()
             },
+            &ExactOrigins,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "the lane tier tracks no aggregates")]
+    fn lane_batch_rejects_summary_families() {
+        let mut sources = [UniformWorkload::new(6).source(1)];
+        let config = TrialConfig::default();
+        let family = crate::datum::CountFamily;
+        let _ = TrialRunner::new().run_lane_batch(
+            AlgorithmSpec::Gathering,
+            &mut sources,
+            &config,
+            &family,
         );
     }
 
@@ -1308,6 +1181,7 @@ mod tests {
             AlgorithmSpec::OfflineOptimal,
             workload.source(0).as_mut(),
             &TrialConfig::default(),
+            &ExactOrigins,
         );
     }
 
@@ -1328,6 +1202,7 @@ mod tests {
                 }),
                 ..TrialConfig::default()
             },
+            &ExactOrigins,
         );
     }
 
@@ -1342,6 +1217,7 @@ mod tests {
                 compute_cost: true,
                 ..TrialConfig::default()
             },
+            &ExactOrigins,
         );
     }
 }

@@ -164,6 +164,7 @@ proptest! {
                     fault: Some(FaultInjection { profile, seed: fault_seed }),
                     ..TrialConfig::default()
                 },
+                &ExactOrigins,
             );
             if result.terminated() {
                 prop_assert!(
@@ -238,11 +239,12 @@ proptest! {
                     fault: Some(injection),
                     ..TrialConfig::default()
                 };
-                let materialized = runner.run(spec, &seq, &config);
+                let materialized = runner.run(spec, &seq, &config, &ExactOrigins);
                 let streamed = runner.run_streamed(
                     spec,
                     workload.source(seed).as_mut(),
                     &config,
+                    &ExactOrigins,
                 );
                 prop_assert_eq!(
                     &streamed,

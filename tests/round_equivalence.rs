@@ -55,11 +55,13 @@ proptest! {
                     spec,
                     scenario.source(n, seed).as_mut(),
                     &trial_config(horizon),
+                    &ExactOrigins,
                 );
                 let via_rounds = runner.run_rounds(
                     spec,
                     &mut SingletonRounds::new(scenario.source(n, seed)),
                     &trial_config(horizon),
+                    &ExactOrigins,
                 );
                 // TrialResult carries the full outcome surface: counters,
                 // completion class, FaultTally, data conservation.
@@ -148,12 +150,13 @@ proptest! {
                 let mut rounds = scenario
                     .round_source(n, seed)
                     .expect("round scenarios expose round sources");
-                let native = runner.run_rounds(spec, rounds.as_mut(), &trial_config(horizon));
+                let native = runner.run_rounds(spec, rounds.as_mut(), &trial_config(horizon), &ExactOrigins);
                 // Scenario::source of a round scenario IS the flattened view.
                 let flattened = runner.run_streamed(
                     spec,
                     scenario.source(n, seed).as_mut(),
                     &trial_config(horizon),
+                    &ExactOrigins,
                 );
                 prop_assert_eq!(
                     &native,

@@ -40,7 +40,7 @@ proptest! {
         for workload in all_workloads(n) {
             let seq = workload.generate(horizon, seed);
             for spec in STREAMABLE {
-                let materialized = runner.run(spec, &seq, &TrialConfig::default());
+                let materialized = runner.run(spec, &seq, &TrialConfig::default(), &ExactOrigins);
                 let streamed = runner.run_streamed(
                     spec,
                     workload.source(seed).as_mut(),
@@ -48,6 +48,7 @@ proptest! {
                         max_interactions: Some(horizon as u64),
                         ..TrialConfig::default()
                     },
+                    &ExactOrigins,
                 );
                 prop_assert_eq!(
                     &streamed,
