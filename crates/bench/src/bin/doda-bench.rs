@@ -16,7 +16,7 @@
 //!                                    # perf-regression gate (CI)
 //! doda-bench --compare-runners       # lane tier vs scalar tier speedup
 //! doda-bench --lane-guard            # enforce >= 1.5x lane speedup (CI)
-//! doda-bench --stream-guard          # 10^7-interaction streamed sweeps
+//! doda-bench --stream-guard          # 10^7-interaction streamed sweeps, 8n² Waiting Greedy
 //! doda-bench --fault-guard           # 10^6-interaction faulted sweeps
 //! doda-bench --round-guard           # 10^6-interaction round sweeps
 //! doda-bench --service-guard         # 1000 sessions over the loopback wire
@@ -444,7 +444,11 @@ fn lane_guard() -> Result<String, String> {
 ///    streamed interactions;
 /// 2. `Gathering` vs the uniform scenario at the same horizon: terminates
 ///    after ~n² interactions without the horizon-sized buffer fill the
-///    materialised path would have paid up front.
+///    materialised path would have paid up front;
+/// 3. `Waiting Greedy` vs uniform at `n = 16,384` and the default `8n²`
+///    horizon (2.1·10⁹ interactions, 32 GiB if filled): its `meetTime`
+///    lookahead must let the trial terminate with at most
+///    [`STREAM_GUARD_MAX_LOOKAHEAD_BYTES`] of peak heap growth.
 fn stream_guard() -> Result<String, String> {
     const HORIZON: usize = 10_000_000;
     const N: usize = 128;
@@ -492,9 +496,49 @@ fn stream_guard() -> Result<String, String> {
          after {} interactions in {gathered_secs:.2} s — no horizon-sized buffer allocated",
         gathered.interactions_processed,
     );
+
+    const GREEDY_N: usize = 16_384;
+    if !doda_bench::memory::tracking() {
+        return Err("the tracking allocator is not installed".to_string());
+    }
+    let floor = doda_bench::memory::reset_peak();
+    let t2 = Instant::now();
+    let greedy = Sweep::scenario(
+        AlgorithmSpec::WaitingGreedy { tau: None },
+        Scenario::Uniform,
+    )
+    .n(GREEDY_N)
+    .trials(1)
+    .seed(0xD0DA)
+    .run();
+    let greedy_secs = t2.elapsed().as_secs_f64();
+    let greedy_peak = doda_bench::memory::peak_bytes().saturating_sub(floor);
+    let greedy = &greedy[0];
+    let greedy_mib = greedy_peak as f64 / (1 << 20) as f64;
+    println!(
+        "stream-guard: WaitingGreedy vs uniform, n = {GREEDY_N}, horizon = 8n^2: \
+         terminated: {} after {} interactions in {greedy_secs:.2} s, peak {greedy_mib:.1} MiB \
+         (ceiling {} MiB)",
+        greedy.terminated(),
+        greedy.interactions_processed,
+        STREAM_GUARD_MAX_LOOKAHEAD_BYTES >> 20,
+    );
+    if !greedy.terminated() {
+        return Err(format!(
+            "Waiting Greedy at n = {GREEDY_N} should terminate within its 8n^2 horizon"
+        ));
+    }
+    if greedy_peak > STREAM_GUARD_MAX_LOOKAHEAD_BYTES {
+        return Err(format!(
+            "Waiting Greedy at n = {GREEDY_N} grew the heap by {greedy_mib:.1} MiB — a \
+             horizon-sized buffer on the meetTime path (ceiling {} MiB)",
+            STREAM_GUARD_MAX_LOOKAHEAD_BYTES >> 20
+        ));
+    }
     Ok(format!(
         "two 10^7-horizon streamed runs at n = {N}, O(n) memory: starved run {:.0} i/s, \
-         Gathering terminated after {} interactions",
+         Gathering terminated after {} interactions; Waiting Greedy at n = {GREEDY_N} \
+         terminated in {greedy_secs:.1} s, peak {greedy_mib:.1} MiB",
         starved.interactions_processed as f64 / starved_secs.max(1e-9),
         gathered.interactions_processed,
     ))
@@ -813,6 +857,11 @@ fn service_guard() -> Result<String, String> {
          {spot_checked} spot-checked byte-identical, overfed inbox stayed bounded"
     ))
 }
+
+/// The peak heap growth `--stream-guard` allows its `n = 16,384` Waiting
+/// Greedy trial: `O(n)` state plus the sink meetings read ahead. Filling
+/// its horizon would take 32 GiB.
+const STREAM_GUARD_MAX_LOOKAHEAD_BYTES: usize = 64 << 20;
 
 /// The memory-scaling ceiling `--scale-guard` enforces: growing the node
 /// count 10x (10^5 → 10^6) may grow the peak heap by at most this factor.

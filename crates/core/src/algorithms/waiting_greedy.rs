@@ -15,21 +15,55 @@ use doda_graph::NodeId;
 
 use crate::algorithm::{Decision, DodaAlgorithm, InteractionContext};
 use crate::interaction::Time;
-use crate::knowledge::MeetTimeOracle;
+use crate::knowledge::{MeetTime, MeetTimeLookahead, MeetTimeOracle};
 use crate::sequence::InteractionSequence;
 
 /// The Waiting Greedy algorithm with horizon parameter `τ`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug)]
 pub struct WaitingGreedy {
     tau: Time,
-    oracle: MeetTimeOracle,
+    knowledge: Knowledge,
+}
+
+/// The two forms of `meetTime` knowledge the rule reads.
+#[derive(Debug)]
+enum Knowledge {
+    Oracle(MeetTimeOracle),
+    Lookahead(MeetTimeLookahead),
+}
+
+impl Knowledge {
+    /// `u1.meetTime(t)` and `u2.meetTime(t)`, exact as far as the rule
+    /// with horizon `tau` reads them (see
+    /// [`MeetTimeLookahead::meet_times`]).
+    fn meet_times(&mut self, u1: NodeId, u2: NodeId, t: Time, tau: Time) -> (MeetTime, MeetTime) {
+        match self {
+            Knowledge::Oracle(oracle) => (oracle.meet_time(u1, t), oracle.meet_time(u2, t)),
+            Knowledge::Lookahead(lookahead) => lookahead.meet_times(u1, u2, t, tau),
+        }
+    }
 }
 
 impl WaitingGreedy {
     /// Creates the algorithm with an explicit horizon `τ` and a meetTime
     /// oracle (built from the adversary's sequence for the intended sink).
     pub fn new(tau: Time, oracle: MeetTimeOracle) -> Self {
-        WaitingGreedy { tau, oracle }
+        WaitingGreedy {
+            tau,
+            knowledge: Knowledge::Oracle(oracle),
+        }
+    }
+
+    /// Creates the algorithm with an explicit horizon `τ`, answering each
+    /// decision's meetTime question on demand from `lookahead` instead of
+    /// an oracle over the materialised sequence. Decides exactly as
+    /// [`WaitingGreedy::new`] with the oracle of the sequence the
+    /// lookahead's stream commits.
+    pub fn with_lookahead(tau: Time, lookahead: MeetTimeLookahead) -> Self {
+        WaitingGreedy {
+            tau,
+            knowledge: Knowledge::Lookahead(lookahead),
+        }
     }
 
     /// Creates the algorithm with the paper's recommended horizon
@@ -37,10 +71,7 @@ impl WaitingGreedy {
     /// `seq`, building the meetTime oracle from `seq`.
     pub fn with_recommended_tau(seq: &InteractionSequence, sink: NodeId) -> Self {
         let tau = doda_stats::harmonic::waiting_greedy_tau(seq.node_count());
-        WaitingGreedy {
-            tau,
-            oracle: MeetTimeOracle::new(seq, sink),
-        }
+        WaitingGreedy::new(tau, MeetTimeOracle::new(seq, sink))
     }
 
     /// The horizon parameter `τ`.
@@ -59,8 +90,7 @@ impl DodaAlgorithm for WaitingGreedy {
             return Decision::Idle;
         }
         let (u1, u2) = ctx.interaction.pair();
-        let m1 = self.oracle.meet_time(u1, ctx.time);
-        let m2 = self.oracle.meet_time(u2, ctx.time);
+        let (m1, m2) = self.knowledge.meet_times(u1, u2, ctx.time, self.tau);
         // The node with the greatest meetTime transmits, provided that
         // meetTime exceeds τ; the other node is the receiver.
         if m1 <= m2 && m2.exceeds(self.tau) {

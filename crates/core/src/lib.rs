@@ -243,7 +243,7 @@ pub use interaction::{Interaction, Time, TimedInteraction};
 pub use lane::{LaneAlgorithm, LaneEngine, LaneRunStats, MAX_LANES};
 pub use outcome::{Completion, ExecutionOutcome, FaultTally, Transmission};
 pub use round::{FlattenedRounds, Matching, MatchingSequence, RoundSource, SingletonRounds};
-pub use sequence::{InteractionSequence, InteractionSource, StepEvent};
+pub use sequence::{CommittedStream, InteractionSequence, InteractionSource, StepEvent};
 
 /// Commonly used items, for glob import in examples and benchmarks.
 pub mod prelude {
@@ -266,11 +266,15 @@ pub mod prelude {
     pub use crate::fault::{CrashPolicy, FaultConfigError, FaultProfile, FaultedSource};
     pub use crate::hierarchy::ClusterPlan;
     pub use crate::interaction::{Interaction, Time, TimedInteraction};
-    pub use crate::knowledge::{FullKnowledge, MeetTime, MeetTimeOracle, OwnFuture};
+    pub use crate::knowledge::{
+        FullKnowledge, MeetTime, MeetTimeLookahead, MeetTimeOracle, OwnFuture,
+    };
     pub use crate::lane::{LaneAlgorithm, LaneEngine, LaneRunStats, MAX_LANES};
     pub use crate::outcome::{Completion, ExecutionOutcome, FaultTally, Transmission};
     pub use crate::round::{
         FlattenedRounds, Matching, MatchingSequence, RoundSource, SingletonRounds,
     };
-    pub use crate::sequence::{AdversaryView, InteractionSequence, InteractionSource, StepEvent};
+    pub use crate::sequence::{
+        AdversaryView, CommittedStream, InteractionSequence, InteractionSource, StepEvent,
+    };
 }

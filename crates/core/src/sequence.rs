@@ -2,8 +2,10 @@
 //!
 //! A finite [`InteractionSequence`] is the concrete object most experiments
 //! manipulate: the oblivious adversary fixes one before execution, the
-//! randomized adversary can be materialised into one, and all knowledge
-//! oracles (meetTime, futures, underlying graph) are derived from one.
+//! randomized adversary can be materialised into one, and the knowledge
+//! oracles (meetTime, futures, underlying graph) are derived from one —
+//! or, for the meetTime lookahead, from a [`CommittedStream`]: the same
+//! committed sequence replayed one chunk at a time.
 //!
 //! The [`InteractionSource`] trait is the streaming view used by the
 //! execution engine: it produces the interaction of each time step, and is
@@ -230,6 +232,163 @@ fn check_in_range(interaction: Interaction, n: usize) {
     );
 }
 
+/// Appends the next `want` interactions of `source`'s committed stream,
+/// from time `t0`, to `out` under the materialisation `view`: one
+/// [`InteractionSource::next_interaction_batch`] call for an
+/// [`InteractionSource::is_oblivious`] source, one
+/// [`InteractionSource::next_interaction`] per step otherwise. Returns
+/// `false` when the source ran out first.
+///
+/// # Panics
+///
+/// Panics if the source emits an interaction with a node `>=` its node
+/// count.
+fn pull_chunk<S>(
+    source: &mut S,
+    t0: Time,
+    view: &AdversaryView<'_>,
+    out: &mut Vec<Interaction>,
+    want: usize,
+) -> bool
+where
+    S: InteractionSource + ?Sized,
+{
+    let start = out.len();
+    if source.is_oblivious() {
+        source.next_interaction_batch(t0, view, out, want);
+    } else {
+        for t in t0..t0 + want as Time {
+            match source.next_interaction(t, view) {
+                Some(interaction) => out.push(interaction),
+                None => break,
+            }
+        }
+    }
+    let n = view.node_count();
+    for &interaction in &out[start..] {
+        check_in_range(interaction, n);
+    }
+    out.len() - start == want
+}
+
+/// A source's committed schedule replayed one interaction at a time: the
+/// stream [`InteractionSequence::fill_from`] would materialise from it up
+/// to `horizon`, pulled in the same chunks with the same arguments (time
+/// `t` for the `t`-th interaction, every node owning data, sink node 0),
+/// but held one chunk at a time instead of all at once.
+///
+/// As an [`InteractionSource`] it ignores the time and view it is called
+/// with and yields the next committed interaction, so whatever clock and
+/// view reach it (the engine's live ownership, or a
+/// [`crate::fault::FaultedSource`] between them) it replays exactly the
+/// filled sequence. It ends at the horizon or where the source ends,
+/// whichever comes first.
+pub struct CommittedStream<S> {
+    source: S,
+    horizon: usize,
+    /// The all-owners materialisation view's ownership vector.
+    owns: Vec<bool>,
+    /// The current chunk; `buffer[next..]` is not yet yielded.
+    buffer: Vec<Interaction>,
+    next: usize,
+    /// Interactions pulled from the source so far.
+    pulled: usize,
+    /// `true` once the source ran out.
+    ended: bool,
+}
+
+impl<S: InteractionSource> CommittedStream<S> {
+    /// Replays `source`'s committed schedule up to `horizon` interactions.
+    pub fn new(source: S, horizon: usize) -> Self {
+        let owns = vec![true; source.node_count()];
+        CommittedStream {
+            source,
+            horizon,
+            owns,
+            buffer: Vec::new(),
+            next: 0,
+            pulled: 0,
+            ended: false,
+        }
+    }
+
+    /// The number of interactions yielded so far: the time of the next.
+    pub fn yielded(&self) -> usize {
+        self.pulled - (self.buffer.len() - self.next)
+    }
+
+    /// `true` iff the committed schedule holds at least `len`
+    /// interactions; skips ahead to find out. Afterwards
+    /// [`CommittedStream::yielded`] is `len`, or the schedule's length
+    /// when it is shorter.
+    pub fn reaches(&mut self, len: usize) -> bool {
+        while self.yielded() < len {
+            if self.next().is_none() {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Pulls the next chunk; `false` when the schedule has ended.
+    #[cold]
+    fn refill(&mut self) -> bool {
+        self.buffer.clear();
+        self.next = 0;
+        let want = FILL_CHUNK.min(self.horizon - self.pulled);
+        if self.ended || want == 0 {
+            return false;
+        }
+        let view = AdversaryView {
+            owns_data: &self.owns,
+            sink: NodeId(0),
+        };
+        let t0 = self.pulled as Time;
+        self.ended = !pull_chunk(&mut self.source, t0, &view, &mut self.buffer, want);
+        self.pulled += self.buffer.len();
+        !self.buffer.is_empty()
+    }
+}
+
+impl<S: InteractionSource> Iterator for CommittedStream<S> {
+    type Item = Interaction;
+
+    #[inline]
+    fn next(&mut self) -> Option<Interaction> {
+        if self.next == self.buffer.len() && !self.refill() {
+            return None;
+        }
+        let interaction = self.buffer[self.next];
+        self.next += 1;
+        Some(interaction)
+    }
+}
+
+impl<S: InteractionSource> InteractionSource for CommittedStream<S> {
+    fn node_count(&self) -> usize {
+        self.owns.len()
+    }
+
+    fn next_interaction(&mut self, _t: Time, _view: &AdversaryView<'_>) -> Option<Interaction> {
+        self.next()
+    }
+
+    fn is_oblivious(&self) -> bool {
+        true
+    }
+}
+
+impl<S: InteractionSource> std::fmt::Debug for CommittedStream<S> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CommittedStream")
+            .field("nodes", &self.owns.len())
+            .field("horizon", &self.horizon)
+            .field("yielded", &self.yielded())
+            .field("ended", &self.ended)
+            .finish_non_exhaustive()
+    }
+}
+
 /// A finite sequence of interactions; the interaction at index `t` occurs
 /// at time `t`.
 ///
@@ -354,24 +513,11 @@ impl InteractionSequence {
             owns_data: &owns,
             sink: NodeId(0),
         };
-        if source.is_oblivious() {
-            while self.len() < len {
-                let start = self.len();
-                let want = FILL_CHUNK.min(len - start);
-                source.next_interaction_batch(start as Time, &view, &mut self.interactions, want);
-                for &interaction in &self.interactions[start..] {
-                    check_in_range(interaction, n);
-                }
-                if self.len() - start < want {
-                    break;
-                }
-            }
-        } else {
-            for t in 0..len {
-                match source.next_interaction(t as Time, &view) {
-                    Some(i) => self.push(i),
-                    None => break,
-                }
+        while self.len() < len {
+            let want = FILL_CHUNK.min(len - self.len());
+            let t0 = self.len() as Time;
+            if !pull_chunk(source, t0, &view, &mut self.interactions, want) {
+                break;
             }
         }
     }
@@ -773,6 +919,57 @@ mod tests {
         scratch.fill_from(&mut InteractionSequence::new(2).stream(false), 10);
         assert!(scratch.is_empty());
         assert_eq!(scratch.node_count(), 2);
+    }
+
+    /// Hides a source's obliviousness, so it is pulled one step at a time.
+    struct PerStep<S>(S);
+
+    impl<S: InteractionSource> InteractionSource for PerStep<S> {
+        fn node_count(&self) -> usize {
+            self.0.node_count()
+        }
+
+        fn next_interaction(&mut self, t: Time, view: &AdversaryView<'_>) -> Option<Interaction> {
+            self.0.next_interaction(t, view)
+        }
+    }
+
+    #[test]
+    fn committed_stream_replays_the_filled_sequence() {
+        let committed =
+            InteractionSequence::from_pairs(5, (0..2 * FILL_CHUNK + 17).map(|t| (t % 4, 4)));
+        let owns = vec![false; 5];
+        let view = AdversaryView {
+            owns_data: &owns,
+            sink: NodeId(3),
+        };
+        // Cut at the horizon and ended by the source, chunked and per step.
+        for horizon in [0, 7, FILL_CHUNK, FILL_CHUNK + 1, 3 * FILL_CHUNK] {
+            let mut filled = InteractionSequence::new(5);
+            filled.fill_from(&mut committed.stream(false), horizon);
+            let chunked: Vec<_> = CommittedStream::new(committed.stream(false), horizon).collect();
+            let mut per_step = CommittedStream::new(PerStep(committed.stream(false)), horizon);
+            // As a source it ignores the time and view it is called with.
+            let replayed: Vec<_> = (0..)
+                .map_while(|t| per_step.next_interaction(t * 7, &view))
+                .collect();
+            assert_eq!(chunked, filled.interactions, "horizon {horizon}");
+            assert_eq!(replayed, filled.interactions, "horizon {horizon}");
+            assert_eq!(per_step.yielded(), filled.len());
+        }
+        let mut stream = CommittedStream::new(committed.stream(false), 3 * FILL_CHUNK);
+        assert!(stream.reaches(FILL_CHUNK + 3));
+        assert_eq!(stream.yielded(), FILL_CHUNK + 3);
+        assert_eq!(stream.next(), committed.get(FILL_CHUNK as Time + 3));
+        assert!(!stream.reaches(3 * FILL_CHUNK));
+        assert_eq!(stream.yielded(), committed.len());
+    }
+
+    #[test]
+    #[should_panic(expected = "interaction {v0, v4} out of range for 3 nodes")]
+    fn committed_stream_rejects_out_of_range_nodes() {
+        let source = OutOfRangeAt { n: 3, bad_at: 5000 };
+        let _ = CommittedStream::new(source, 6000).count();
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! time computed by `optimal_convergecast` via the reverse-broadcast duality.
 
 use doda_core::convergecast::{optimal_convergecast, validate_schedule};
-use doda_core::knowledge::{MeetTime, MeetTimeOracle};
+use doda_core::knowledge::{MeetTime, MeetTimeLookahead, MeetTimeOracle};
 use doda_core::prelude::*;
+use doda_core::sequence::{AdversaryView, SequenceSource};
 use doda_graph::NodeId;
 use proptest::prelude::*;
 
@@ -178,4 +179,73 @@ proptest! {
 enum AlgorithmSpec {
     Waiting,
     Gathering,
+}
+
+/// Hides a source's obliviousness, so the lookahead pulls it one step at
+/// a time instead of in batches.
+struct PerStep(SequenceSource);
+
+impl InteractionSource for PerStep {
+    fn node_count(&self) -> usize {
+        self.0.node_count()
+    }
+
+    fn next_interaction(&mut self, t: Time, view: &AdversaryView<'_>) -> Option<Interaction> {
+        self.0.next_interaction(t, view)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Waiting Greedy over a meetTime lookahead decides every question
+    /// exactly as over the oracle of the committed sequence — the stream
+    /// cut at the horizon, or a finite source that runs out before it —
+    /// for every τ from 0 to past the length, any sink (so at either
+    /// endpoint of a pair), and non-decreasing query times that run past
+    /// the horizon as a faulted engine clock does.
+    #[test]
+    fn lookahead_decides_as_the_oracle(
+        n in 2usize..8,
+        sink in 0usize..8,
+        pairs in prop::collection::vec((0usize..8, 1usize..8), 0..60),
+        horizon in 0usize..70,
+        queries in prop::collection::vec((0usize..8, 1usize..8, 0u64..4, 0u8..4), 1..40),
+        per_step in 0u8..2,
+    ) {
+        // Distinct endpoints: the second is an offset from the first.
+        let pair = |a: usize, offset: usize| (a % n, (a + 1 + offset % (n - 1)) % n);
+        let seq = InteractionSequence::from_pairs(n, pairs.iter().map(|&(a, o)| pair(a, o)));
+        let sink = NodeId(sink % n);
+        let oracle = MeetTimeOracle::new(&seq.slice(0, horizon as Time), sink);
+        let taus = (0..=seq.len() as Time + 2).chain([Time::MAX]);
+        for tau in taus {
+            let source: Box<dyn InteractionSource + Send> = if per_step == 1 {
+                Box::new(PerStep(seq.source(false)))
+            } else {
+                Box::new(seq.source(false))
+            };
+            let mut lookahead =
+                WaitingGreedy::with_lookahead(tau, MeetTimeLookahead::new(source, horizon, sink));
+            let mut reference = WaitingGreedy::new(tau, oracle.clone());
+            let mut time = 0;
+            for &(a, offset, step, owns) in &queries {
+                time += step;
+                let (u, v) = pair(a, offset);
+                let ctx = InteractionContext {
+                    time,
+                    interaction: Interaction::new(NodeId(u), NodeId(v)),
+                    min_owns_data: owns != 0,
+                    max_owns_data: true,
+                    sink,
+                };
+                prop_assert_eq!(
+                    lookahead.decide(&ctx),
+                    reference.decide(&ctx),
+                    "tau {} at t {} for {:?} (horizon {}, {} interactions)",
+                    tau, time, (u, v), horizon, seq.len()
+                );
+            }
+        }
+    }
 }

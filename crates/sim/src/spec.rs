@@ -11,31 +11,38 @@
 //!   [`AlgorithmSpec::instantiate_online`] and run **streamed** — the
 //!   engine pulls interactions straight from the adversary in `O(n)`
 //!   memory at any horizon;
-//! * every other requirement forces the sweep to **materialise** the
-//!   adversary's sequence first ([`AlgorithmSpec::instantiate`]), because
-//!   the oracles (`meetTime`, underlying graph, futures, full sequence)
-//!   are functions of the future.
+//! * every other requirement needs the adversary to **commit** to its
+//!   sequence first, because the oracles (`meetTime`, underlying graph,
+//!   futures, full sequence) are functions of the future.
+//!   [`KnowledgeRequirement::MeetTime`] specs run on a sweep against a
+//!   lookahead over a second copy of the committed stream
+//!   ([`AlgorithmSpec::instantiate_lookahead`]), which reads only as far
+//!   ahead as each decision needs; the others materialise the sequence
+//!   ([`AlgorithmSpec::instantiate`]).
 
 use doda_core::algorithms::{
     FutureBroadcast, Gathering, OfflineOptimal, SpanningTreeAggregation, Waiting, WaitingGreedy,
 };
-use doda_core::knowledge::{FullKnowledge, MeetTimeOracle};
-use doda_core::{DodaAlgorithm, InteractionSequence, Time};
+use doda_core::knowledge::{FullKnowledge, MeetTimeLookahead, MeetTimeOracle};
+use doda_core::{DodaAlgorithm, InteractionSequence, InteractionSource, Time};
 use doda_graph::NodeId;
 
 /// The knowledge class an algorithm draws on — and therefore whether a
-/// sweep must materialise the adversary's sequence before execution.
+/// sweep must have the adversary commit to its sequence before execution.
 ///
 /// Only [`KnowledgeRequirement::None`] algorithms can run against a live
 /// (possibly adaptive) adversary; the other classes need oracles that are
 /// functions of the future, so the adversary must commit to a finite
-/// sequence first.
+/// sequence first. A sweep fills that sequence into memory for every
+/// class but [`KnowledgeRequirement::MeetTime`], whose questions a
+/// [`MeetTimeLookahead`] answers from the committed stream on demand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KnowledgeRequirement {
     /// Decides from the current interaction alone: streams in `O(n)`
     /// memory against any adversary, including adaptive ones.
     None,
-    /// Needs the `meetTime` oracle (next meeting with the sink).
+    /// Needs the `meetTime` oracle (next meeting with the sink). Sweeps
+    /// answer it with a lookahead, never filling the horizon.
     MeetTime,
     /// Needs the underlying graph `G̅` of the whole sequence.
     UnderlyingGraph,
@@ -46,8 +53,9 @@ pub enum KnowledgeRequirement {
 }
 
 impl KnowledgeRequirement {
-    /// `true` iff this requirement can only be satisfied by materialising
-    /// the adversary's sequence up front.
+    /// `true` iff this requirement can only be satisfied by a sequence
+    /// the adversary commits to up front (materialised, or for `meetTime`
+    /// read ahead on demand).
     pub fn requires_materialization(self) -> bool {
         self != KnowledgeRequirement::None
     }
@@ -205,6 +213,32 @@ impl AlgorithmSpec {
                 sink,
             ))),
         }
+    }
+
+    /// Instantiates a [`KnowledgeRequirement::MeetTime`] spec whose
+    /// knowledge a [`MeetTimeLookahead`] answers on demand from `source`'s
+    /// committed schedule up to `horizon`: the algorithm decides exactly
+    /// as [`AlgorithmSpec::instantiate`] over the sequence
+    /// [`InteractionSequence::fill_from`] would fill, without filling it.
+    /// The recommended `τ` reads `n` from the source.
+    ///
+    /// Returns `None` for every other spec.
+    pub fn instantiate_lookahead<S>(
+        &self,
+        source: S,
+        horizon: usize,
+        sink: NodeId,
+    ) -> Option<Box<dyn DodaAlgorithm + Send>>
+    where
+        S: InteractionSource + Send + 'static,
+    {
+        let AlgorithmSpec::WaitingGreedy { tau } = *self else {
+            return None;
+        };
+        let tau =
+            tau.unwrap_or_else(|| doda_stats::harmonic::waiting_greedy_tau(source.node_count()));
+        let lookahead = MeetTimeLookahead::new(source, horizon, sink);
+        Some(Box::new(WaitingGreedy::with_lookahead(tau, lookahead)))
     }
 }
 

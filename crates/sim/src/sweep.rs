@@ -27,7 +27,7 @@
 //!
 //! | tier | what runs | when [`ExecutionTier::Auto`] picks it |
 //! |------|-----------|---------------------------------------|
-//! | materialised scalar | [`TrialRunner::run`] over a per-worker scratch sequence | the spec's oracles need the future |
+//! | materialised scalar | against a committed schedule: [`TrialRunner::run_lookahead`] for `meetTime` specs, [`TrialRunner::run`] over a per-worker scratch sequence for the rest | the spec's oracles need the future |
 //! | streamed scalar | [`TrialRunner::run_streamed`], `O(n)` memory | a fault or Byzantine plan is present (both are scalar-path features), or no faster tier applies |
 //! | native rounds | [`TrialRunner::run_rounds`], one matching per round | the scenario is round-based, fault-free and honest, spec knowledge-free |
 //! | **lanes** | [`TrialRunner::run_lane_batch`]: up to 64 trials in lockstep through bit-lane state | the spec has a lane kernel ([`AlgorithmSpec::lane_algorithm`]), the trials are fault-free, honest and pairwise, and the aggregate is the default |
@@ -60,7 +60,7 @@ use crate::datum::{
 };
 use crate::runner::{shard, summarize, BatchConfig, BatchResult};
 use crate::scenario::{FaultedScenario, Scenario};
-use crate::spec::AlgorithmSpec;
+use crate::spec::{AlgorithmSpec, KnowledgeRequirement};
 use crate::trial::{TrialConfig, TrialResult, TrialRunner};
 
 /// The execution tier of a sweep: which engine path runs the trials.
@@ -230,7 +230,7 @@ impl<'a> Sweep<'a> {
     }
 
     /// Sets the per-trial horizon: the engine budget of streamed / round /
-    /// lane trials and the materialised length of oracle trials. `None`
+    /// lane trials and the committed length of oracle trials. `None`
     /// (the default) uses the generous `8·n²` of
     /// [`doda_adversary::RandomizedAdversary::default_horizon`].
     pub fn horizon(mut self, horizon: Option<usize>) -> Self {
@@ -333,6 +333,12 @@ impl<'a> Sweep<'a> {
     /// `"hierarchical"` — resolved from the tier, the spec and the
     /// interaction family exactly as [`Sweep::run`] resolves it.
     /// `doda-bench` stamps this into each grid cell's `mode` column.
+    ///
+    /// `"materialized"` means the trials run against a committed schedule,
+    /// which their knowledge reads ahead of the execution: `meetTime` specs
+    /// read it on demand through a lookahead
+    /// ([`TrialRunner::run_lookahead`]), the others fill it into a
+    /// sequence first.
     ///
     /// # Panics
     ///
@@ -605,6 +611,20 @@ impl<'a> Sweep<'a> {
                     .map(|trial| {
                         let seed = seeds.seed(trial as u64);
                         match plan.path {
+                            // meetTime is read ahead on demand, never
+                            // filled to the horizon.
+                            Path::Materialized
+                                if spec.knowledge_requirement()
+                                    == KnowledgeRequirement::MeetTime =>
+                            {
+                                runner.run_lookahead(
+                                    spec,
+                                    || (plan.source)(seed),
+                                    plan.horizon,
+                                    &config(seed, None),
+                                    family,
+                                )
+                            }
                             Path::Materialized => {
                                 seq.fill_from((plan.source)(seed).as_mut(), plan.horizon);
                                 runner.run(spec, seq, &config(seed, None), family)

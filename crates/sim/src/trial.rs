@@ -4,12 +4,14 @@
 //! [`Engine`] so that running thousands of trials reuses one set of
 //! scratch allocations, and every entry point takes the [`DatumFamily`]
 //! the nodes carry ([`ExactOrigins`] by default). [`TrialRunner::run`]
-//! (materialised, for oracles that need the future) and
-//! [`TrialRunner::run_streamed`] (`O(n)` memory, any source) differ only
-//! in how they build the algorithm and whether they price the cost: both
-//! run one execution, where a fault plan wraps the source and a Byzantine
-//! plan selects the audited data plane. The round, lane and hierarchical
-//! tiers are fault-free and honest.
+//! (materialised, for oracles that need the future),
+//! [`TrialRunner::run_lookahead`] (Waiting Greedy's `meetTime` read ahead
+//! on demand from a committed stream) and [`TrialRunner::run_streamed`]
+//! (`O(n)` memory, any source) differ only in how they build the
+//! algorithm and whether they price the cost: all run one execution,
+//! where a fault plan wraps the source and a Byzantine plan selects the
+//! audited data plane. The round, lane and hierarchical tiers are
+//! fault-free and honest.
 
 use doda_core::algebra::AggregateSummary;
 use doda_core::byzantine::{ByzantineInjector, ByzantineProfile, Tally, Verdict};
@@ -21,7 +23,7 @@ use doda_core::hierarchy::ClusterPlan;
 use doda_core::lane::{LaneEngine, LaneRunStats};
 use doda_core::outcome::{Completion, FaultTally};
 use doda_core::round::RoundSource;
-use doda_core::{DodaAlgorithm, InteractionSequence, InteractionSource, Time};
+use doda_core::{CommittedStream, DodaAlgorithm, InteractionSequence, InteractionSource, Time};
 use doda_graph::NodeId;
 use doda_stats::rng::SeedSequence;
 
@@ -368,8 +370,85 @@ impl<A: Aggregate> TrialRunner<A> {
         )
     }
 
-    /// The one trial execution behind [`TrialRunner::run`] and
-    /// [`TrialRunner::run_streamed`]: the fault plan wraps the source in a
+    /// Runs a `meetTime` spec (Waiting Greedy) against the schedule that
+    /// `source` commits up to `horizon`, **without materialising it**: the
+    /// result equals [`TrialRunner::run`] over the sequence
+    /// [`InteractionSequence::fill_from`] fills from `source()` up to
+    /// `horizon`, with the same config, fault and Byzantine plans
+    /// included.
+    ///
+    /// `source` is called for two copies of the same stream (so it must
+    /// yield the same stream each time, as a seeded workload does): the
+    /// knowledge reads one ahead through a [`MeetTimeLookahead`], only as
+    /// far as each decision needs, and the engine replays the other
+    /// through a [`CommittedStream`] cut at `horizon`. Memory is `O(n)`
+    /// plus the sink meetings read ahead, instead of `O(horizon)`.
+    ///
+    /// The budget `None` means the committed length, as for
+    /// [`TrialRunner::run`]. Fault events spend engine steps, so a
+    /// faulted trial can outrun a source that ends before `horizon`; when
+    /// it does, the trial runs once more with the budget set to the
+    /// length found.
+    ///
+    /// [`MeetTimeLookahead`]: doda_core::knowledge::MeetTimeLookahead
+    ///
+    /// # Panics
+    ///
+    /// Panics if `spec` does not need exactly `meetTime` knowledge
+    /// ([`AlgorithmSpec::instantiate_lookahead`] is `None`), if
+    /// `config.compute_cost` is set, or if the algorithm produces a
+    /// structurally invalid decision.
+    pub fn run_lookahead<F, D>(
+        &mut self,
+        spec: AlgorithmSpec,
+        source: F,
+        horizon: usize,
+        config: &TrialConfig,
+        family: &D,
+    ) -> TrialResult
+    where
+        F: Fn() -> Box<dyn InteractionSource + Send>,
+        D: DatumFamily<Agg = A>,
+    {
+        assert!(
+            !config.compute_cost,
+            "the paper's cost function needs the materialised sequence; \
+             lookahead trials cannot compute it"
+        );
+        let mut algorithm = spec
+            .instantiate_lookahead(source(), horizon, config.sink)
+            .unwrap_or_else(|| {
+                panic!(
+                    "{spec} requires {} knowledge, which no lookahead answers; \
+                     materialise the source and use TrialRunner::run",
+                    spec.knowledge()
+                )
+            });
+        let mut stream = CommittedStream::new(source(), horizon);
+        let max_interactions = config.max_interactions.unwrap_or(horizon as u64);
+        let result = self.execute(
+            spec,
+            algorithm.as_mut(),
+            &mut stream,
+            config,
+            max_interactions,
+            family,
+        );
+        let processed = usize::try_from(result.interactions_processed)
+            .expect("the engine processes at most `horizon` interactions");
+        if config.max_interactions.is_none() && !stream.reaches(processed) {
+            let config = TrialConfig {
+                max_interactions: Some(stream.yielded() as u64),
+                ..*config
+            };
+            return self.run_lookahead(spec, source, horizon, &config, family);
+        }
+        result
+    }
+
+    /// The one trial execution behind [`TrialRunner::run`],
+    /// [`TrialRunner::run_streamed`] and [`TrialRunner::run_lookahead`]:
+    /// the fault plan wraps the source in a
     /// [`FaultedSource`], and the Byzantine plan picks the audited data
     /// plane ([`doda_core::Engine::run_audited`]) over the honest one. The
     /// two planes compose freely: the schedule never sees the audit.
@@ -972,6 +1051,83 @@ mod tests {
                 assert_eq!(streamed.verdict.is_some(), byzantine.is_some());
             }
         }
+    }
+
+    /// A lookahead trial is the materialised trial over the filled
+    /// sequence: cut at the horizon or ended by a finite source, under
+    /// either plane and a fault plan whose events outrun a short source.
+    #[test]
+    fn lookahead_trial_matches_materialized_trial() {
+        let churn = FaultInjection {
+            profile: doda_core::fault::FaultProfile::churn(0.05, 0.1),
+            seed: 0xC4,
+        };
+        let forgers = ByzantineInjection {
+            profile: doda_core::byzantine::ByzantineProfile::forge(0.25),
+            seed: 0xB12,
+        };
+        let planes = [
+            (None, None),
+            (Some(churn), None),
+            (Some(churn), Some(forgers)),
+        ];
+        let mut runner = TrialRunner::new();
+        let mut seq = InteractionSequence::new(0);
+        let mut outrun = 0;
+        for (n, seed) in [(8usize, 1u64), (12, 2), (6, 3)] {
+            let len = 2 * n * n;
+            // The second schedule never reaches the sink, so its trials
+            // run to the end of the source.
+            let sinkless = (0..len).map(|t| (1 + t % (n - 1), 1 + (t + 1) % (n - 1)));
+            for committed in [
+                UniformWorkload::new(n).generate(len, seed),
+                InteractionSequence::from_pairs(n, sinkless),
+            ] {
+                let source =
+                    || Box::new(committed.source(false)) as Box<dyn InteractionSource + Send>;
+                let cases = [n, 2 * len].into_iter().flat_map(|horizon| {
+                    planes.into_iter().flat_map(move |plane| {
+                        [None, Some(0)].map(move |tau| (horizon, plane, tau))
+                    })
+                });
+                for (horizon, (fault, byzantine), tau) in cases {
+                    let spec = AlgorithmSpec::WaitingGreedy { tau };
+                    let config = TrialConfig {
+                        fault,
+                        byzantine,
+                        ..TrialConfig::default()
+                    };
+                    seq.fill_from(&mut committed.stream(false), horizon);
+                    let materialized = runner.run(spec, &seq, &config, &ExactOrigins);
+                    let lookahead =
+                        runner.run_lookahead(spec, source, horizon, &config, &ExactOrigins);
+                    assert_eq!(
+                        lookahead, materialized,
+                        "{spec} under {config:?} at n={n}, horizon={horizon}"
+                    );
+                    let fault_steps = materialized.faults.departures + materialized.faults.arrivals;
+                    outrun +=
+                        usize::from(horizon > len && fault_steps > 0 && !materialized.terminated());
+                }
+            }
+        }
+        assert!(
+            outrun > 0,
+            "some faulted trial must outrun its short source"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "which no lookahead answers")]
+    fn lookahead_trial_rejects_other_knowledge() {
+        let source = || UniformWorkload::new(6).source(0);
+        let _ = TrialRunner::new().run_lookahead(
+            AlgorithmSpec::OfflineOptimal,
+            source,
+            100,
+            &TrialConfig::default(),
+            &ExactOrigins,
+        );
     }
 
     fn lossy_crashes() -> FaultInjection {
