@@ -68,9 +68,10 @@ pub mod wire;
 pub use error::{ServiceError, WireError};
 pub use manager::SessionManager;
 pub use session::{OverflowPolicy, SessionConfig, SessionId, SessionStatus};
-pub use transport::{Loopback, ServiceClient, ServiceEndpoint, Transport};
+pub use transport::{FrameBuf, Loopback, ServiceClient, ServiceEndpoint, Transport};
 pub use wire::{
-    decode_event, decode_result, encode_event, encode_result, WireEvent, WireResult, WIRE_VERSION,
+    decode_event, decode_result, encode_event, encode_event_into, encode_result,
+    encode_result_into, WireEvent, WireResult, WIRE_VERSION,
 };
 
 /// Everything a service integrator usually needs, in one import.
@@ -78,6 +79,6 @@ pub mod prelude {
     pub use crate::error::{ServiceError, WireError};
     pub use crate::manager::SessionManager;
     pub use crate::session::{OverflowPolicy, SessionConfig, SessionId, SessionStatus};
-    pub use crate::transport::{Loopback, ServiceClient, ServiceEndpoint, Transport};
+    pub use crate::transport::{FrameBuf, Loopback, ServiceClient, ServiceEndpoint, Transport};
     pub use crate::wire::{WireEvent, WireResult, WIRE_VERSION};
 }

@@ -2,7 +2,11 @@
 //!
 //! Every frame is `[payload_len: u32 LE][payload]`, and every payload
 //! starts `[version: u8][kind: u8]`. Client→service payloads decode to
-//! [`WireEvent`]; service→client payloads decode to [`WireResult`]. The
+//! [`WireEvent`]; service→client payloads decode to [`WireResult`].
+//! [`encode_event_into`] and [`encode_result_into`] append a frame to a
+//! caller's buffer, so a reused buffer encodes without allocating;
+//! [`encode_event`] and [`encode_result`] return the same bytes in a
+//! fresh `Vec`, and the decoders read borrowed frames. The
 //! byte layout is **pinned by a golden file**
 //! (`tests/golden/wire_v3.hex`, checked by `tests/wire_schema.rs` the
 //! way `BENCH_baseline.json`'s schema is) — changing any encoding below
@@ -61,6 +65,11 @@ use crate::session::{OverflowPolicy, SessionId};
 
 /// The wire format version this module encodes and decodes.
 pub const WIRE_VERSION: u8 = 3;
+
+/// Initial capacity of the frames [`encode_event`] and [`encode_result`]
+/// return: room for every event frame and most result frames, so the
+/// allocating encoders usually allocate once.
+const FRAME_CAPACITY: usize = 128;
 
 const KIND_OPEN_SCENARIO: u8 = 0x01;
 const KIND_OPEN_EXTERNAL: u8 = 0x02;
@@ -146,14 +155,11 @@ pub enum WireResult {
 // Encoding
 // ---------------------------------------------------------------------
 
-struct Writer(Vec<u8>);
+/// Appends one frame to a borrowed buffer; [`frame`] reserves the
+/// header, patches the length prefix and undoes a failed frame.
+struct Writer<'a>(&'a mut Vec<u8>);
 
-impl Writer {
-    fn new(kind: u8) -> Self {
-        // Reserve the length prefix; patched in `finish`.
-        Writer(vec![0, 0, 0, 0, WIRE_VERSION, kind])
-    }
-
+impl Writer<'_> {
     fn u8(&mut self, v: u8) {
         self.0.push(v);
     }
@@ -209,20 +215,38 @@ impl Writer {
     fn node(&mut self, node: NodeId) -> Result<(), WireError> {
         self.usize32(node.0, "node id")
     }
+}
 
-    /// Patches the length prefix and returns the finished frame,
-    /// refusing payloads whose length would silently wrap the `u32`
-    /// prefix (a ≥ 4 GiB frame would otherwise decode as garbage).
-    fn finish(mut self) -> Result<Vec<u8>, WireError> {
-        let payload_len = u32::try_from(self.0.len() - 4).map_err(|_| WireError::OutOfRange {
+/// Appends one `kind` frame whose body `body` writes to `buf`, then
+/// patches its length prefix. On error `buf` is truncated back to the
+/// length it had on entry, so a refused frame leaves no partial bytes.
+/// A payload whose length would wrap the `u32` prefix (a ≥ 4 GiB frame
+/// would otherwise decode as garbage) is refused the same way.
+fn frame(
+    buf: &mut Vec<u8>,
+    kind: u8,
+    body: impl FnOnce(&mut Writer<'_>) -> Result<(), WireError>,
+) -> Result<(), WireError> {
+    let start = buf.len();
+    buf.extend_from_slice(&[0, 0, 0, 0, WIRE_VERSION, kind]);
+    let written = body(&mut Writer(buf)).and_then(|()| {
+        u32::try_from(buf.len() - start - 4).map_err(|_| WireError::OutOfRange {
             what: "frame length",
-        })?;
-        self.0[..4].copy_from_slice(&payload_len.to_le_bytes());
-        Ok(self.0)
+        })
+    });
+    match written {
+        Ok(payload_len) => {
+            buf[start..start + 4].copy_from_slice(&payload_len.to_le_bytes());
+            Ok(())
+        }
+        Err(error) => {
+            buf.truncate(start);
+            Err(error)
+        }
     }
 }
 
-fn put_spec(w: &mut Writer, spec: AlgorithmSpec) {
+fn put_spec(w: &mut Writer<'_>, spec: AlgorithmSpec) {
     match spec {
         AlgorithmSpec::Waiting => w.u8(0),
         AlgorithmSpec::Gathering => w.u8(1),
@@ -236,7 +260,7 @@ fn put_spec(w: &mut Writer, spec: AlgorithmSpec) {
     }
 }
 
-fn put_scenario(w: &mut Writer, scenario: Scenario) -> Result<(), WireError> {
+fn put_scenario(w: &mut Writer<'_>, scenario: Scenario) -> Result<(), WireError> {
     match scenario {
         Scenario::Uniform => w.u8(0),
         Scenario::Zipf { exponent } => {
@@ -272,14 +296,14 @@ fn put_scenario(w: &mut Writer, scenario: Scenario) -> Result<(), WireError> {
     Ok(())
 }
 
-fn put_crash_policy(w: &mut Writer, policy: CrashPolicy) {
+fn put_crash_policy(w: &mut Writer<'_>, policy: CrashPolicy) {
     w.u8(match policy {
         CrashPolicy::DatumLost => 0,
         CrashPolicy::DatumRecoverable => 1,
     });
 }
 
-fn put_byzantine_strategy(w: &mut Writer, strategy: ByzantineStrategy) {
+fn put_byzantine_strategy(w: &mut Writer<'_>, strategy: ByzantineStrategy) {
     w.u8(match strategy {
         ByzantineStrategy::Forge => 0,
         ByzantineStrategy::Duplicate => 1,
@@ -288,7 +312,7 @@ fn put_byzantine_strategy(w: &mut Writer, strategy: ByzantineStrategy) {
     });
 }
 
-fn put_faulted_scenario(w: &mut Writer, scenario: &FaultedScenario) -> Result<(), WireError> {
+fn put_faulted_scenario(w: &mut Writer<'_>, scenario: &FaultedScenario) -> Result<(), WireError> {
     put_scenario(w, scenario.base)?;
     match scenario.faults {
         None => w.u8(0),
@@ -313,7 +337,7 @@ fn put_faulted_scenario(w: &mut Writer, scenario: &FaultedScenario) -> Result<()
     Ok(())
 }
 
-fn put_step_event(w: &mut Writer, event: StepEvent) -> Result<(), WireError> {
+fn put_step_event(w: &mut Writer<'_>, event: StepEvent) -> Result<(), WireError> {
     match event {
         StepEvent::Interaction(interaction) => {
             w.u8(0);
@@ -344,7 +368,7 @@ fn put_step_event(w: &mut Writer, event: StepEvent) -> Result<(), WireError> {
     Ok(())
 }
 
-fn put_trial_result(w: &mut Writer, result: &TrialResult) -> Result<(), WireError> {
+fn put_trial_result(w: &mut Writer<'_>, result: &TrialResult) -> Result<(), WireError> {
     w.str16(&result.algorithm);
     w.usize32(result.n, "population size")?;
     w.opt_u64(result.termination_time);
@@ -371,7 +395,7 @@ fn put_trial_result(w: &mut Writer, result: &TrialResult) -> Result<(), WireErro
     Ok(())
 }
 
-fn put_verdict(w: &mut Writer, verdict: Option<Verdict>) -> Result<(), WireError> {
+fn put_verdict(w: &mut Writer<'_>, verdict: Option<Verdict>) -> Result<(), WireError> {
     match verdict {
         None => w.u8(0),
         Some(Verdict::Clean) => w.u8(1),
@@ -387,7 +411,7 @@ fn put_verdict(w: &mut Writer, verdict: Option<Verdict>) -> Result<(), WireError
     Ok(())
 }
 
-fn put_aggregate_summary(w: &mut Writer, summary: Option<AggregateSummary>) {
+fn put_aggregate_summary(w: &mut Writer<'_>, summary: Option<AggregateSummary>) {
     match summary {
         None => w.u8(0),
         Some(AggregateSummary::Count { value }) => {
@@ -426,7 +450,21 @@ fn put_aggregate_summary(w: &mut Writer, summary: Option<AggregateSummary>) {
 /// [`WireError::OutOfRange`] if a node id or other `usize` field does
 /// not fit its fixed-width `u32` wire field.
 pub fn encode_event(event: &WireEvent) -> Result<Vec<u8>, WireError> {
-    Ok(match event {
+    let mut buf = Vec::with_capacity(FRAME_CAPACITY);
+    encode_event_into(event, &mut buf)?;
+    Ok(buf)
+}
+
+/// Appends a client→service message to `buf` as one length-prefixed
+/// frame, the same bytes [`encode_event`] returns. Bytes already in
+/// `buf` are left as they are, so a reused buffer encodes without
+/// allocating once it has grown.
+///
+/// # Errors
+///
+/// As [`encode_event`]; on error `buf` is left exactly as it was.
+pub fn encode_event_into(event: &WireEvent, buf: &mut Vec<u8>) -> Result<(), WireError> {
+    match event {
         WireEvent::OpenScenario {
             session,
             spec,
@@ -435,17 +473,16 @@ pub fn encode_event(event: &WireEvent) -> Result<Vec<u8>, WireError> {
             seed,
             horizon,
             slice_budget,
-        } => {
-            let mut w = Writer::new(KIND_OPEN_SCENARIO);
+        } => frame(buf, KIND_OPEN_SCENARIO, |w| {
             w.u64(session.0);
-            put_spec(&mut w, *spec);
-            put_faulted_scenario(&mut w, scenario)?;
+            put_spec(w, *spec);
+            put_faulted_scenario(w, scenario)?;
             w.usize32(*n, "population size")?;
             w.u64(*seed);
             w.opt_u64(*horizon);
             w.opt_u64(*slice_budget);
-            w.finish()?
-        }
+            Ok(())
+        }),
         WireEvent::OpenExternal {
             session,
             spec,
@@ -454,10 +491,9 @@ pub fn encode_event(event: &WireEvent) -> Result<Vec<u8>, WireError> {
             slice_budget,
             inbox_capacity,
             overflow,
-        } => {
-            let mut w = Writer::new(KIND_OPEN_EXTERNAL);
+        } => frame(buf, KIND_OPEN_EXTERNAL, |w| {
             w.u64(session.0);
-            put_spec(&mut w, *spec);
+            put_spec(w, *spec);
             w.usize32(*n, "population size")?;
             w.opt_u64(*horizon);
             w.opt_u64(*slice_budget);
@@ -466,20 +502,17 @@ pub fn encode_event(event: &WireEvent) -> Result<Vec<u8>, WireError> {
                 OverflowPolicy::Shed => 0,
                 OverflowPolicy::Block => 1,
             });
-            w.finish()?
-        }
-        WireEvent::Event { session, event } => {
-            let mut w = Writer::new(KIND_EVENT);
+            Ok(())
+        }),
+        WireEvent::Event { session, event } => frame(buf, KIND_EVENT, |w| {
             w.u64(session.0);
-            put_step_event(&mut w, *event)?;
-            w.finish()?
-        }
-        WireEvent::Close { session } => {
-            let mut w = Writer::new(KIND_CLOSE);
+            put_step_event(w, *event)
+        }),
+        WireEvent::Close { session } => frame(buf, KIND_CLOSE, |w| {
             w.u64(session.0);
-            w.finish()?
-        }
-    })
+            Ok(())
+        }),
+    }
 }
 
 /// Encodes a service→client message as one length-prefixed frame.
@@ -490,20 +523,30 @@ pub fn encode_event(event: &WireEvent) -> Result<Vec<u8>, WireError> {
 /// fixed-width `u32` wire field (strings never fail: they truncate, see
 /// the module docs).
 pub fn encode_result(result: &WireResult) -> Result<Vec<u8>, WireError> {
-    Ok(match result {
-        WireResult::Result { session, result } => {
-            let mut w = Writer::new(KIND_RESULT);
+    let mut buf = Vec::with_capacity(FRAME_CAPACITY);
+    encode_result_into(result, &mut buf)?;
+    Ok(buf)
+}
+
+/// Appends a service→client message to `buf` as one length-prefixed
+/// frame, the same bytes [`encode_result`] returns (see
+/// [`encode_event_into`] for the append contract).
+///
+/// # Errors
+///
+/// As [`encode_result`]; on error `buf` is left exactly as it was.
+pub fn encode_result_into(result: &WireResult, buf: &mut Vec<u8>) -> Result<(), WireError> {
+    match result {
+        WireResult::Result { session, result } => frame(buf, KIND_RESULT, |w| {
             w.u64(session.0);
-            put_trial_result(&mut w, result)?;
-            w.finish()?
-        }
-        WireResult::Error { session, message } => {
-            let mut w = Writer::new(KIND_ERROR);
+            put_trial_result(w, result)
+        }),
+        WireResult::Error { session, message } => frame(buf, KIND_ERROR, |w| {
             w.u64(session.0);
             w.str16(message);
-            w.finish()?
-        }
-    })
+            Ok(())
+        }),
+    }
 }
 
 // ---------------------------------------------------------------------

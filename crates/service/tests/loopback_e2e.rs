@@ -15,6 +15,7 @@ use doda_core::sequence::StepEvent;
 use doda_core::{DiscardTransmissions, Interaction};
 use doda_graph::NodeId;
 use doda_service::prelude::*;
+use doda_service::{encode_event, encode_result};
 use doda_sim::{finish_trial, AlgorithmSpec, Scenario, Sweep, TrialResult};
 
 /// The fleet: cycle specs and scenarios per tenant, vary seed and size.
@@ -650,4 +651,150 @@ fn scenario_admission_refuses_with_typed_errors() {
         4
     )
     .is_ok());
+}
+
+/// Malformed copies of the valid `frame`, one per way a broken peer can
+/// get framing wrong, each with the error it must decode to.
+fn malformed_variants(frame: &[u8]) -> Vec<(Vec<u8>, WireError)> {
+    let edited = |edit: &dyn Fn(&mut Vec<u8>)| {
+        let mut bad = frame.to_vec();
+        edit(&mut bad);
+        bad
+    };
+    let declared = u32::from_le_bytes(frame[..4].try_into().expect("prefix"));
+    vec![
+        (
+            edited(&|bad| {
+                bad.pop();
+            }),
+            WireError::Truncated,
+        ),
+        (edited(&|bad| bad.push(0)), WireError::TrailingBytes),
+        (
+            edited(&|bad| bad[4] = WIRE_VERSION + 1),
+            WireError::UnknownVersion(WIRE_VERSION + 1),
+        ),
+        (
+            edited(&|bad| bad[..4].copy_from_slice(&(declared + 9).to_le_bytes())),
+            WireError::Truncated,
+        ),
+        (edited(&|bad| bad[5] = 0x7f), WireError::UnknownKind(0x7f)),
+    ]
+}
+
+fn scenario_open(id: u64) -> WireEvent {
+    let (spec, scenario, n, seed) = fleet_shape(id);
+    WireEvent::OpenScenario {
+        session: SessionId(id),
+        spec,
+        scenario: scenario.into(),
+        n,
+        seed,
+        horizon: None,
+        slice_budget: Some(16),
+    }
+}
+
+#[test]
+fn a_malformed_frame_fails_alone_and_the_frames_after_it_apply_next_pump() {
+    let (mut tenant_end, service_end) = Loopback::pair();
+    let mut service = ServiceEndpoint::new(SessionManager::with_workers(2), service_end);
+
+    // valid, malformed, valid, valid, malformed, ... valid: each malformed
+    // frame sits between two valid ones, all queued before the first pump.
+    let never_opened = encode_event(&scenario_open(100)).expect("encode");
+    let malformed = malformed_variants(&never_opened);
+    let mut next_id = 0;
+    let mut send_open = |end: &mut Loopback| {
+        let frame = encode_event(&scenario_open(next_id)).expect("encode");
+        end.send(&frame).expect("loopback send");
+        next_id += 1;
+    };
+    send_open(&mut tenant_end);
+    for (bad, _) in &malformed {
+        tenant_end.send(bad).expect("loopback send");
+        send_open(&mut tenant_end);
+        send_open(&mut tenant_end);
+    }
+    let opened = next_id;
+    let mut client = ServiceClient::new(tenant_end);
+
+    let mut replies = Vec::new();
+    let poll = |client: &mut ServiceClient<Loopback>, replies: &mut Vec<WireResult>| {
+        while let Some(reply) = client.poll_result().expect("decode reply") {
+            replies.push(reply);
+        }
+    };
+    for (k, (_, expected)) in malformed.iter().enumerate() {
+        match service.pump() {
+            Err(ServiceError::Wire(error)) => assert_eq!(&error, expected, "malformed frame {k}"),
+            other => panic!("malformed frame {k}: expected {expected:?}, got {other:?}"),
+        }
+        poll(&mut client, &mut replies);
+        // Exactly the valid frames ahead of the malformed one are applied:
+        // the first open, then two more per earlier malformed frame.
+        assert_eq!(
+            service.manager().len() + replies.len(),
+            1 + 2 * k,
+            "sessions opened before malformed frame {k}"
+        );
+    }
+    service
+        .run_until_idle()
+        .expect("the rest of the queue is valid");
+    poll(&mut client, &mut replies);
+
+    assert_eq!(replies.len() as u64, opened, "{replies:?}");
+    for reply in &replies {
+        let WireResult::Result { session, .. } = reply else {
+            panic!("unexpected reply {reply:?}");
+        };
+        let (spec, scenario, n, seed) = fleet_shape(session.0);
+        let reference = WireResult::Result {
+            session: *session,
+            result: reference_sweep(spec, scenario, n, seed),
+        };
+        assert_eq!(
+            encode_result(reply).expect("encode"),
+            encode_result(&reference).expect("encode"),
+            "session {session} differs from its sweep's trial 0"
+        );
+    }
+}
+
+#[test]
+fn a_reply_that_fails_to_decode_is_consumed_and_the_next_one_follows() {
+    let (client_end, mut service_end) = Loopback::pair();
+    let mut client = ServiceClient::new(client_end);
+
+    let reply = |id: u64| {
+        let (spec, scenario, n, seed) = fleet_shape(id);
+        WireResult::Result {
+            session: SessionId(id),
+            result: reference_sweep(spec, scenario, n, seed),
+        }
+    };
+    let malformed = malformed_variants(&encode_result(&reply(100)).expect("encode"));
+    service_end
+        .send(&encode_result(&reply(0)).expect("encode"))
+        .expect("loopback send");
+    for (k, (bad, _)) in malformed.iter().enumerate() {
+        service_end.send(bad).expect("loopback send");
+        service_end
+            .send(&encode_result(&reply(k as u64 + 1)).expect("encode"))
+            .expect("loopback send");
+    }
+
+    assert_eq!(client.poll_result().expect("decode"), Some(reply(0)));
+    for (k, (_, expected)) in malformed.iter().enumerate() {
+        match client.poll_result() {
+            Err(ServiceError::Wire(error)) => assert_eq!(&error, expected, "malformed reply {k}"),
+            other => panic!("malformed reply {k}: expected {expected:?}, got {other:?}"),
+        }
+        assert_eq!(
+            client.poll_result().expect("decode"),
+            Some(reply(k as u64 + 1))
+        );
+    }
+    assert_eq!(client.poll_result().expect("decode"), None);
 }

@@ -6,6 +6,12 @@
 //! change that moves a byte fails here; intentional format changes must
 //! bump `WIRE_VERSION` and regenerate the golden file by running this
 //! test with `UPDATE_WIRE_GOLDEN=1`.
+//!
+//! The same corpus seeds the codec's other contracts: the `_into`
+//! encoders append exactly the frame the allocating encoders return and
+//! leave the buffer untouched on error, and the decoders answer every
+//! byte string — arbitrary, truncated, bit-flipped or with a lying
+//! length prefix — with a value or a typed [`WireError`], never a panic.
 
 use doda_core::algebra::AggregateSummary;
 use doda_core::byzantine::{ByzantineProfile, ByzantineStrategy, Evidence, Verdict};
@@ -15,10 +21,11 @@ use doda_core::sequence::StepEvent;
 use doda_core::Interaction;
 use doda_graph::NodeId;
 use doda_service::{
-    decode_event, decode_result, encode_event, encode_result, OverflowPolicy, SessionId, WireError,
-    WireEvent, WireResult, WIRE_VERSION,
+    decode_event, decode_result, encode_event, encode_event_into, encode_result,
+    encode_result_into, OverflowPolicy, SessionId, WireError, WireEvent, WireResult, WIRE_VERSION,
 };
 use doda_sim::{AlgorithmSpec, FaultedScenario, Scenario, TrialResult};
+use proptest::prelude::*;
 
 const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/wire_v3.hex");
 
@@ -430,4 +437,171 @@ fn oversized_error_messages_truncate_instead_of_panicking() {
         }
         other => panic!("expected an error frame, got {other:?}"),
     }
+}
+
+/// Every corpus frame, events first.
+fn golden_frames() -> Vec<Vec<u8>> {
+    let (events, results) = corpus();
+    let mut frames: Vec<Vec<u8>> = events
+        .iter()
+        .map(|e| encode_event(e).expect("encode event"))
+        .collect();
+    frames.extend(
+        results
+            .iter()
+            .map(|r| encode_result(r).expect("encode result")),
+    );
+    frames
+}
+
+fn bytes_from(words: &[u64]) -> Vec<u8> {
+    words.iter().map(|w| w.to_le_bytes()[0]).collect()
+}
+
+/// Decodes `bytes` both ways. Neither decoder may panic; a frame that
+/// decodes must re-encode to a frame that decodes to the same bytes
+/// again (re-encoding is canonical: e.g. any nonzero flag byte becomes
+/// `1`).
+fn decodes_or_fails_typed(bytes: &[u8]) {
+    if let Ok(event) = decode_event(bytes) {
+        let canonical = encode_event(&event).expect("a decoded event re-encodes");
+        let again = decode_event(&canonical).expect("a canonical event decodes");
+        assert_eq!(encode_event(&again).expect("re-encode"), canonical);
+    }
+    if let Ok(result) = decode_result(bytes) {
+        let canonical = encode_result(&result).expect("a decoded result re-encodes");
+        let again = decode_result(&canonical).expect("a canonical result decodes");
+        assert_eq!(encode_result(&again).expect("re-encode"), canonical);
+    }
+}
+
+#[test]
+fn every_truncation_of_a_golden_frame_is_truncated() {
+    for frame in golden_frames() {
+        for cut in 0..frame.len() {
+            let cut = &frame[..cut];
+            decodes_or_fails_typed(cut);
+            assert_eq!(decode_event(cut), Err(WireError::Truncated), "{}", hex(cut));
+            assert_eq!(
+                decode_result(cut),
+                Err(WireError::Truncated),
+                "{}",
+                hex(cut)
+            );
+        }
+    }
+}
+
+#[test]
+fn every_bit_flip_of_a_golden_frame_decodes_or_fails_typed() {
+    for frame in golden_frames() {
+        for bit in 0..frame.len() * 8 {
+            let mut flipped = frame.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            decodes_or_fails_typed(&flipped);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2_048))]
+
+    #[test]
+    fn arbitrary_bytes_decode_or_fail_typed(words in prop::collection::vec(0u64..u64::MAX, 0..128)) {
+        decodes_or_fails_typed(&bytes_from(&words));
+    }
+
+    #[test]
+    fn arbitrary_payloads_behind_a_valid_header_decode_or_fail_typed(
+        kind in 0usize..6,
+        words in prop::collection::vec(0u64..u64::MAX, 0..128),
+    ) {
+        let body = bytes_from(&words);
+        let kind = [0x01, 0x02, 0x03, 0x04, 0x81, 0x82][kind];
+        let payload_len = u32::try_from(body.len() + 2).expect("short body");
+        let mut frame = payload_len.to_le_bytes().to_vec();
+        frame.extend_from_slice(&[WIRE_VERSION, kind]);
+        frame.extend_from_slice(&body);
+        decodes_or_fails_typed(&frame);
+    }
+
+    #[test]
+    fn a_lying_length_prefix_is_truncated_or_trailing(
+        pick in 0usize..1_000,
+        declared in 0u64..(1 << 32),
+    ) {
+        let frames = golden_frames();
+        let mut frame = frames[pick % frames.len()].clone();
+        let actual = frame.len() as u64 - 4;
+        let declared = u32::try_from(declared).expect("drawn below 2^32");
+        frame[..4].copy_from_slice(&declared.to_le_bytes());
+        let expected = match u64::from(declared).cmp(&actual) {
+            std::cmp::Ordering::Greater => Err(WireError::Truncated),
+            std::cmp::Ordering::Less => Err(WireError::TrailingBytes),
+            std::cmp::Ordering::Equal => return Ok(()),
+        };
+        decodes_or_fails_typed(&frame);
+        prop_assert_eq!(decode_event(&frame).map(|_| ()), expected.clone());
+        prop_assert_eq!(decode_result(&frame).map(|_| ()), expected);
+    }
+
+    #[test]
+    fn encoding_into_a_buffer_appends_exactly_the_frame(
+        prefix in prop::collection::vec(0u64..u64::MAX, 0..48),
+    ) {
+        let prefix = bytes_from(&prefix);
+        let (events, results) = corpus();
+        for event in &events {
+            let mut buf = prefix.clone();
+            encode_event_into(event, &mut buf).expect("encode event");
+            prop_assert_eq!(&buf[..prefix.len()], &prefix[..]);
+            prop_assert_eq!(&buf[prefix.len()..], &encode_event(event).expect("encode")[..]);
+        }
+        for result in &results {
+            let mut buf = prefix.clone();
+            encode_result_into(result, &mut buf).expect("encode result");
+            prop_assert_eq!(&buf[..prefix.len()], &prefix[..]);
+            prop_assert_eq!(&buf[prefix.len()..], &encode_result(result).expect("encode")[..]);
+        }
+    }
+}
+
+#[test]
+#[cfg(target_pointer_width = "64")]
+fn a_refused_frame_leaves_the_buffer_exactly_as_it_was() {
+    let oversized = NodeId((u32::MAX as usize) + 1);
+    let prefix = encode_event(&WireEvent::Close {
+        session: SessionId(3),
+    })
+    .expect("encode");
+
+    // The second node fails after the header, session and first node
+    // were already written.
+    let mut buf = prefix.clone();
+    let refused = encode_event_into(
+        &WireEvent::Event {
+            session: SessionId(1),
+            event: StepEvent::Interaction(Interaction::new(NodeId(1), oversized)),
+        },
+        &mut buf,
+    );
+    assert_eq!(refused, Err(WireError::OutOfRange { what: "node id" }));
+    assert_eq!(buf, prefix);
+
+    let mut buf = prefix.clone();
+    let refused = encode_result_into(
+        &WireResult::Result {
+            session: SessionId(1),
+            result: sample_verdict(Verdict::Detected {
+                evidence: Evidence {
+                    time: 1,
+                    liar: oversized,
+                    strategy: ByzantineStrategy::Forge,
+                },
+            }),
+        },
+        &mut buf,
+    );
+    assert_eq!(refused, Err(WireError::OutOfRange { what: "node id" }));
+    assert_eq!(buf, prefix);
 }
