@@ -2,9 +2,9 @@
 //!
 //! Each function reproduces one result of the paper as a finite-`n`
 //! experiment and returns an [`ExperimentReport`] comparing the paper's
-//! claim with what was measured. `EXPERIMENTS.md` is generated from these
-//! reports (see [`crate::report`]), and the Criterion benches in
-//! `crates/bench` re-run the heavier ones with larger parameters.
+//! claim with what was measured. `EXPERIMENTS.md` is these reports at
+//! [`Effort::Full`], rendered by [`crate::report`] through
+//! `doda-bench --experiments`.
 //!
 //! Adversarial sources are pulled from the unified
 //! [`doda_sim::Scenario`] registry where a sweepable scenario exists;
@@ -28,14 +28,14 @@ use crate::whp::check_within_bound;
 pub enum Effort {
     /// Small parameters, suitable for unit tests and quick smoke runs.
     Quick,
-    /// The parameters used for EXPERIMENTS.md and the benchmark harness.
+    /// The parameters behind the committed EXPERIMENTS.md.
     Full,
 }
 
 /// The outcome of one experiment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentReport {
-    /// Experiment id (`"E1"` … `"E12"`).
+    /// Experiment id (`"E1"` … `"E15"`).
     pub id: String,
     /// Short title.
     pub title: String,
@@ -822,24 +822,6 @@ pub fn run_all(effort: Effort) -> Vec<ExperimentReport> {
     ]
 }
 
-/// The mean interaction count of one algorithm for a single `(n, trials)`
-/// configuration — the primitive the Criterion benches time and report.
-pub fn mean_interactions(spec: AlgorithmSpec, n: usize, trials: usize, seed: u64) -> f64 {
-    let config = BatchConfig {
-        n,
-        trials,
-        horizon: None,
-        seed,
-        parallel: false,
-    };
-    Sweep::scenario(spec, Scenario::Uniform)
-        .config(&config)
-        .run_summarized()
-        .0
-        .interactions
-        .mean
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -909,11 +891,5 @@ mod tests {
     fn exact_vs_sketch_experiment_passes() {
         let e15 = e15_exact_vs_sketch(Effort::Quick);
         assert!(e15.passed, "{e15:?}");
-    }
-
-    #[test]
-    fn mean_interactions_primitive() {
-        let mean = mean_interactions(AlgorithmSpec::Gathering, 10, 4, 1);
-        assert!(mean >= 9.0);
     }
 }

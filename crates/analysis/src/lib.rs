@@ -10,7 +10,7 @@
 //! * [`whp`] — measures the fraction of trials that finish within a bound,
 //!   the empirical counterpart of "with high probability";
 //! * [`crossover`] — compares algorithms pairwise across `n`;
-//! * [`experiments`] — one self-contained function per theorem (E1–E12),
+//! * [`experiments`] — one self-contained function per theorem (E1–E15),
 //!   each returning an [`experiments::ExperimentReport`];
 //! * [`report`] — renders the collected reports as the Markdown used in
 //!   EXPERIMENTS.md.

@@ -67,7 +67,8 @@ impl ScalingStudy {
         }
     }
 
-    /// The study used by the benchmark harness (larger sweep, parallel).
+    /// The study behind E7–E9 and E11 at full effort and the scaling
+    /// tables of EXPERIMENTS.md (larger sweep, parallel).
     pub fn benchmark() -> Self {
         ScalingStudy {
             ns: vec![16, 32, 64, 128, 256],

@@ -1,13 +1,23 @@
-//! `doda-bench` — the machine-readable perf harness.
+//! `doda-bench` — the paper's checked reproduction and the
+//! machine-readable perf harness.
 //!
-//! Runs a pinned perf grid (algorithms × scenarios × node counts) through
-//! the sharded [`Sweep`] builder and emits `BENCH_<grid>.json`, the
-//! perf-trajectory artifact CI uploads on every push and PRs extend over
-//! time. Also validates existing artifacts, measures the lane tier's
-//! speedup over the scalar reference, and guards the streaming path's
+//! `--experiments` prints the committed `EXPERIMENTS.md`: experiments
+//! E1–E15 at full effort, then the scaling tables of Gathering, Waiting,
+//! Waiting Greedy and the offline optimum. Every seed is fixed and a
+//! sweep's results do not depend on its worker count, so the output is
+//! byte-identical from run to run; CI regenerates it and diffs it
+//! against the committed file.
+//!
+//! The other modes run a pinned perf grid (algorithms × scenarios × node
+//! counts) through the sharded [`Sweep`] builder and emit
+//! `BENCH_<grid>.json`, the perf-trajectory artifact CI uploads on every
+//! push. They also validate existing artifacts, measure the lane tier's
+//! speedup over the scalar reference, and guard the streaming path's
 //! `O(n)`-memory claim with a long-horizon run.
 //!
 //! ```text
+//! doda-bench --experiments > EXPERIMENTS.md
+//!                                    # E1–E15 + scaling tables, Markdown
 //! doda-bench --baseline              # full grid  -> BENCH_baseline.json
 //! doda-bench --smoke                 # tiny grid  -> BENCH_smoke.json (CI)
 //! doda-bench --out-dir perf --smoke  # write into ./perf/
@@ -42,6 +52,9 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
+use doda_analysis::experiments::{run_all, Effort};
+use doda_analysis::report::{exponents_to_markdown, reports_to_markdown, scaling_to_markdown};
+use doda_analysis::ScalingStudy;
 use doda_bench::compare::compare_reports;
 use doda_bench::json::Json;
 use doda_bench::perf::{run_grid, validate_report, PerfGrid};
@@ -100,6 +113,7 @@ unsafe impl GlobalAlloc for TrackingAllocator {
 static ALLOCATOR: TrackingAllocator = TrackingAllocator;
 
 struct Args {
+    experiments: bool,
     grid: PerfGrid,
     out_dir: PathBuf,
     validate: Vec<PathBuf>,
@@ -123,6 +137,7 @@ const DEFAULT_TOLERANCE_PCT: f64 = 40.0;
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
+        experiments: false,
         grid: PerfGrid::baseline(),
         out_dir: PathBuf::from("."),
         validate: Vec::new(),
@@ -143,6 +158,7 @@ fn parse_args() -> Result<Args, String> {
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
         match arg.as_str() {
+            "--experiments" => args.experiments = true,
             "--smoke" => {
                 args.grid = PerfGrid::smoke();
                 grid_requested = true;
@@ -188,7 +204,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--help" | "-h" => {
                 println!(
-                    "doda-bench [--smoke | --baseline] [--out-dir DIR] \
+                    "doda-bench --experiments | [--smoke | --baseline] [--out-dir DIR] \
                      | --validate FILE... | --compare RUN BASELINE [--tolerance PCT] \
                      | --compare-runners | [--out-dir DIR] --lane-guard | --stream-guard \
                      | --fault-guard | --round-guard | --service-guard | --scale-guard \
@@ -201,7 +217,8 @@ fn parse_args() -> Result<Args, String> {
     }
     // The modes are mutually exclusive; combining them would silently skip
     // a requested grid run.
-    let modes = usize::from(grid_requested)
+    let modes = usize::from(args.experiments)
+        + usize::from(grid_requested)
         + usize::from(!args.validate.is_empty())
         + usize::from(args.compare.is_some())
         + usize::from(args.compare_runners)
@@ -216,9 +233,10 @@ fn parse_args() -> Result<Args, String> {
         + usize::from(args.guard_summary.is_some());
     if modes > 1 {
         return Err(
-            "--smoke/--baseline, --validate, --compare, --compare-runners, --lane-guard, \
-             --stream-guard, --fault-guard, --round-guard, --service-guard, --scale-guard, \
-             --algebra-guard, --byzantine-guard and --guard-summary are mutually exclusive"
+            "--experiments, --smoke/--baseline, --validate, --compare, --compare-runners, \
+             --lane-guard, --stream-guard, --fault-guard, --round-guard, --service-guard, \
+             --scale-guard, --algebra-guard, --byzantine-guard and --guard-summary are \
+             mutually exclusive"
                 .to_string(),
         );
     }
@@ -226,6 +244,42 @@ fn parse_args() -> Result<Args, String> {
         return Err("--tolerance only applies to --compare".to_string());
     }
     Ok(args)
+}
+
+/// Renders `EXPERIMENTS.md`: E1–E15 at full effort, then the scaling
+/// study's per-`n` table and fitted exponents for the randomized-adversary
+/// comparison. Timings are left out, so the text depends only on the
+/// fixed seeds.
+fn experiments_markdown() -> String {
+    let reports = run_all(Effort::Full);
+    let study = ScalingStudy::benchmark();
+    let scaling = study.run_all(&AlgorithmSpec::randomized_comparison());
+    let ns: Vec<String> = study.ns.iter().map(usize::to_string).collect();
+    format!(
+        "<!-- Generated by `cargo run --release --bin doda-bench -- --experiments > EXPERIMENTS.md`; \
+         CI regenerates this file and diffs it. -->\n\
+         \n\
+         # Experiments\n\
+         \n\
+         Each of E1–E15 turns one result of the paper into a finite-n \
+         measurement and checks it against the claim.\n\
+         \n\
+         {}\n\
+         ## Scaling under the uniform randomized adversary\n\
+         \n\
+         n = {}, {} trials per point, seed {:#X}.\n\
+         \n\
+         {}\n\
+         Power-law fits, mean interactions ∝ n^exponent:\n\
+         \n\
+         {}",
+        reports_to_markdown(&reports),
+        ns.join(", "),
+        study.trials,
+        study.seed,
+        scaling_to_markdown(&scaling),
+        exponents_to_markdown(&scaling),
+    )
 }
 
 fn validate_files(files: &[PathBuf]) -> Result<(), String> {
@@ -1338,6 +1392,11 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+
+    if args.experiments {
+        print!("{}", experiments_markdown());
+        return ExitCode::SUCCESS;
+    }
 
     if !args.validate.is_empty() {
         return match validate_files(&args.validate) {

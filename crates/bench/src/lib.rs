@@ -1,19 +1,13 @@
-//! Shared helpers for the benchmark harness.
+//! Support library of the `doda-bench` binary (`src/bin/doda-bench.rs`).
 //!
-//! Each bench target reproduces one experiment of the paper (see
-//! DESIGN.md §5): before Criterion starts timing, the target prints the
-//! reproduced table (mean interaction counts, fitted exponents, w.h.p.
-//! fractions, …) to stderr so that `cargo bench` output doubles as the raw
-//! material of EXPERIMENTS.md; the timed portion then measures the cost of
-//! regenerating a representative slice of that table.
-//!
-//! Besides the criterion targets, the crate hosts the machine-readable
-//! perf harness: [`perf`] runs pinned scenario grids and the `doda-bench`
-//! binary (`src/bin/doda-bench.rs`) emits/validates `BENCH_*.json`
-//! trajectory files; [`compare`] is the perf-regression gate that diffs a
-//! fresh run against the committed baseline (CI fails on regressions
-//! beyond tolerance); [`json`] is the dependency-free JSON support
-//! beneath it all.
+//! The binary renders the paper's checked reproduction (`--experiments`,
+//! the committed `EXPERIMENTS.md`) and hosts the machine-readable perf
+//! harness: [`perf`] runs pinned scenario grids that the binary
+//! emits/validates as `BENCH_*.json` trajectory files; [`compare`] is the
+//! perf-regression gate that diffs a fresh run against the committed
+//! baseline (CI fails on regressions beyond tolerance); [`memory`] holds
+//! the heap counters behind `peak_mem_bytes`; [`json`] is the
+//! dependency-free JSON support beneath it all.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,59 +16,3 @@ pub mod compare;
 pub mod json;
 pub mod memory;
 pub mod perf;
-
-use doda_sim::{AlgorithmSpec, BatchConfig, Scenario, Sweep};
-
-/// The node counts used by the printed reproduction tables.
-pub const REPORT_NS: &[usize] = &[16, 32, 64, 128];
-
-/// The (smaller) node count used inside the timed Criterion loops, so that
-/// `cargo bench` stays fast while still exercising the full code path.
-pub const TIMED_N: usize = 32;
-
-/// Number of trials behind each printed mean.
-pub const REPORT_TRIALS: usize = 20;
-
-// Compile-time pins: the timed loops must stay non-trivial and the printed
-// means statistically meaningful.
-const _: () = assert!(TIMED_N >= 16);
-const _: () = assert!(REPORT_TRIALS >= 10);
-
-/// Runs one batch against the uniform randomized adversary and returns the
-/// mean number of interactions to completion.
-pub fn mean_interactions(spec: AlgorithmSpec, n: usize, trials: usize, seed: u64) -> f64 {
-    let config = BatchConfig {
-        n,
-        trials,
-        horizon: None,
-        seed,
-        parallel: true,
-    };
-    Sweep::scenario(spec, Scenario::Uniform)
-        .config(&config)
-        .run_summarized()
-        .0
-        .interactions
-        .mean
-}
-
-/// Prints a `label: value` line of the reproduction table to stderr.
-pub fn report_line(experiment: &str, label: &str, value: &str) {
-    eprintln!("[{experiment}] {label}: {value}");
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn mean_interactions_is_positive() {
-        let mean = mean_interactions(AlgorithmSpec::Gathering, 8, 3, 1);
-        assert!(mean >= 7.0);
-    }
-
-    #[test]
-    fn constants_are_sane() {
-        assert!(REPORT_NS.windows(2).all(|w| w[0] < w[1]));
-    }
-}

@@ -5,9 +5,8 @@
 //! functions a `#[global_allocator]` calls on every allocation event. The
 //! one `unsafe impl` lives in the `doda-bench` binary, which installs a
 //! thin [`std::alloc::System`] wrapper that forwards sizes here. Library
-//! consumers (unit tests, criterion targets) that never install the
-//! wrapper simply read zeros: every reported peak degrades to `0` rather
-//! than lying.
+//! consumers that never install the wrapper (unit tests, for one) simply
+//! read zeros: every reported peak degrades to `0` rather than lying.
 //!
 //! The counters are process-wide on purpose — sweep workers allocate from
 //! many threads, and the `O(n)` claim the scale guard enforces is about

@@ -116,7 +116,9 @@ impl BatchResult {
 /// `available_parallelism` workers claim the next `grain` unclaimed trial
 /// indices from one atomic counter until none are left, where `grain` is
 /// `max_grain` (at least 1) capped at `⌈trials / workers⌉`, and the
-/// claimed ranges are put back in index order when the scope joins.
+/// claimed ranges are put back in index order when the scope joins. A
+/// worker's panic resumes on the caller with the worker's own payload, so
+/// a parallel sweep fails with the same message as a serial one.
 ///
 /// [`TrialRunner`]: crate::trial::TrialRunner
 pub(crate) fn shard<S>(
@@ -156,7 +158,11 @@ pub(crate) fn shard<S>(
             .collect();
         handles
             .into_iter()
-            .flat_map(|handle| handle.join().expect("batch worker thread panicked"))
+            .flat_map(|handle| {
+                handle
+                    .join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+            })
             .collect()
     });
     claims.sort_unstable_by_key(|&(start, _)| start);
@@ -205,7 +211,7 @@ mod tests {
     use super::*;
     use crate::datum::ExactOrigins;
     use crate::scenario::{FaultedScenario, Scenario};
-    use crate::sweep::Sweep;
+    use crate::sweep::{ExecutionTier, Sweep};
     use crate::trial::{TrialConfig, TrialRunner};
     use doda_core::fault::FaultProfile;
     use doda_workloads::{UniformWorkload, Workload, ZipfWorkload};
@@ -221,7 +227,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "batch worker thread panicked")]
+    #[should_panic(expected = "trial 5 fails")]
     fn a_panicking_trial_surfaces_as_a_worker_panic() {
         let config = TrialConfig {
             max_interactions: Some(1_000),
@@ -241,6 +247,18 @@ mod tests {
                 })
                 .collect()
         });
+    }
+
+    #[test]
+    #[should_panic(expected = "raise Sweep::cluster_size")]
+    fn parallel_sweeps_fail_with_the_trials_own_message() {
+        let _ = Sweep::scenario(AlgorithmSpec::Gathering, Scenario::ObliviousTrap)
+            .n(20)
+            .tier(ExecutionTier::Hierarchical)
+            .cluster_size(2)
+            .trials(4)
+            .parallel(true)
+            .run();
     }
 
     #[test]

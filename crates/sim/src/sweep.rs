@@ -363,9 +363,10 @@ impl<'a> Sweep<'a> {
     /// Panics on inadmissible combinations — an adaptive scenario with a
     /// knowledge-based spec, an invalid fault or Byzantine plan, a forced
     /// tier the family, spec or [`Sweep::aggregate`] cannot take (see
-    /// [`ExecutionTier`]), a scenario sweep without [`Sweep::n`], or a
-    /// workload sweep whose explicit `n` mismatches the workload — and if
-    /// a worker thread panics.
+    /// [`ExecutionTier`]), a scenario sweep without [`Sweep::n`] or below
+    /// its scenario's [`Scenario::min_nodes`], or a workload sweep whose
+    /// explicit `n` mismatches the workload — and, with the worker's own
+    /// message, if a trial panics.
     pub fn run(&self) -> Vec<TrialResult> {
         let plan = self.plan();
         match self.aggregate {
@@ -468,6 +469,10 @@ impl<'a> Sweep<'a> {
         planes
             .validate_byzantine()
             .unwrap_or_else(|e| panic!("invalid byzantine plan for {subject}: {e}"));
+        if let Some(base) = scenario {
+            let need = base.min_nodes();
+            assert!(n >= need, "{subject} needs at least {need} nodes, got {n}");
+        }
 
         let materialize = spec.requires_materialization();
         let round = scenario.is_some_and(|s| s.is_round());
@@ -938,6 +943,22 @@ mod tests {
         let _ = Sweep::scenario(AlgorithmSpec::Gathering, Scenario::Uniform)
             .n(10)
             .lane_width(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "scenario 'uniform' needs at least 2 nodes, got 1")]
+    fn runs_below_the_scenario_floor_are_refused() {
+        let _ = Sweep::scenario(AlgorithmSpec::Gathering, Scenario::Uniform)
+            .n(1)
+            .run();
+    }
+
+    #[test]
+    #[should_panic(expected = "needs at least 4 nodes, got 3")]
+    fn path_labels_below_the_scenario_floor_are_refused() {
+        let _ = Sweep::scenario(AlgorithmSpec::Gathering, Scenario::ObliviousTrap)
+            .n(3)
+            .path_label();
     }
 
     #[test]

@@ -54,17 +54,20 @@ impl Table {
         self.rows.is_empty()
     }
 
-    /// Renders as GitHub-flavoured Markdown.
+    /// Renders as GitHub-flavoured Markdown. A `|` inside a cell is
+    /// written `\|`, so it never opens an extra column; columns are padded
+    /// to the widest escaped cell, counted in characters.
     pub fn to_markdown(&self) -> String {
-        let widths: Vec<usize> = self
-            .header
-            .iter()
-            .enumerate()
-            .map(|(i, h)| {
-                self.rows
-                    .iter()
-                    .map(|r| r[i].len())
-                    .chain(std::iter::once(h.len()))
+        let escape = |cells: &[String]| -> Vec<String> {
+            cells.iter().map(|c| c.replace('|', "\\|")).collect()
+        };
+        let header = escape(&self.header);
+        let rows: Vec<Vec<String>> = self.rows.iter().map(|r| escape(r)).collect();
+        let widths: Vec<usize> = (0..header.len())
+            .map(|i| {
+                rows.iter()
+                    .chain(std::iter::once(&header))
+                    .map(|r| r[i].chars().count())
                     .max()
                     .unwrap_or(0)
             })
@@ -78,10 +81,10 @@ impl Table {
                 .collect();
             format!("| {} |\n", padded.join(" | "))
         };
-        out.push_str(&format_row(&self.header));
+        out.push_str(&format_row(&header));
         let separator: Vec<String> = widths.iter().map(|w| "-".repeat(*w)).collect();
         out.push_str(&format_row(&separator));
-        for row in &self.rows {
+        for row in &rows {
             out.push_str(&format_row(row));
         }
         out
@@ -129,6 +132,31 @@ mod tests {
         assert_eq!(md.lines().count(), 4);
         assert_eq!(t.len(), 2);
         assert!(!t.is_empty());
+    }
+
+    #[test]
+    fn pipes_inside_cells_are_escaped() {
+        let mut t = Table::new(["id", "measured", "status"]);
+        t.push_row(["E1", "a | b", "consistent"]);
+        let md = t.to_markdown();
+        let unescaped_pipes = |line: &str| {
+            line.char_indices()
+                .filter(|&(i, c)| c == '|' && !line[..i].ends_with('\\'))
+                .count()
+        };
+        let header_pipes = unescaped_pipes(md.lines().next().unwrap());
+        assert_eq!(header_pipes, 4);
+        for line in md.lines() {
+            assert_eq!(unescaped_pipes(line), header_pipes, "{line}");
+        }
+        assert!(md.contains("| a \\| b   | consistent |"), "{md}");
+    }
+
+    #[test]
+    fn widths_count_characters_not_bytes() {
+        let mut t = Table::new(["x"]);
+        t.push_row(["n²"]);
+        assert_eq!(t.to_markdown(), "| x  |\n| -- |\n| n² |\n");
     }
 
     #[test]

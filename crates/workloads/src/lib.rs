@@ -11,7 +11,7 @@
 //! 2. stand in for the contact traces of the scenarios that motivate the
 //!    paper's introduction (body-area sensor networks, vehicular ad-hoc
 //!    encounters), so the examples exercise the same code paths a real
-//!    deployment would — see DESIGN.md §2 for the substitution note.
+//!    deployment would; the repository ships no recorded traces.
 //!
 //! Every generator is **streaming-first**: [`Workload::source`] yields a
 //! seeded, infinite [`doda_core::InteractionSource`] that the engine pulls
