@@ -35,7 +35,7 @@ use crate::fault::CrashPolicy;
 use crate::interaction::{Interaction, Time};
 use crate::outcome::{Completion, ExecutionOutcome, FaultTally, Transmission};
 use crate::round::{Matching, RoundSource, MAX_CONSECUTIVE_EMPTY_ROUNDS};
-use crate::sequence::{AdversaryView, InteractionSource, StepEvent};
+use crate::sequence::{AdversaryView, InteractionSource, StepEvent, PULL_BATCH};
 use crate::state::NetworkState;
 
 /// Configuration of a single execution.
@@ -380,6 +380,21 @@ impl RunProgress {
     pub fn node_count(&self) -> usize {
         self.node_count
     }
+
+    /// Why a slice ending at `slice_end` stops before the next event, if
+    /// it does.
+    #[inline]
+    fn pause(&self, slice_end: u64) -> Option<StepOutcome> {
+        if self.termination_time.is_some() {
+            Some(StepOutcome::Completed)
+        } else if self.processed >= self.max_interactions {
+            Some(StepOutcome::HorizonReached)
+        } else if self.processed >= slice_end {
+            Some(StepOutcome::BudgetSpent)
+        } else {
+            None
+        }
+    }
 }
 
 /// Why one [`Engine::step_for`] slice stopped.
@@ -437,16 +452,21 @@ impl<A> EngineCheckpoint<A> {
     }
 }
 
-/// The reusable, zero-allocation stepping core.
+/// The reusable stepping core.
 ///
 /// An `Engine` owns the scratch an execution needs — the
 /// [`NetworkState`] and the ownership bitmap handed to adaptive
 /// adversaries — and reuses it across calls to [`Engine::run`], so a sweep
 /// of thousands of trials allocates the scratch once. The hot loop
-/// performs no heap allocation: ownership is maintained incrementally
-/// (instead of re-deriving a fresh bitmap every step) and completion is
-/// detected from an owner counter (instead of an `O(n)` scan per
-/// transmission).
+/// performs no heap allocation per interaction: ownership is maintained
+/// incrementally (instead of re-deriving a fresh bitmap every step) and
+/// completion is detected from an owner counter (instead of an `O(n)`
+/// scan per transmission). Pulling an oblivious source in bursts costs
+/// one buffer of at most [`PULL_BATCH`] interactions per
+/// [`Engine::step_for`] call, so one per trial or per service slice. The
+/// engine keeps no burst buffer between calls: every service session
+/// owns an `Engine`, and a buffer per session would raise its resident
+/// memory.
 #[derive(Debug)]
 pub struct Engine<A> {
     state: NetworkState<A>,
@@ -509,8 +529,10 @@ impl<A: Aggregate> Engine<A> {
     /// argument, any [`TransmissionSink`] ([`DiscardTransmissions`] for
     /// none, `&mut Vec<Transmission>` to collect them).
     ///
-    /// The source is driven through [`InteractionSource::next_event`], so
-    /// fault-injecting sources ([`crate::fault::FaultedSource`]) compose
+    /// A non-oblivious source is driven through
+    /// [`InteractionSource::next_event`] (an oblivious one in bursts, see
+    /// [`Engine::step_for`]), so fault-injecting sources
+    /// ([`crate::fault::FaultedSource`]) compose
     /// transparently: crash / churn / loss events update the ownership
     /// bitmap and the accounting bins, and [`RunStats::completion`]
     /// distinguishes full aggregation from survivors-only aggregation
@@ -662,6 +684,20 @@ impl<A: Aggregate> Engine<A> {
     /// inbox), calling `step_for` again continues the run where it
     /// paused.
     ///
+    /// An [`InteractionSource::is_oblivious`] source is pulled in bursts
+    /// of up to [`PULL_BATCH`] interactions, one
+    /// [`InteractionSource::next_interaction_batch`] call each, under a
+    /// view sampled once per burst; any other source is pulled one
+    /// [`InteractionSource::next_event`] per step. Both give the same
+    /// results bit for bit. A burst never reaches past the budget or the
+    /// horizon, so a slice that pauses (`BudgetSpent`, `HorizonReached`
+    /// or `SourceExhausted`) leaves the source at exactly
+    /// [`RunProgress::interactions_processed`] pulls, as checkpointing
+    /// and sliced sessions need. Only a `Completed` slice may leave an
+    /// oblivious source up to `PULL_BATCH − 1` interactions ahead of the
+    /// run. The burst buffer is allocated once per call, never per
+    /// interaction.
+    ///
     /// # Errors
     ///
     /// As [`Engine::run`]: a structurally invalid decision or an
@@ -686,15 +722,19 @@ impl<A: Aggregate> Engine<A> {
             .processed
             .saturating_add(budget)
             .min(run.max_interactions);
+        if source.is_oblivious() {
+            return self.step_bursts(
+                run,
+                algorithm,
+                source,
+                &mut initial_data,
+                slice_end,
+                transmissions,
+            );
+        }
         loop {
-            if run.termination_time.is_some() {
-                return Ok(StepOutcome::Completed);
-            }
-            if run.processed >= run.max_interactions {
-                return Ok(StepOutcome::HorizonReached);
-            }
-            if run.processed >= slice_end {
-                return Ok(StepOutcome::BudgetSpent);
+            if let Some(outcome) = run.pause(slice_end) {
+                return Ok(outcome);
             }
             let t = run.processed;
             let view = AdversaryView {
@@ -725,6 +765,54 @@ impl<A: Aggregate> Engine<A> {
                     self.admit_node(node, sink, &mut initial_data, t)?;
                     transmissions.on_admitted(node);
                 }
+            }
+        }
+    }
+
+    /// The oblivious arm of [`Engine::step_for`]: pulls up to
+    /// [`PULL_BATCH`] interactions per call, never past `slice_end`, and
+    /// applies them in order until the run completes. A short burst means
+    /// the source ran out.
+    fn step_bursts<F, S, D, P>(
+        &mut self,
+        run: &mut RunProgress,
+        algorithm: &mut D,
+        source: &mut S,
+        initial_data: &mut F,
+        slice_end: u64,
+        plane: &mut P,
+    ) -> Result<StepOutcome, EngineError>
+    where
+        F: FnMut(NodeId) -> A,
+        S: InteractionSource + ?Sized,
+        D: DodaAlgorithm + ?Sized,
+        P: DataPlane<A> + ?Sized,
+    {
+        let mut burst = Vec::new();
+        loop {
+            if let Some(outcome) = run.pause(slice_end) {
+                return Ok(outcome);
+            }
+            let t0 = run.processed;
+            let want = (slice_end - t0).min(PULL_BATCH as u64) as usize;
+            burst.clear();
+            // The first burst is the largest, so this allocates once.
+            burst.reserve_exact(want);
+            let view = AdversaryView {
+                owns_data: &self.ownership,
+                sink: run.sink,
+            };
+            source.next_interaction_batch(t0, &view, &mut burst, want);
+            for &interaction in &burst {
+                let t = run.processed;
+                run.processed += 1;
+                self.apply_interaction(run, algorithm, t, interaction, plane, initial_data)?;
+                if run.termination_time.is_some() {
+                    return Ok(StepOutcome::Completed);
+                }
+            }
+            if burst.len() < want {
+                return Ok(StepOutcome::SourceExhausted);
             }
         }
     }
@@ -893,6 +981,10 @@ impl<A: Aggregate> Engine<A> {
     /// on singleton rounds: dead-endpoint check, algorithm decision,
     /// transmission bookkeeping, and completion when the transfer leaves
     /// the sink the sole owner. The transfer itself runs through `plane`.
+    ///
+    /// Always inlined: it is the body of every event loop, and a call per
+    /// interaction costs about as much as the step itself.
+    #[inline(always)]
     fn apply_interaction<D, P, F>(
         &mut self,
         run: &mut RunProgress,

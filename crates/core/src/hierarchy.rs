@@ -70,18 +70,16 @@ impl ClusterPlan {
     pub fn elect(n: usize, sink: NodeId, target_cluster_size: usize, seed: u64) -> Self {
         assert!(n >= 2, "a hierarchy needs at least 2 nodes, got {n}");
         assert!(sink.index() < n, "sink {sink} out of range for {n} nodes");
-        assert!(target_cluster_size > 0, "cluster size must be positive");
+        let (clusters, base) = ClusterPlan::shape(n, target_cluster_size);
         let mut members: Vec<NodeId> = (0..n).map(NodeId).filter(|&v| v != sink).collect();
         let mut rng = seeded_rng(seed);
         for i in (1..members.len()).rev() {
             let j = rng.gen_range(0..=i);
             members.swap(i, j);
         }
-        let pool = members.len();
-        let clusters = (pool / target_cluster_size).max(1);
         // Near-equal split: the first `pool % clusters` clusters take one
         // extra node, so sizes are ⌈pool/clusters⌉ or ⌊pool/clusters⌋.
-        let (base, extra) = (pool / clusters, pool % clusters);
+        let extra = members.len() % clusters;
         let mut offsets = Vec::with_capacity(clusters + 1);
         let mut cursor = 0;
         offsets.push(0);
@@ -95,6 +93,23 @@ impl ClusterPlan {
             members,
             offsets,
         }
+    }
+
+    /// The shape every plan over `n` nodes at `target_cluster_size` has,
+    /// whatever its sink and seed: `(clusters, smallest)`, where the
+    /// `n − 1` non-sink nodes split into `max(1, (n − 1) / k)` clusters
+    /// whose sizes are `smallest` or `smallest + 1`. [`ClusterPlan::elect`]
+    /// splits by this formula, so callers can check a shape before any
+    /// election.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `target_cluster_size == 0`.
+    pub fn shape(n: usize, target_cluster_size: usize) -> (usize, usize) {
+        assert!(target_cluster_size > 0, "cluster size must be positive");
+        let pool = n.saturating_sub(1);
+        let clusters = (pool / target_cluster_size).max(1);
+        (clusters, pool / clusters)
     }
 
     /// Total number of nodes the plan covers (including the sink).
@@ -125,19 +140,18 @@ impl ClusterPlan {
     pub fn aggregator(&self, c: usize) -> NodeId {
         self.cluster(c)[0]
     }
-
-    /// The smallest cluster size in the plan.
-    pub fn min_cluster_size(&self) -> usize {
-        (0..self.cluster_count())
-            .map(|c| self.cluster(c).len())
-            .min()
-            .expect("a plan has at least one cluster")
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn smallest_cluster(plan: &ClusterPlan) -> usize {
+        (0..plan.cluster_count())
+            .map(|c| plan.cluster(c).len())
+            .min()
+            .expect("a plan has at least one cluster")
+    }
 
     #[test]
     fn every_non_sink_node_lands_in_exactly_one_cluster() {
@@ -158,7 +172,7 @@ mod tests {
         assert_eq!(plan.cluster_count(), 10);
         let sizes: Vec<usize> = (0..10).map(|c| plan.cluster(c).len()).collect();
         assert!(sizes.iter().all(|&s| s == 10));
-        assert_eq!(plan.min_cluster_size(), 10);
+        assert_eq!(smallest_cluster(&plan), 10);
 
         // Ragged pool: sizes differ by at most one.
         let plan = ClusterPlan::elect(24, NodeId(0), 5, 1);
@@ -168,7 +182,21 @@ mod tests {
         assert_eq!(sizes.iter().sum::<usize>(), 23);
         assert!(sizes
             .iter()
-            .all(|&s| s.abs_diff(plan.min_cluster_size()) <= 1));
+            .all(|&s| s.abs_diff(smallest_cluster(&plan)) <= 1));
+    }
+
+    #[test]
+    fn the_shape_formula_predicts_every_plan() {
+        for (n, k) in [(2, 1), (8, 100), (20, 2), (24, 5), (101, 10), (1_000, 32)] {
+            for sink in [0, n - 1] {
+                let plan = ClusterPlan::elect(n, NodeId(sink), k, 11);
+                assert_eq!(
+                    ClusterPlan::shape(n, k),
+                    (plan.cluster_count(), smallest_cluster(&plan)),
+                    "n={n} k={k} sink={sink}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -2,9 +2,11 @@
 //!
 //! A Monte-Carlo sweep runs thousands of *independent* trials of the same
 //! knowledge-free algorithm; the scalar engine steps them one at a time,
-//! paying per interaction for an aggregate-carrying [`NetworkState`], two
-//! virtual calls (source and boxed algorithm) and branchy decision
-//! plumbing — none of which affects the *counters* a sweep actually keeps.
+//! paying per interaction for an aggregate-carrying [`NetworkState`], a
+//! virtual call into the boxed algorithm and branchy decision plumbing —
+//! none of which affects the *counters* a sweep actually keeps. (Both
+//! engines pull an oblivious source in bursts, so neither pays a virtual
+//! source call per interaction.)
 //!
 //! [`LaneEngine`] restructures that state as a structure-of-arrays batch:
 //! ownership is a `[u64]` bitset column per node, with **bit `l` holding
@@ -40,21 +42,11 @@
 use doda_graph::NodeId;
 
 use crate::interaction::{Interaction, Time};
-use crate::sequence::{AdversaryView, InteractionSource, StepEvent};
+use crate::sequence::{AdversaryView, InteractionSource, StepEvent, PULL_BATCH};
 
 /// Maximum number of trial lanes per batch: one bit-lane per trial in the
 /// `u64` ownership columns.
 pub const MAX_LANES: usize = 64;
-
-/// Number of interactions pulled per [`InteractionSource::next_interaction_batch`]
-/// call on the oblivious fast path.
-///
-/// Large enough that the per-burst costs (one virtual call, buffer reuse,
-/// loop setup) vanish against the per-interaction kernel; small enough
-/// that a retiring lane wastes a negligible slice of generated schedule
-/// (a lane consumes its whole final burst only up to the interaction that
-/// completed it).
-pub const PULL_BATCH: usize = 256;
 
 /// A knowledge-free algorithm with a branchless lane kernel.
 ///

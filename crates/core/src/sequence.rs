@@ -110,11 +110,14 @@ pub trait InteractionSource {
     /// is a function of its own state and `t` alone (the paper's
     /// *oblivious* adversaries, and every synthetic workload generator).
     ///
-    /// Oblivious sources may be pulled in batches
-    /// ([`next_interaction_batch`]) by the lane engine's fast path, which
-    /// samples the view once per batch. Adaptive adversaries and the fault
-    /// layer must keep the default `false`.
+    /// Oblivious sources are pulled in bursts of up to [`PULL_BATCH`]
+    /// ([`next_interaction_batch`]) by both consumers of a stream:
+    /// [`crate::Engine::step_for`] and the lane engine's fast path. Each
+    /// samples the view once per burst. Adaptive adversaries, the fault
+    /// layer and incrementally fed inboxes must keep the default `false`:
+    /// the engine then pulls one [`next_event`] per step.
     ///
+    /// [`next_event`]: InteractionSource::next_event
     /// [`next_interaction_batch`]: InteractionSource::next_interaction_batch
     fn is_oblivious(&self) -> bool {
         false
@@ -129,8 +132,9 @@ pub trait InteractionSource {
     ///
     /// The default implementation loops over [`next_event`] — which, called
     /// through a trait object, runs with the concrete `Self` and therefore
-    /// devirtualises the per-step pulls: batch consumers (the lane engine)
-    /// pay one indirect call per batch instead of one per interaction.
+    /// devirtualises the per-step pulls: batch consumers (the engine and
+    /// the lane engine) pay one indirect call per batch instead of one per
+    /// interaction.
     ///
     /// # Panics
     ///
@@ -218,6 +222,16 @@ impl<S: InteractionSource + ?Sized> InteractionSource for Box<S> {
         (**self).next_interaction_batch(t0, view, out, max)
     }
 }
+
+/// The most interactions one burst pulls from an oblivious source
+/// ([`InteractionSource::next_interaction_batch`]), in
+/// [`crate::Engine::step_for`] and on the lane tier.
+///
+/// Large enough that the per-burst costs (one virtual call, buffer reuse,
+/// loop setup) vanish against the per-interaction step; small enough that
+/// a run which completes mid-burst leaves little generated schedule
+/// unused.
+pub const PULL_BATCH: usize = 256;
 
 /// Interactions [`InteractionSequence::fill_from`] pulls per batch from an
 /// oblivious source.

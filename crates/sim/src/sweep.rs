@@ -61,7 +61,7 @@ use crate::datum::{
 use crate::runner::{shard, summarize, BatchConfig, BatchResult};
 use crate::scenario::{FaultedScenario, Scenario};
 use crate::spec::{AlgorithmSpec, KnowledgeRequirement};
-use crate::trial::{TrialConfig, TrialResult, TrialRunner};
+use crate::trial::{assert_cluster_shape, TrialConfig, TrialResult, TrialRunner};
 
 /// The execution tier of a sweep: which engine path runs the trials.
 ///
@@ -150,6 +150,8 @@ struct Plan<'s> {
     /// The scenario behind the sweep: the round and hierarchical tiers
     /// build their streams from it (`None` for a workload).
     scenario: Option<Scenario>,
+    /// The hierarchical tier's target cluster size.
+    cluster_size: usize,
     /// The trial's pairwise base stream, from its trial seed.
     source: Box<dyn Fn(u64) -> Box<dyn InteractionSource + Send> + Sync + 's>,
     /// The fault and Byzantine plans, seeded per trial.
@@ -552,6 +554,15 @@ impl<'a> Sweep<'a> {
             path = Path::Streamed;
         }
 
+        let cluster_size = self
+            .cluster_size
+            .unwrap_or_else(|| (n as f64).sqrt().ceil() as usize)
+            .max(1);
+        if path == Path::Hierarchical {
+            let base = scenario.expect("the hierarchical path only resolves for scenarios");
+            assert_cluster_shape(&base, n, cluster_size);
+        }
+
         let source: Box<dyn Fn(u64) -> Box<dyn InteractionSource + Send> + Sync> = match self.family
         {
             Family::Scenario(_) => Box::new(move |seed| planes.base.source(n, seed)),
@@ -564,6 +575,7 @@ impl<'a> Sweep<'a> {
                 .unwrap_or_else(|| doda_adversary::RandomizedAdversary::default_horizon(n)),
             path,
             scenario,
+            cluster_size,
             source,
             planes,
         }
@@ -587,10 +599,6 @@ impl<'a> Sweep<'a> {
         };
         let lanes = plan.path == Path::Lanes;
         let width = if lanes { self.lane_width } else { 1 };
-        let cluster_size = self
-            .cluster_size
-            .unwrap_or_else(|| (plan.n as f64).sqrt().ceil() as usize)
-            .max(1);
         let init = || (TrialRunner::new(), InteractionSequence::new(plan.n));
         shard(
             self.trials,
@@ -661,7 +669,7 @@ impl<'a> Sweep<'a> {
                                     .as_ref()
                                     .expect("the hierarchical path only resolves for scenarios"),
                                 plan.n,
-                                cluster_size,
+                                plan.cluster_size,
                                 seed,
                                 &config(seed, budget),
                                 family,
@@ -959,6 +967,28 @@ mod tests {
         let _ = Sweep::scenario(AlgorithmSpec::Gathering, Scenario::ObliviousTrap)
             .n(3)
             .path_label();
+    }
+
+    #[test]
+    #[should_panic(expected = "hierarchy elected a cluster of 2 — raise Sweep::cluster_size")]
+    fn hierarchical_path_labels_check_the_cluster_size() {
+        let _ = Sweep::scenario(AlgorithmSpec::Gathering, Scenario::ObliviousTrap)
+            .n(20)
+            .tier(ExecutionTier::Hierarchical)
+            .cluster_size(2)
+            .path_label();
+    }
+
+    #[test]
+    #[should_panic(expected = "final aggregator phase has only 2 — lower Sweep::cluster_size")]
+    fn hierarchical_runs_check_the_cluster_size_before_any_trial() {
+        // No trial runs, so only the plan can refuse the sweep.
+        let _ = Sweep::scenario(AlgorithmSpec::Gathering, Scenario::ObliviousTrap)
+            .n(20)
+            .trials(0)
+            .tier(ExecutionTier::Hierarchical)
+            .cluster_size(19)
+            .run();
     }
 
     #[test]

@@ -1,4 +1,6 @@
-//! Shared registry fixtures for the cross-crate test suites.
+//! Shared registry fixtures for the cross-crate test suites, and the
+//! per-event reference ([`PerEvent`]) the engine's burst loop is checked
+//! and timed against.
 //!
 //! The equivalence and conformance suites under `tests/` all enumerate
 //! the same scenario registry, but historically each re-listed the
@@ -8,7 +10,72 @@
 //! paths it can exercise and inherits every future registry entry for
 //! free.
 
-use crate::scenario::FaultedScenario;
+use doda_core::interaction::{Interaction, Time};
+use doda_core::sequence::{AdversaryView, InteractionSource, StepEvent};
+use doda_stats::rng::SeedSequence;
+
+use crate::datum::ExactOrigins;
+use crate::runner::shard;
+use crate::scenario::{FaultedScenario, Scenario};
+use crate::spec::AlgorithmSpec;
+use crate::trial::{TrialConfig, TrialResult, TrialRunner};
+
+/// A source that hides its obliviousness, so [`doda_core::Engine::step_for`]
+/// pulls it one [`InteractionSource::next_event`] per interaction — the
+/// loop adaptive and faulted sources take — instead of in bursts.
+///
+/// It is the per-event reference the burst loop is pinned against
+/// (`tests/burst_equivalence.rs`) and timed against (`doda-bench
+/// --lane-guard`). It adds no boxing: around a boxed source, every step
+/// costs exactly one virtual `next_event` call.
+#[derive(Debug)]
+pub struct PerEvent<S>(pub S);
+
+impl<S: InteractionSource> InteractionSource for PerEvent<S> {
+    fn node_count(&self) -> usize {
+        self.0.node_count()
+    }
+
+    fn next_interaction(&mut self, t: Time, view: &AdversaryView<'_>) -> Option<Interaction> {
+        self.0.next_interaction(t, view)
+    }
+
+    fn next_event(&mut self, t: Time, view: &AdversaryView<'_>) -> Option<StepEvent> {
+        self.0.next_event(t, view)
+    }
+}
+
+/// The trials `Sweep::scenario(spec, scenario).n(n).trials(trials)
+/// .seed(seed).parallel(parallel).tier(ExecutionTier::Scalar).run()` runs,
+/// with the same seeds, default horizon and sharding, but with every
+/// source wrapped in [`PerEvent`]: the streamed scalar tier on the
+/// per-event loop.
+///
+/// # Panics
+///
+/// Panics if `spec` needs knowledge of the future.
+pub fn per_event_sweep(
+    spec: AlgorithmSpec,
+    scenario: Scenario,
+    n: usize,
+    trials: usize,
+    seed: u64,
+    parallel: bool,
+) -> Vec<TrialResult> {
+    let seeds = SeedSequence::new(seed);
+    let config = TrialConfig {
+        max_interactions: Some(doda_adversary::RandomizedAdversary::default_horizon(n) as u64),
+        ..TrialConfig::default()
+    };
+    shard(trials, parallel, 1, TrialRunner::new, |runner, trials| {
+        trials
+            .map(|trial| {
+                let mut source = PerEvent(scenario.source(n, seeds.seed(trial as u64)));
+                runner.run_streamed(spec, &mut source, &config, &ExactOrigins)
+            })
+            .collect()
+    })
+}
 
 /// Every registry entry: plain, faulted, Byzantine, and product
 /// entries alike. For suites that drive trials through [`crate::Sweep`]
@@ -43,6 +110,22 @@ pub fn round_registry_cases() -> Vec<FaultedScenario> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_per_event_sweep_matches_the_scalar_tier() {
+        use crate::sweep::{ExecutionTier, Sweep};
+        for scenario in [Scenario::Uniform, Scenario::ObliviousTrap] {
+            let sweep = Sweep::scenario(AlgorithmSpec::Gathering, scenario)
+                .n(20)
+                .trials(6)
+                .seed(3)
+                .parallel(true)
+                .tier(ExecutionTier::Scalar);
+            let reference = per_event_sweep(AlgorithmSpec::Gathering, scenario, 20, 6, 3, true);
+            assert_eq!(reference, sweep.run(), "{scenario}");
+        }
+        assert!(!PerEvent(Scenario::Uniform.source(4, 0)).is_oblivious());
+    }
 
     #[test]
     fn the_slices_partition_sensibly() {

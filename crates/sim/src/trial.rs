@@ -671,22 +671,10 @@ impl<A: Aggregate> TrialRunner<A> {
     {
         config.assert_plain("hierarchical");
         online(spec, "hierarchically");
+        assert_cluster_shape(scenario, n, target_cluster_size);
         let sink = config.sink;
         let seeds = SeedSequence::new(trial_seed);
         let plan = ClusterPlan::elect(n, sink, target_cluster_size, seeds.seed(HIER_ELECT_LABEL));
-        let need = scenario.min_nodes();
-        assert!(
-            plan.min_cluster_size() == 1 || plan.min_cluster_size() >= need,
-            "scenario '{scenario}' needs at least {need} nodes per phase, but the \
-             hierarchy elected a cluster of {} — raise Sweep::cluster_size",
-            plan.min_cluster_size()
-        );
-        assert!(
-            plan.cluster_count() + 1 >= need,
-            "scenario '{scenario}' needs at least {need} nodes per phase, but the \
-             final aggregator phase has only {} — lower Sweep::cluster_size",
-            plan.cluster_count() + 1
-        );
 
         let mut remaining = config.stream_budget();
         let mut interactions = 0u64;
@@ -793,6 +781,27 @@ impl<A: Aggregate> TrialRunner<A> {
             )
             .expect("the provided algorithms never emit structurally invalid decisions")
     }
+}
+
+/// Panics unless every phase of a hierarchical trial of `scenario` over
+/// `n` nodes at `target_cluster_size` has the scenario's minimum node
+/// count: each cluster (a lone aggregator runs no phase) and the final
+/// aggregator phase. The shape depends on `(n, k)` alone
+/// ([`ClusterPlan::shape`]), so a sweep checks it once before any trial.
+pub(crate) fn assert_cluster_shape(scenario: &Scenario, n: usize, target_cluster_size: usize) {
+    let (clusters, smallest) = ClusterPlan::shape(n, target_cluster_size);
+    let need = scenario.min_nodes();
+    assert!(
+        smallest == 1 || smallest >= need,
+        "scenario '{scenario}' needs at least {need} nodes per phase, but the \
+         hierarchy elected a cluster of {smallest} — raise Sweep::cluster_size"
+    );
+    assert!(
+        clusters + 1 >= need,
+        "scenario '{scenario}' needs at least {need} nodes per phase, but the \
+         final aggregator phase has only {} — lower Sweep::cluster_size",
+        clusters + 1
+    );
 }
 
 /// Instantiates knowledge-free `spec` for a trial that never materialises

@@ -11,7 +11,9 @@
 //!    produces the same per-trial [`TrialResult`]s as forcing
 //!    [`ExecutionTier::Scalar`]. This covers the oblivious batched path
 //!    (devirtualised pulls, including hand-batched sources) and the
-//!    stepped path for adaptive adversaries alike.
+//!    stepped path for adaptive adversaries alike. The scalar tier pulls
+//!    oblivious sources in bursts too; `tests/burst_equivalence.rs` pins
+//!    it to the engine's per-event loop.
 //! 2. **Grouping invariance** — the lane-batch width `K` and ragged final
 //!    batches (`trials % K != 0`) never change a result: trial `i` is
 //!    seeded by position, not by lane or batch.
