@@ -440,30 +440,50 @@ fn min_secs(timings: &[PathSecs]) -> PathSecs {
     }
 }
 
-/// The median of the per-rep `slow/fast` speedup ratios — each ratio
+/// The quartiles of the per-rep `slow/fast` speedup ratios — each ratio
 /// compares two back-to-back measurements, so sustained machine-wide slow
 /// phases (which skew independent per-path minima) divide out.
-fn median_speedup(
-    timings: &[PathSecs],
-    slow: fn(&PathSecs) -> f64,
-    fast: fn(&PathSecs) -> f64,
-) -> f64 {
-    let mut ratios: Vec<f64> = timings
-        .iter()
-        .map(|t| slow(t) / fast(t).max(1e-9))
-        .collect();
-    ratios.sort_by(|a, b| a.total_cmp(b));
-    ratios[ratios.len() / 2]
+#[derive(Clone, Copy)]
+struct Spread {
+    q1: f64,
+    median: f64,
+    q3: f64,
 }
 
-/// The three median per-rep speedups the lane guard reports: lanes over
-/// the per-event loop, the scalar tier over the per-event loop, and lanes
-/// over the scalar tier.
-fn speedups(timings: &[PathSecs]) -> (f64, f64, f64) {
+impl Spread {
+    fn of(timings: &[PathSecs], slow: fn(&PathSecs) -> f64, fast: fn(&PathSecs) -> f64) -> Self {
+        let mut ratios: Vec<f64> = timings
+            .iter()
+            .map(|t| slow(t) / fast(t).max(1e-9))
+            .collect();
+        ratios.sort_by(|a, b| a.total_cmp(b));
+        let quartile = |q: usize| ratios[(ratios.len() - 1) * q / 4];
+        Spread {
+            q1: quartile(1),
+            median: quartile(2),
+            q3: quartile(3),
+        }
+    }
+}
+
+impl std::fmt::Display for Spread {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{:.2}x (quartiles {:.2}–{:.2}x)",
+            self.median, self.q1, self.q3
+        )
+    }
+}
+
+/// The per-rep speedups the lane guard reports: lanes over the per-event
+/// loop, the scalar tier over the per-event loop, and lanes over the
+/// scalar tier.
+fn speedups(timings: &[PathSecs]) -> (Spread, Spread, Spread) {
     (
-        median_speedup(timings, |t| t.per_event, |t| t.lanes),
-        median_speedup(timings, |t| t.per_event, |t| t.scalar),
-        median_speedup(timings, |t| t.scalar, |t| t.lanes),
+        Spread::of(timings, |t| t.per_event, |t| t.lanes),
+        Spread::of(timings, |t| t.per_event, |t| t.scalar),
+        Spread::of(timings, |t| t.scalar, |t| t.lanes),
     )
 }
 
@@ -498,8 +518,9 @@ fn compare_runners() -> Result<(), String> {
             );
         }
         println!(
-            "  speedup     : lanes {lanes_x:.2}x and scalar {scalar_x:.2}x over per-event, \
-             lanes {lanes_over_scalar:.2}x over scalar (median per-rep)"
+            "  speedup     : lanes {:.2}x and scalar {:.2}x over per-event, \
+             lanes {:.2}x over scalar (median per-rep)",
+            lanes_x.median, scalar_x.median, lanes_over_scalar.median
         );
     }
     Ok(())
@@ -513,7 +534,11 @@ fn compare_runners() -> Result<(), String> {
 /// byte-identical per-trial results (cross-checked every rep). The lanes'
 /// speedup over the scalar tier is printed, not gated.
 fn lane_guard() -> Result<String, String> {
-    const REPS: usize = 9;
+    // On a shared 2-vCPU Xeon host the per-rep lanes-over-per-event ratio
+    // had quartiles 1.42–1.66x (135 reps), median 1.55x. Resampling those
+    // reps, a median 0.05x above the floor fails one run in eight at 9
+    // reps and one in sixty at 31.
+    const REPS: usize = 31;
     const N: usize = 512;
     const TRIALS: usize = 64;
     let (timings, interactions) =
@@ -524,9 +549,9 @@ fn lane_guard() -> Result<String, String> {
     println!(
         "lane-guard: Gathering vs uniform, n = {N}, {TRIALS} trials, {REPS} reps: \
          lanes {:.3} s ({:.0} i/s), scalar {:.3} s ({:.0} i/s), per-event {:.3} s ({:.0} i/s); \
-         median per-rep speedups over per-event: lanes {lanes_x:.2}x (floor \
-         {LANE_GUARD_MIN_SPEEDUP}x), scalar {scalar_x:.2}x (floor {BURST_GUARD_MIN_SPEEDUP}x); \
-         lanes over scalar {lanes_over_scalar:.2}x (not gated)",
+         median per-rep speedups over per-event: lanes {lanes_x} (floor \
+         {LANE_GUARD_MIN_SPEEDUP}x), scalar {scalar_x} (floor {BURST_GUARD_MIN_SPEEDUP}x); \
+         lanes over scalar {lanes_over_scalar} (not gated)",
         best.lanes,
         rate(best.lanes),
         best.scalar,
@@ -534,22 +559,22 @@ fn lane_guard() -> Result<String, String> {
         best.per_event,
         rate(best.per_event),
     );
-    if lanes_x < LANE_GUARD_MIN_SPEEDUP {
+    if lanes_x.median < LANE_GUARD_MIN_SPEEDUP {
         return Err(format!(
-            "lane tier speedup {lanes_x:.2}x over the per-event loop is below the \
+            "lane tier speedup {lanes_x} over the per-event loop is below the \
              {LANE_GUARD_MIN_SPEEDUP}x floor"
         ));
     }
-    if scalar_x < BURST_GUARD_MIN_SPEEDUP {
+    if scalar_x.median < BURST_GUARD_MIN_SPEEDUP {
         return Err(format!(
-            "scalar tier speedup {scalar_x:.2}x over the per-event loop is below the \
+            "scalar tier speedup {scalar_x} over the per-event loop is below the \
              {BURST_GUARD_MIN_SPEEDUP}x floor"
         ));
     }
     Ok(format!(
-        "median speedups over the per-event loop: lanes {lanes_x:.2}x (floor \
-         {LANE_GUARD_MIN_SPEEDUP}x), scalar {scalar_x:.2}x (floor {BURST_GUARD_MIN_SPEEDUP}x); \
-         lanes over scalar {lanes_over_scalar:.2}x; byte-identical results every rep"
+        "median speedups over the per-event loop: lanes {lanes_x} (floor \
+         {LANE_GUARD_MIN_SPEEDUP}x), scalar {scalar_x} (floor {BURST_GUARD_MIN_SPEEDUP}x); \
+         lanes over scalar {lanes_over_scalar}; byte-identical results every rep"
     ))
 }
 

@@ -1,4 +1,4 @@
-//! Graph traversals: BFS, DFS, distances and connected components.
+//! Graph traversals: BFS, distances, connectivity and connected components.
 
 use std::collections::VecDeque;
 
@@ -15,29 +15,6 @@ pub struct BfsResult {
     pub parent: Vec<Option<NodeId>>,
     /// Nodes in the order they were visited (starting with the source).
     pub order: Vec<NodeId>,
-}
-
-impl BfsResult {
-    /// Returns `true` if `v` was reached by the search.
-    pub fn is_reachable(&self, v: NodeId) -> bool {
-        self.distance.get(v.index()).is_some_and(|d| d.is_some())
-    }
-
-    /// Reconstructs the path from the BFS source to `v` (inclusive), or
-    /// `None` if `v` is unreachable.
-    pub fn path_to(&self, v: NodeId) -> Option<Vec<NodeId>> {
-        if !self.is_reachable(v) {
-            return None;
-        }
-        let mut path = vec![v];
-        let mut cur = v;
-        while let Some(p) = self.parent[cur.index()] {
-            path.push(p);
-            cur = p;
-        }
-        path.reverse();
-        Some(path)
-    }
 }
 
 /// Runs a breadth-first search over `g` from `source`.
@@ -72,35 +49,6 @@ pub fn bfs(g: &AdjacencyGraph, source: NodeId) -> BfsResult {
     }
 }
 
-/// Runs an iterative depth-first search from `source` and returns the nodes
-/// in preorder.
-///
-/// # Panics
-///
-/// Panics if `source` is out of range.
-pub fn dfs_preorder(g: &AdjacencyGraph, source: NodeId) -> Vec<NodeId> {
-    let n = g.node_count();
-    assert!(source.index() < n, "DFS source {source} out of range");
-    let mut visited = vec![false; n];
-    let mut order = Vec::new();
-    let mut stack = vec![source];
-    while let Some(u) = stack.pop() {
-        if visited[u.index()] {
-            continue;
-        }
-        visited[u.index()] = true;
-        order.push(u);
-        // Push neighbours in reverse order so that smaller ids are visited first.
-        let nbrs: Vec<_> = g.neighbors(u).collect();
-        for v in nbrs.into_iter().rev() {
-            if !visited[v.index()] {
-                stack.push(v);
-            }
-        }
-    }
-    order
-}
-
 /// Returns `true` if `g` is connected (vacuously true for 0 or 1 nodes).
 pub fn is_connected(g: &AdjacencyGraph) -> bool {
     let n = g.node_count();
@@ -133,18 +81,6 @@ pub fn connected_components(g: &AdjacencyGraph) -> Vec<Vec<NodeId>> {
     components
 }
 
-/// Computes the eccentricity of `source` (the greatest hop distance to any
-/// reachable node); returns `None` when the graph is disconnected from
-/// `source`'s point of view (some node is unreachable) and the graph has
-/// more than one node.
-pub fn eccentricity(g: &AdjacencyGraph, source: NodeId) -> Option<usize> {
-    let res = bfs(g, source);
-    if res.distance.iter().any(|d| d.is_none()) {
-        return None;
-    }
-    res.distance.iter().map(|d| d.unwrap_or(0)).max()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,10 +92,9 @@ mod tests {
         let res = bfs(&g, NodeId(0));
         assert_eq!(res.distance[4], Some(4));
         assert_eq!(res.parent[4], Some(NodeId(3)));
-        assert_eq!(res.order[0], NodeId(0));
         assert_eq!(
-            res.path_to(NodeId(4)),
-            Some(vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3), NodeId(4)])
+            res.order,
+            vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3), NodeId(4)]
         );
     }
 
@@ -168,24 +103,9 @@ mod tests {
         let mut g = AdjacencyGraph::new(4);
         g.add_edge(NodeId(0), NodeId(1));
         let res = bfs(&g, NodeId(0));
-        assert!(!res.is_reachable(NodeId(2)));
-        assert_eq!(res.path_to(NodeId(3)), None);
+        assert_eq!(res.distance[2], None);
+        assert_eq!(res.parent[3], None);
         assert_eq!(res.distance[1], Some(1));
-    }
-
-    #[test]
-    fn dfs_preorder_visits_all_reachable() {
-        let g = generators::star_graph(5);
-        let order = dfs_preorder(&g, NodeId(0));
-        assert_eq!(order.len(), 5);
-        assert_eq!(order[0], NodeId(0));
-    }
-
-    #[test]
-    fn dfs_prefers_smaller_ids() {
-        let g = generators::star_graph(4);
-        let order = dfs_preorder(&g, NodeId(0));
-        assert_eq!(order, vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3)]);
     }
 
     #[test]
@@ -210,15 +130,5 @@ mod tests {
         assert_eq!(comps[2], vec![NodeId(4)]);
         let total: usize = comps.iter().map(|c| c.len()).sum();
         assert_eq!(total, 6);
-    }
-
-    #[test]
-    fn eccentricity_on_path_and_disconnected() {
-        let g = generators::path_graph(5);
-        assert_eq!(eccentricity(&g, NodeId(0)), Some(4));
-        assert_eq!(eccentricity(&g, NodeId(2)), Some(2));
-        let mut h = AdjacencyGraph::new(3);
-        h.add_edge(NodeId(0), NodeId(1));
-        assert_eq!(eccentricity(&h, NodeId(0)), None);
     }
 }

@@ -24,7 +24,7 @@
 //!   native rounds);
 //! * [`runner`] holds the batch shape and summary, and shards a sweep's
 //!   trials over worker threads;
-//! * [`table`] renders result rows as Markdown/CSV for EXPERIMENTS.md and
+//! * [`table`] renders result rows as Markdown for EXPERIMENTS.md and
 //!   the examples.
 //!
 //! # Example

@@ -1,7 +1,7 @@
 //! Table rendering for experiment reports.
 //!
-//! EXPERIMENTS.md and the examples print their results as Markdown tables
-//! (and optionally CSV); this module keeps that formatting in one place.
+//! EXPERIMENTS.md and the examples print their results as Markdown tables;
+//! this module keeps that formatting in one place.
 
 /// A simple table: a header row plus data rows of equal arity.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -89,18 +89,6 @@ impl Table {
         }
         out
     }
-
-    /// Renders as CSV (no quoting — callers keep cells free of commas).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&self.header.join(","));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.join(","));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// Convenience: builds a Markdown table in one call.
@@ -157,13 +145,6 @@ mod tests {
         let mut t = Table::new(["x"]);
         t.push_row(["n²"]);
         assert_eq!(t.to_markdown(), "| x  |\n| -- |\n| n² |\n");
-    }
-
-    #[test]
-    fn csv_rendering() {
-        let mut t = Table::new(["a", "b"]);
-        t.push_row(["1", "2"]);
-        assert_eq!(t.to_csv(), "a,b\n1,2\n");
     }
 
     #[test]

@@ -38,21 +38,10 @@ impl VehicularWorkload {
         VehicularWorkload { n, grid_side }
     }
 
-    fn step_position(&self, pos: (usize, usize), rng: &mut DodaRng) -> (usize, usize) {
-        let (mut x, mut y) = pos;
-        match rng.gen_range(0..4) {
-            0 => x = (x + 1).min(self.grid_side - 1),
-            1 => x = x.saturating_sub(1),
-            2 => y = (y + 1).min(self.grid_side - 1),
-            _ => y = y.saturating_sub(1),
-        }
-        (x, y)
-    }
-
     fn vehicular_source(&self, seed: u64) -> VehicularSource {
+        let n = self.n;
         let mut rng = seeded_rng(seed);
-        let index_bits = usize::BITS - (self.n - 1).leading_zeros();
-        let positions: Vec<(usize, usize)> = (0..self.n)
+        let mut positions: Vec<(usize, usize)> = (0..n)
             .map(|_| {
                 (
                     rng.gen_range(0..self.grid_side),
@@ -60,12 +49,13 @@ impl VehicularWorkload {
                 )
             })
             .collect();
+        positions.push((0, 0));
         VehicularSource {
             workload: *self,
             positions,
-            index_bits,
-            by_cell: Vec::with_capacity(self.n),
-            next_in_cell: vec![NO_VEHICLE; self.n],
+            heads: vec![n; (2 * n).next_power_of_two()],
+            chain: vec![n; n],
+            next_in_cell: vec![n; n + 1],
             burst: Vec::new(),
             cursor: 0,
             rng,
@@ -87,77 +77,102 @@ impl Workload for VehicularWorkload {
     }
 }
 
-/// `next_in_cell` marker: no later vehicle shares the cell.
-const NO_VEHICLE: usize = usize::MAX;
-
 /// Streaming source behind [`VehicularWorkload`].
 ///
 /// Each mobility round produces a *burst* of co-located pairs; the source
 /// buffers the current round's burst (at most `n(n−1)/2` pairs, reached
 /// when every vehicle shares one cell, and independent of the horizon)
 /// and emits it one interaction per step before simulating the next
-/// round. Co-location is found by sorting one `(cell, vehicle)` key per
-/// vehicle, so a round costs `O(n log n)` plus its burst, and the source
-/// holds `O(n)` state besides the burst whatever the grid size.
+/// round.
+///
+/// Co-location is found through a table of `2^⌈log2 2n⌉` bucket heads
+/// indexed by the cell id `x·side + y`, wrapped and masked to the table.
+/// Vehicles go in from the highest index down, each at the head of its
+/// bucket's chain, so a chain lists its vehicles in increasing index
+/// order. Distinct cells may share a bucket, so every candidate is
+/// confirmed against the stored positions, which keeps any grid exact,
+/// up to `grid_side = usize::MAX`. A sentinel slot after the last vehicle
+/// takes the searched position, so the walk always stops on it and the
+/// common empty bucket costs no mispredicted branch. A round costs
+/// `O(n + burst)` expected time, and the source holds `O(n)` state
+/// besides the burst whatever the grid size.
 #[derive(Debug, Clone)]
 pub struct VehicularSource {
     workload: VehicularWorkload,
+    /// The vehicles' cells, then the sentinel slot at index `n`.
     positions: Vec<(usize, usize)>,
-    /// Bits of a sort key that hold the vehicle index.
-    index_bits: u32,
-    /// One round's sort keys, `cell << index_bits | vehicle`, where `cell`
-    /// is `x·side + y` cut to the bits left free: sorted, every cell's
-    /// vehicles sit in one run in increasing index order. The cut is exact
-    /// whenever `side² · 2^index_bits ≤ 2⁶⁴`; on larger grids distinct
-    /// cells may share a run, so links are checked against positions.
-    by_cell: Vec<u64>,
-    /// The next higher-indexed vehicle in the same cell, or [`NO_VEHICLE`].
+    /// Per bucket, the lowest-indexed vehicle inserted so far, or `n`.
+    heads: Vec<usize>,
+    /// The next higher-indexed vehicle in the same bucket, or `n`.
+    chain: Vec<usize>,
+    /// The next higher-indexed vehicle in the same cell, or `n`; slot `n`
+    /// holds `n`, so following a link from `n` stays there.
     next_in_cell: Vec<usize>,
-    /// The current burst; `burst[cursor..]` is still to be emitted.
-    burst: Vec<Interaction>,
+    /// The current burst as `(a, b)` pairs, `a < b`; `burst[cursor..]` is
+    /// still to be emitted.
+    burst: Vec<(usize, usize)>,
     cursor: usize,
     rng: DodaRng,
 }
 
 impl VehicularSource {
-    /// Points every vehicle at its next higher-indexed cell-mate, or at
-    /// [`NO_VEHICLE`].
-    fn link_cell_mates(&mut self) {
-        let (bits, side) = (self.index_bits, self.workload.grid_side as u64);
-        let vehicle = |key: u64| (key & ((1 << bits) - 1)) as usize;
-        self.by_cell.clear();
-        self.by_cell
-            .extend(self.positions.iter().enumerate().map(|(v, &(x, y))| {
-                (x as u64).wrapping_mul(side).wrapping_add(y as u64) << bits | v as u64
-            }));
-        self.by_cell.sort_unstable();
-        for (i, &key) in self.by_cell.iter().enumerate() {
-            let v = vehicle(key);
-            self.next_in_cell[v] = self.by_cell[i + 1..]
-                .iter()
-                .take_while(|&&later| later >> bits == key >> bits)
-                .map(|&later| vehicle(later))
-                .find(|&w| self.positions[w] == self.positions[v])
-                .unwrap_or(NO_VEHICLE);
+    /// Moves every vehicle one step, clamped at the grid's edges, from one
+    /// draw in `0..4` each: `+x`, `−x`, `+y` or `−y`.
+    fn move_vehicles(&mut self) {
+        let n = self.workload.n;
+        let last = self.workload.grid_side - 1;
+        for pos in &mut self.positions[..n] {
+            let d = self.rng.gen_range(0..4usize);
+            let (x, y) = *pos;
+            let x = x + ((d == 0) & (x < last)) as usize - ((d == 1) & (x > 0)) as usize;
+            let y = y + ((d == 2) & (y < last)) as usize - ((d == 3) & (y > 0)) as usize;
+            *pos = (x, y);
         }
     }
 
-    /// Moves every vehicle one step and refills `burst` with this round's
-    /// co-located pairs, in lexicographic `(a, b)` order, then shuffled.
-    fn simulate_round(&mut self) {
-        for pos in self.positions.iter_mut() {
-            *pos = self.workload.step_position(*pos, &mut self.rng);
+    /// Points every vehicle at its next higher-indexed cell-mate, or at
+    /// `n`.
+    fn link_cell_mates(&mut self) {
+        let n = self.workload.n;
+        let side = self.workload.grid_side;
+        let mask = self.heads.len() - 1;
+        self.heads.fill(n);
+        for v in (0..n).rev() {
+            let pos = self.positions[v];
+            let bucket = pos.0.wrapping_mul(side).wrapping_add(pos.1) & mask;
+            self.positions[n] = pos;
+            let mut w = self.heads[bucket];
+            while self.positions[w] != pos {
+                w = self.chain[w];
+            }
+            self.next_in_cell[v] = w;
+            self.chain[v] = self.heads[bucket];
+            self.heads[bucket] = v;
         }
+    }
+
+    /// Moves every vehicle and refills `burst` with this round's co-located
+    /// pairs, in lexicographic `(a, b)` order, then shuffled.
+    fn simulate_round(&mut self) {
+        let n = self.workload.n;
+        self.move_vehicles();
         self.link_cell_mates();
         // Each vehicle's later cell-mates, ascending: the pairs come out in
-        // the order of an `a < b` scan over all pairs.
-        self.burst.clear();
+        // the order of an `a < b` scan over all pairs. The first link is
+        // written whether or not it exists and kept only if it does; the
+        // loop runs only for vehicles with two or more later cell-mates.
+        let next = &self.next_in_cell;
+        let burst = &mut self.burst;
+        burst.clear();
         self.cursor = 0;
-        for a in 0..self.positions.len() {
-            let mut b = self.next_in_cell[a];
-            while b != NO_VEHICLE {
-                self.burst.push(Interaction::new(NodeId(a), NodeId(b)));
-                b = self.next_in_cell[b];
+        for a in 0..n {
+            let b = next[a];
+            burst.push((a, b));
+            burst.truncate(burst.len() - (b == n) as usize);
+            let mut b = next[b];
+            while b != n {
+                burst.push((a, b));
+                b = next[b];
             }
         }
         // Fisher-Yates shuffle for an unbiased emission order.
@@ -180,17 +195,9 @@ impl InteractionSource for VehicularSource {
     }
 
     fn next_interaction(&mut self, _t: Time, _view: &AdversaryView<'_>) -> Option<Interaction> {
-        if let Some(&i) = self.burst.get(self.cursor) {
-            self.cursor += 1;
-            return Some(i);
-        }
-        self.simulate_round();
-        match self.burst.first() {
-            Some(&i) => {
-                self.cursor = 1;
-                Some(i)
-            }
-            None => {
+        if self.cursor == self.burst.len() {
+            self.simulate_round();
+            if self.burst.is_empty() {
                 // Nobody is co-located this round: emit one random "roadside
                 // unit" style long-range contact so the stream keeps the
                 // one-interaction-per-step structure of the model.
@@ -200,9 +207,12 @@ impl InteractionSource for VehicularSource {
                 if b >= a {
                     b += 1;
                 }
-                Some(Interaction::new(NodeId(a), NodeId(b)))
+                return Some(Interaction::new(NodeId(a), NodeId(b)));
             }
         }
+        let (a, b) = self.burst[self.cursor];
+        self.cursor += 1;
+        Some(Interaction::new(NodeId(a), NodeId(b)))
     }
 }
 
@@ -216,8 +226,8 @@ mod tests {
     use super::*;
     use crate::stream_fingerprint;
 
-    /// The all-pairs scan the source ran before it sorted cells: every
-    /// round compares all `n(n−1)/2` pairs. Kept as the reference stream.
+    /// The all-pairs scan: every round compares all `n(n−1)/2` pairs.
+    /// Kept as the reference stream the source must reproduce.
     struct ScanReference {
         workload: VehicularWorkload,
         positions: Vec<(usize, usize)>,
@@ -226,13 +236,26 @@ mod tests {
     }
 
     impl ScanReference {
-        fn new(workload: VehicularWorkload, seed: u64) -> Self {
-            let source = workload.vehicular_source(seed);
+        /// Starts from `source`'s positions and RNG state, before its first
+        /// round.
+        fn from_source(source: &VehicularSource) -> Self {
+            let workload = source.workload;
             ScanReference {
                 workload,
-                positions: source.positions,
+                positions: source.positions[..workload.n].to_vec(),
                 pending: VecDeque::new(),
-                rng: source.rng,
+                rng: source.rng.clone(),
+            }
+        }
+
+        fn step_position(&mut self, v: usize) {
+            let last = self.workload.grid_side - 1;
+            let (x, y) = &mut self.positions[v];
+            match self.rng.gen_range(0..4) {
+                0 => *x = (*x + 1).min(last),
+                1 => *x = x.saturating_sub(1),
+                2 => *y = (*y + 1).min(last),
+                _ => *y = y.saturating_sub(1),
             }
         }
 
@@ -241,8 +264,8 @@ mod tests {
                 return i;
             }
             let n = self.workload.n;
-            for pos in self.positions.iter_mut() {
-                *pos = self.workload.step_position(*pos, &mut self.rng);
+            for v in 0..n {
+                self.step_position(v);
             }
             let mut pairs: Vec<(usize, usize)> = Vec::new();
             for a in 0..n {
@@ -331,47 +354,95 @@ mod tests {
         }
     }
 
+    /// A cell other than `(0, 0)` whose id falls in the same bucket of a
+    /// `table`-entry head table: `x·side + y ≡ 0 (mod table)` at `x = 1`.
+    fn bucket_mate(side: usize, table: usize) -> (usize, usize) {
+        let y = (table - side % table) % table;
+        assert!(y < side, "a {side}-cell side has no bucket mate for (0, 0)");
+        assert_eq!(side.wrapping_add(y) % table, 0);
+        (1, y)
+    }
+
+    /// Places the vehicles alternately on `(0, 0)` and on its bucket mate,
+    /// so two distinct cells share one bucket from the first round on.
+    fn crowd_one_bucket(source: &mut VehicularSource) {
+        let n = source.workload.n;
+        let mate = bucket_mate(source.workload.grid_side, source.heads.len());
+        for (v, pos) in source.positions[..n].iter_mut().enumerate() {
+            *pos = if v % 2 == 0 { (0, 0) } else { mate };
+        }
+    }
+
+    /// Sides whose cells share buckets for `n` vehicles: multiples of the
+    /// head table's size, whose rows all wrap onto the same buckets, and the
+    /// two widest grids.
+    fn colliding_sides(n: usize) -> [usize; 4] {
+        let table = VehicularWorkload::new(n, 1).vehicular_source(0).heads.len();
+        [table, 3 * table, 1 << 32, usize::MAX]
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
         #[test]
         fn stream_matches_the_all_pairs_scan(
             n in 2usize..40,
             side in 1usize..12,
+            wide in 0usize..6,
             seed in 0u64..u64::MAX,
             len in 0usize..3_000,
         ) {
+            // One draw in three keeps a small grid; the rest take a
+            // colliding side and start crowded on one shared bucket.
+            let side = match wide.checked_sub(2) {
+                Some(k) => colliding_sides(n)[k],
+                None => side,
+            };
             let workload = VehicularWorkload::new(n, side);
             let mut source = workload.vehicular_source(seed);
+            if wide >= 2 {
+                crowd_one_bucket(&mut source);
+            }
+            let mut reference = ScanReference::from_source(&source);
             let mut seq = InteractionSequence::new(n);
             seq.fill_from(&mut source, len);
-            let mut reference = ScanReference::new(workload, seed);
             for (t, ti) in seq.iter().enumerate() {
                 prop_assert_eq!(ti.interaction, reference.next(), "t = {}", t);
             }
         }
     }
 
-    /// On grids too large for exact cell ids in a key, distinct cells can
-    /// share a run of the sorted keys; only true cell-mates are linked.
+    /// Distinct cells that share a bucket are walked past: only true
+    /// cell-mates are linked, on grids up to `usize::MAX` cells a side.
     #[test]
-    fn cut_cell_ids_link_only_cell_mates() {
-        let side = 1 << 32;
-        let mut source = VehicularWorkload::new(4, side).vehicular_source(1);
-        // Vehicle indices take 2 bits; `x·2³² + y` keeps 62, so x = 0 and
-        // x = 2³⁰ share every cut id.
-        source.positions = vec![(0, 5), (1 << 30, 5), (0, 5), (1 << 30, 5)];
-        source.link_cell_mates();
-        assert!(source
-            .by_cell
-            .iter()
-            .all(|k| k >> 2 == source.by_cell[0] >> 2));
-        assert_eq!(source.next_in_cell, [2, 3, NO_VEHICLE, NO_VEHICLE]);
-        for (n, side) in [(4, side), (3, usize::MAX)] {
-            let workload = VehicularWorkload::new(n, side);
-            let mut seq = InteractionSequence::new(n);
-            seq.fill_from(&mut workload.vehicular_source(2), 2_000);
-            let mut reference = ScanReference::new(workload, 2);
-            assert!(seq.iter().all(|ti| ti.interaction == reference.next()));
+    fn shared_buckets_link_only_cell_mates() {
+        let n = 6;
+        for side in colliding_sides(n) {
+            let mut source = VehicularWorkload::new(n, side).vehicular_source(1);
+            let mate = bucket_mate(side, source.heads.len());
+            let cells = [(0, 0), mate, (0, 0), mate, mate, (0, 0)];
+            source.positions[..n].copy_from_slice(&cells);
+            source.link_cell_mates();
+            assert_eq!(
+                source.next_in_cell[..n],
+                [2, 3, 5, 4, n, n],
+                "side = {side}"
+            );
+        }
+        for n in [2, 5, 12] {
+            for side in colliding_sides(n) {
+                let mut source = VehicularWorkload::new(n, side).vehicular_source(2);
+                crowd_one_bucket(&mut source);
+                let mut reference = ScanReference::from_source(&source);
+                let mut seq = InteractionSequence::new(n);
+                seq.fill_from(&mut source, 2_000);
+                for (t, ti) in seq.iter().enumerate() {
+                    assert_eq!(
+                        ti.interaction,
+                        reference.next(),
+                        "side = {side}, n = {n}, t = {t}"
+                    );
+                }
+            }
         }
     }
 
@@ -385,9 +456,13 @@ mod tests {
         let mut seq = InteractionSequence::new(n);
         seq.fill_from(&mut source, 20_000);
         assert_eq!(seq.len(), 20_000);
-        assert!(source.by_cell.capacity() <= n);
-        assert_eq!(source.next_in_cell.len(), n);
-        assert!(source.burst.capacity() <= n * (n - 1) / 2);
+        assert_eq!(source.positions.len(), n + 1);
+        assert!(source.heads.len() < 4 * n);
+        assert_eq!(source.chain.len(), n);
+        assert_eq!(source.next_in_cell.len(), n + 1);
+        // One more slot than the largest burst: a round writes each
+        // vehicle's first link before it knows whether the link exists.
+        assert!(source.burst.capacity() <= n * (n - 1) / 2 + 1);
     }
 
     /// On a 1×1 grid every vehicle shares the one cell, so the first burst
