@@ -64,6 +64,7 @@ use doda_core::fault::FaultProfile;
 use doda_core::sequence::StepEvent;
 use doda_core::Interaction;
 use doda_graph::NodeId;
+use doda_service::decode_result;
 use doda_service::prelude::*;
 use doda_sim::runner::BatchConfig;
 use doda_sim::test_support::per_event_sweep;
@@ -855,84 +856,118 @@ fn round_guard() -> Result<String, String> {
 /// runners; the release-mode service sustains well over 10x this.
 const SERVICE_GUARD_MIN_IPS: f64 = 100_000.0;
 
-/// Guards the multi-tenant service's claims end-to-end over the wire:
-///
-/// 1. **Scale** — 1000 concurrent scenario sessions opened through a
-///    [`ServiceClient`] over the in-memory loopback, scheduled to
-///    completion in budgeted slices, with every result streaming back as
-///    a wire frame. Aggregate engine throughput must clear
-///    [`SERVICE_GUARD_MIN_IPS`].
-/// 2. **Fidelity** — a sample of the returned results is cross-checked
-///    byte-for-byte against the equivalent standalone single-trial
-///    [`Sweep`] runs.
-/// 3. **Memory** — finished sessions must be retired (the manager ends
-///    empty: `O(live sessions + n)`, not `O(all sessions ever)`), and a
-///    deliberately overfed external session's bounded inbox must shed
-///    instead of grow: its high-water mark never exceeds its capacity.
-fn service_guard() -> Result<String, String> {
-    const SESSIONS: u64 = 1_000;
-    const N: usize = 64;
-    const SPOT_CHECK_EVERY: u64 = 83;
-    let err = |e: ServiceError| e.to_string();
+/// Sessions of `--service-guard`'s fleet.
+const SERVICE_GUARD_SESSIONS: u64 = 1_000;
+/// Population of every session of `--service-guard`'s fleet.
+const SERVICE_GUARD_N: usize = 64;
 
+/// Runs `--service-guard`'s fleet to completion on `manager`: 1000
+/// scenario sessions opened through a [`ServiceClient`] over the
+/// in-memory loopback and scheduled in budgeted slices. Returns every
+/// reply frame in arrival order and the seconds from the first open to
+/// the last reply drained.
+fn service_fleet(manager: SessionManager) -> Result<(Vec<Vec<u8>>, f64), String> {
+    let err = |e: ServiceError| e.to_string();
     let (client_end, service_end) = Loopback::pair();
     let mut client = ServiceClient::new(client_end);
-    let mut service = ServiceEndpoint::new(SessionManager::new(), service_end);
+    let mut service = ServiceEndpoint::new(manager, service_end);
     let config = SessionConfig {
         slice_budget: 512,
         ..SessionConfig::default()
     };
 
     let t0 = Instant::now();
-    for tenant in 0..SESSIONS {
+    for tenant in 0..SERVICE_GUARD_SESSIONS {
         client
             .open_scenario(
                 SessionId(tenant),
                 AlgorithmSpec::Gathering,
                 Scenario::Uniform,
-                N,
+                SERVICE_GUARD_N,
                 tenant,
                 &config,
             )
             .map_err(err)?;
     }
     service.run_until_idle().map_err(err)?;
-    let mut results = Vec::new();
-    while let Some(reply) = client.poll_result().map_err(err)? {
-        match reply {
-            WireResult::Result { session, result } => results.push((session, result)),
-            WireResult::Error { session, message } => {
-                return Err(format!("session {session} failed: {message}"))
-            }
-        }
-    }
+    let mut replies = FrameBuf::new();
+    client.into_transport().recv_into(&mut replies);
+    let frames = std::iter::from_fn(|| replies.pop().map(<[u8]>::to_vec)).collect();
     let secs = t0.elapsed().as_secs_f64();
 
-    if results.len() as u64 != SESSIONS {
-        return Err(format!(
-            "expected {SESSIONS} result frames, got {}",
-            results.len()
-        ));
-    }
     if !service.manager().is_empty() {
         return Err(format!(
             "{} finished sessions were not retired — the O(sessions + n) memory claim is broken",
             service.manager().len()
         ));
     }
+    Ok((frames, secs))
+}
+
+/// Guards the multi-tenant service's claims end-to-end over the wire:
+///
+/// 1. **Scale** — the [`service_fleet`] on a worker pool the size of the
+///    machine's parallelism, with every result streaming back as a wire
+///    frame. Aggregate engine throughput must clear
+///    [`SERVICE_GUARD_MIN_IPS`].
+/// 2. **Fidelity** — the same fleet on one worker must return
+///    byte-identical result frames in the same order, and a sample of
+///    the results is cross-checked byte-for-byte against the equivalent
+///    standalone single-trial [`Sweep`] runs.
+/// 3. **Memory** — finished sessions must be retired (the manager ends
+///    empty: `O(live sessions + n)`, not `O(all sessions ever)`), and a
+///    deliberately overfed external session's bounded inbox must shed
+///    instead of grow: its high-water mark never exceeds its capacity.
+fn service_guard() -> Result<String, String> {
+    const SESSIONS: u64 = SERVICE_GUARD_SESSIONS;
+    const N: usize = SERVICE_GUARD_N;
+    const SPOT_CHECK_EVERY: u64 = 83;
+    let err = |e: ServiceError| e.to_string();
+
+    let manager = SessionManager::new();
+    let workers = manager.workers();
+    let (frames, secs) = service_fleet(manager)?;
+    let mut results = Vec::new();
+    for frame in &frames {
+        match decode_result(frame).map_err(|e| e.to_string())? {
+            WireResult::Result { session, result } => results.push((session, result)),
+            WireResult::Error { session, message } => {
+                return Err(format!("session {session} failed: {message}"))
+            }
+        }
+    }
+    if results.len() as u64 != SESSIONS {
+        return Err(format!(
+            "expected {SESSIONS} result frames, got {}",
+            results.len()
+        ));
+    }
     let interactions: u64 = results.iter().map(|(_, r)| r.interactions_processed).sum();
     let throughput = interactions as f64 / secs.max(1e-9);
     println!(
         "service-guard: {SESSIONS} sessions (Gathering vs uniform, n = {N}) over loopback: \
-         {interactions} interactions in {secs:.2} s ({throughput:.0} i/s, {} workers), \
+         {interactions} interactions in {secs:.2} s ({throughput:.0} i/s, {workers} workers), \
          all sessions retired",
-        service.manager().workers(),
     );
     if throughput < SERVICE_GUARD_MIN_IPS {
         return Err(format!(
             "service throughput {throughput:.0} i/s is below the {SERVICE_GUARD_MIN_IPS:.0} i/s floor"
         ));
     }
+
+    let (serial_frames, serial_secs) = service_fleet(SessionManager::with_workers(1))?;
+    if let Some(index) =
+        (0..frames.len().max(serial_frames.len())).find(|&i| frames.get(i) != serial_frames.get(i))
+    {
+        return Err(format!(
+            "result frame {index} differs between {workers} workers and 1 worker"
+        ));
+    }
+    println!(
+        "service-guard: on 1 worker ({serial_secs:.2} s) the fleet's {} result frames are \
+         byte-identical and in the same order",
+        frames.len()
+    );
 
     let mut spot_checked = 0;
     for (session, result) in &results {
@@ -959,6 +994,9 @@ fn service_guard() -> Result<String, String> {
     // Backpressure leg: overfeed one bounded external session without
     // letting the scheduler keep up — interactions never touch the sink,
     // so the session cannot finish early and free its inbox.
+    let (client_end, service_end) = Loopback::pair();
+    let mut client = ServiceClient::new(client_end);
+    let mut service = ServiceEndpoint::new(SessionManager::new(), service_end);
     const CAPACITY: usize = 64;
     let id = SessionId(SESSIONS + 1);
     let bp_config = SessionConfig {
@@ -998,7 +1036,8 @@ fn service_guard() -> Result<String, String> {
     );
     Ok(format!(
         "{SESSIONS} sessions at {throughput:.0} i/s (floor {SERVICE_GUARD_MIN_IPS:.0}), \
-         {spot_checked} spot-checked byte-identical, overfed inbox stayed bounded"
+         result frames identical on 1 worker, {spot_checked} spot-checked byte-identical, \
+         overfed inbox stayed bounded"
     ))
 }
 

@@ -40,6 +40,7 @@ impl Interaction {
     ///
     /// Panics if `u == v`: the model only allows interactions between
     /// distinct nodes.
+    #[inline]
     pub fn new(u: NodeId, v: NodeId) -> Self {
         assert!(
             u != v,

@@ -12,15 +12,24 @@
 //! killed and its error queued for [`SessionManager::poll_failure`] —
 //! one tenant's bad input never wedges the scheduler.
 //!
+//! Scheduling: within a slice, the worker threads and the calling thread
+//! claim runnable sessions one at a time from one cursor in session-id
+//! order, each as it frees up, so a thread that drew short slices steps
+//! more sessions instead of idling at the slice's end while another
+//! finishes a long one. A slice with a single runnable session spawns no
+//! thread.
+//!
 //! Determinism: sessions are independent (each owns its engine, RNG
-//! stream, and feed), so the worker count and chunking never change any
-//! result — only wall-clock time. Results are queued in session-id order
-//! within a slice.
+//! stream, and feed), so neither the worker count nor which thread claims
+//! which session ever changes a result — only wall-clock time. Each
+//! session's outcome lands in its own slot, and results and failures are
+//! queued in session-id order within a slice.
 
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 
 use doda_core::sequence::StepEvent;
+use doda_sim::runner::claim_chunks;
 use doda_sim::{AlgorithmSpec, FaultedScenario, TrialResult};
 
 use crate::error::ServiceError;
@@ -154,9 +163,14 @@ impl SessionManager {
     }
 
     /// Runs one scheduler slice: every runnable session advances by up to
-    /// its per-session budget, in parallel over the worker pool. Finished
-    /// sessions are retired and their results queued (in session-id
-    /// order) for [`SessionManager::poll_result`].
+    /// its per-session budget. Up to [`SessionManager::workers`] threads,
+    /// the calling thread among them, claim the runnable sessions one at a
+    /// time from one cursor as they free up
+    /// ([`claim_chunks`]), so a long
+    /// slice never holds sessions queued behind it on the same thread. A
+    /// slice with one runnable session runs it on the calling thread and
+    /// spawns none. Finished sessions are retired and their results
+    /// queued (in session-id order) for [`SessionManager::poll_result`].
     ///
     /// A session whose slice errors — its event feed drove the engine
     /// into a state it rejects, e.g. a tenant-pushed crash of an
@@ -166,40 +180,30 @@ impl SessionManager {
     ///
     /// Returns the number of sessions that were stepped.
     pub fn run_slice(&mut self) -> usize {
-        let mut runnable: Vec<&mut Session> = self
+        // One outcome slot beside each runnable session, in session-id
+        // order whoever steps it: the id-ordered retire loop below is
+        // what keeps result order worker-count-independent.
+        let mut runnable: Vec<(&mut Session, Option<Result<SliceOutcome, ServiceError>>)> = self
             .sessions
             .values_mut()
             .filter(|s| s.status() == SessionStatus::Runnable)
+            .map(|s| (s, None))
             .collect();
         let stepped = runnable.len();
-        if stepped == 0 {
-            return 0;
-        }
-
-        // One outcome slot per runnable session, still in session-id
-        // order after the parallel phase — the id-ordered retire loop
-        // below is what keeps result order worker-count-independent.
-        let mut outcomes: Vec<Option<Result<SliceOutcome, ServiceError>>> = Vec::new();
-        let workers = self.workers.min(stepped);
-        if workers <= 1 {
-            outcomes.extend(runnable.iter_mut().map(|s| Some(s.run_slice())));
-        } else {
-            outcomes.resize_with(stepped, || None);
-            let chunk = stepped.div_ceil(workers);
-            std::thread::scope(|scope| {
-                for (sessions, slots) in runnable.chunks_mut(chunk).zip(outcomes.chunks_mut(chunk))
-                {
-                    scope.spawn(move || {
-                        for (session, slot) in sessions.iter_mut().zip(slots.iter_mut()) {
-                            *slot = Some(session.run_slice());
-                        }
-                    });
+        claim_chunks(
+            &mut runnable,
+            self.workers,
+            1,
+            || (),
+            |(), _, chunk| {
+                for (session, outcome) in chunk {
+                    *outcome = Some(session.run_slice());
                 }
-            });
-        }
+            },
+        );
 
         let mut retire = Vec::new();
-        for (session, outcome) in runnable.iter().zip(outcomes) {
+        for (session, outcome) in runnable {
             match outcome.expect("every runnable session was stepped") {
                 Ok(SliceOutcome::Finished(result)) => retire.push((session.id(), Ok(result))),
                 Ok(SliceOutcome::Runnable | SliceOutcome::AwaitingEvents) => {}
@@ -265,11 +269,6 @@ impl SessionManager {
     /// Number of queued completed results not yet polled.
     pub fn pending_results(&self) -> usize {
         self.completed.len()
-    }
-
-    /// Number of queued killed-session errors not yet polled.
-    pub fn pending_failures(&self) -> usize {
-        self.faulted.len()
     }
 
     /// The session's lifecycle status, or `None` once it finished (its

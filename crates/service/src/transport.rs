@@ -334,16 +334,6 @@ impl<T: Transport> ServiceEndpoint<T> {
     pub fn manager(&self) -> &SessionManager {
         &self.manager
     }
-
-    /// Mutable access to the underlying manager.
-    pub fn manager_mut(&mut self) -> &mut SessionManager {
-        &mut self.manager
-    }
-
-    /// Tears down the endpoint, returning its manager.
-    pub fn into_manager(self) -> SessionManager {
-        self.manager
-    }
 }
 
 /// The tenant side of a connection: typed calls encoded to frames.

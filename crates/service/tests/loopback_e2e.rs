@@ -90,31 +90,82 @@ fn thousand_sessions_over_loopback_match_standalone_sweeps() {
     assert_eq!(seen, SESSIONS);
 }
 
+/// Completed results, then failures with their messages, in queue order.
+type FleetOutcomes = (Vec<(SessionId, TrialResult)>, Vec<(SessionId, String)>);
+
+/// Every result and every failure of a mixed fleet run to idle on
+/// `workers` scheduler workers, in the order the manager queued them:
+/// scenario-fed sessions, externally-fed sessions replaying scripted
+/// events, and one external session killed mid-run by a feed that crashes
+/// the same node twice.
+fn mixed_fleet(workers: usize) -> FleetOutcomes {
+    use doda_core::fault::CrashPolicy;
+    const SESSIONS: u64 = 40;
+    const EXTERNAL: usize = 6;
+
+    let mut manager = SessionManager::with_workers(workers);
+    let config = SessionConfig {
+        slice_budget: 32,
+        inbox_capacity: 1_024,
+        ..SessionConfig::default()
+    };
+    for tenant in 0..SESSIONS {
+        let (spec, scenario, n, seed) = fleet_shape(tenant);
+        manager
+            .open_scenario(SessionId(tenant), spec, scenario, n, seed, &config)
+            .expect("open");
+    }
+    let crash = StepEvent::Crash {
+        node: NodeId(3),
+        policy: CrashPolicy::DatumLost,
+    };
+    for k in 0..=EXTERNAL {
+        let id = SessionId(SESSIONS + k as u64);
+        let n = 8 + k;
+        // The last session runs Waiting: its first four rounds bring only
+        // three nodes to the sink, so it is still live when, past its
+        // first slice, its feed crashes node 3 a second time.
+        let events = if k == EXTERNAL {
+            let mut events = event_script(n, 4);
+            events.extend([crash, crash]);
+            events.extend(event_script(n, 2));
+            events
+        } else {
+            event_script(n, 2 + k)
+        };
+        manager
+            .open_external(id, fleet_shape(k as u64).0, n, &config)
+            .expect("open external");
+        for event in events {
+            manager.push_event(id, event).expect("push");
+        }
+        manager.close(id).expect("close");
+    }
+    manager.run_until_idle();
+    assert!(manager.is_empty(), "every session retired");
+
+    let results = std::iter::from_fn(|| manager.poll_result()).collect();
+    let failures = std::iter::from_fn(|| manager.poll_failure())
+        .map(|(id, error)| (id, error.to_string()))
+        .collect();
+    (results, failures)
+}
+
 #[test]
 fn worker_count_never_changes_results() {
-    const SESSIONS: u64 = 40;
-    let mut per_pool: Vec<Vec<(SessionId, TrialResult)>> = Vec::new();
-    for workers in [1, 3, 8] {
-        let mut manager = SessionManager::with_workers(workers);
-        let config = SessionConfig {
-            slice_budget: 32,
-            ..SessionConfig::default()
-        };
-        for tenant in 0..SESSIONS {
-            let (spec, scenario, n, seed) = fleet_shape(tenant);
-            manager
-                .open_scenario(SessionId(tenant), spec, scenario, n, seed, &config)
-                .expect("open");
-        }
-        manager.run_until_idle();
-        let mut results = Vec::new();
-        while let Some(done) = manager.poll_result() {
-            results.push(done);
-        }
-        per_pool.push(results);
+    let (results, failures) = mixed_fleet(1);
+    assert_eq!(results.len(), 46, "40 scenario-fed and 6 external results");
+    assert_eq!(failures.len(), 1, "{failures:?}");
+    assert_eq!(failures[0].0, SessionId(46));
+    assert!(
+        failures[0].1.contains("killed by its event feed"),
+        "{failures:?}"
+    );
+    for workers in [2, 3, 8] {
+        let (pooled_results, pooled_failures) = mixed_fleet(workers);
+        assert_eq!(pooled_results, results, "{workers} workers");
+        assert_eq!(pooled_failures, failures, "{workers} workers");
     }
-    assert_eq!(per_pool[0], per_pool[1]);
-    assert_eq!(per_pool[0], per_pool[2]);
 }
 
 /// A deterministic little event script for externally-fed sessions.
@@ -393,13 +444,19 @@ fn results_stream_out_before_the_fleet_finishes() {
 
 #[test]
 fn a_faulted_session_in_a_slice_never_discards_other_sessions_results() {
-    use doda_core::fault::CrashPolicy;
-
     // Session 1's feed is inconsistent (a second crash of the same node);
     // session 2 finishes in the same slice. The faulted session must be
     // killed and queued as a failure while session 2's result is queued —
-    // not discarded.
-    let mut manager = SessionManager::with_workers(1);
+    // not discarded, on one worker or two.
+    for workers in [1, 2] {
+        a_faulted_session_keeps_the_slices_other_result(workers);
+    }
+}
+
+fn a_faulted_session_keeps_the_slices_other_result(workers: usize) {
+    use doda_core::fault::CrashPolicy;
+
+    let mut manager = SessionManager::with_workers(workers);
     let external = SessionId(1);
     let scenario = SessionId(2);
     manager

@@ -22,8 +22,9 @@
 //!   algorithm × trials × seed × parallelism × execution tier
 //!   ([`sweep::ExecutionTier`]: auto / scalar / lockstep **lanes** /
 //!   native rounds);
-//! * [`runner`] holds the batch shape and summary, and shards a sweep's
-//!   trials over worker threads;
+//! * [`runner`] holds the batch shape and summary, and
+//!   [`runner::claim_chunks`], the claim-based dispatcher that shards a
+//!   sweep's trials, and the service's sessions, over worker threads;
 //! * [`table`] renders result rows as Markdown for EXPERIMENTS.md and
 //!   the examples.
 //!

@@ -1,6 +1,7 @@
 //! Multi-trial batches: the batch shape ([`BatchConfig`], which
 //! [`Sweep::config`](crate::Sweep::config) copies), its summary
-//! ([`BatchResult`]), and the sharded claim loop every sweep runs on.
+//! ([`BatchResult`]), and the claim loop every sweep and service slice
+//! runs on.
 //!
 //! A batch fixes an algorithm, a node count and a trial count; each trial
 //! draws an independent interaction stream from a workload or scenario,
@@ -21,25 +22,26 @@
 //!
 //! # Sharded execution
 //!
-//! Parallel batches are *sharded*: every worker owns a [`TrialRunner`]
-//! (reused engine scratch) plus a scratch [`InteractionSequence`] that the
-//! materialising path refills in place, and keeps both for the whole
-//! batch. Workers claim trial indices from one shared atomic
-//! counter as they free up — one trial at a time on the scalar paths, a
-//! lane batch at a time on the lane tier — so a worker that drew short
-//! trials takes more of them instead of idling while another finishes a
-//! long one. The counter is the only thing shared while trials run; each
-//! claim's results stay with its worker until the scope joins, when they
-//! are put back in trial-index order. Because trial `i` always uses the
-//! sub-seed `SeedSequence::seed(i)` regardless of which worker executes
-//! it, serial and parallel runs of the same [`BatchConfig`] produce
-//! **identical** [`BatchResult`]s and raw [`TrialResult`]s, byte for byte.
+//! Parallel batches are *sharded* by [`claim_chunks`], the one dispatcher
+//! behind every sweep and every service slice: every worker owns a
+//! [`TrialRunner`] (reused engine scratch) plus a scratch
+//! [`InteractionSequence`] that the materialising path refills in place,
+//! and keeps both for the whole batch. Workers claim trials from one
+//! shared cursor as they free up — one trial at a time on the scalar
+//! paths, a lane batch at a time on the lane tier — so a worker that drew
+//! short trials takes more of them instead of idling while another
+//! finishes a long one. The cursor is the only thing shared while trials
+//! run; each trial's result lands in its own index slot. Because trial `i`
+//! always uses the sub-seed `SeedSequence::seed(i)` regardless of which
+//! worker executes it, serial and parallel runs of the same
+//! [`BatchConfig`] produce **identical** [`BatchResult`]s and raw
+//! [`TrialResult`]s, byte for byte.
 //!
 //! [`TrialRunner`]: crate::trial::TrialRunner
 //! [`InteractionSequence`]: doda_core::InteractionSequence
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 use doda_stats::Summary;
 
@@ -106,69 +108,95 @@ impl BatchResult {
     }
 }
 
-/// Runs trials `0..trials` and returns their results in trial-index order
-/// (the sharded-execution skeleton shared by every sweep entry point).
+/// Runs `run` over `items` in chunks claimed by up to `workers` threads:
+/// the claim-based dispatcher behind every sweep and every service slice.
 ///
-/// Every worker builds one state with `init` (its [`TrialRunner`] and
-/// scratch buffers) and keeps it across all the trials it runs; `run`
-/// returns the results of a range of trials in order.
-/// Serially, one worker runs `0..trials` in one call. In parallel, up to
-/// `available_parallelism` workers claim the next `grain` unclaimed trial
-/// indices from one atomic counter until none are left, where `grain` is
-/// `max_grain` (at least 1) capped at `⌈trials / workers⌉`, and the
-/// claimed ranges are put back in index order when the scope joins. A
-/// worker's panic resumes on the caller with the worker's own payload, so
-/// a parallel sweep fails with the same message as a serial one.
-///
-/// [`TrialRunner`]: crate::trial::TrialRunner
+/// Workers claim the next `grain` unclaimed items from one cursor until
+/// none are left, where `grain` (at least 1) is capped at
+/// `⌈items.len() / workers⌉` so that every worker can get a chunk. A
+/// worker that drew cheap items claims more instead of idling while
+/// another finishes an expensive one. The calling thread is one of the
+/// workers, so `workers = 1`, or `items` that fit in one chunk, spawns
+/// no thread and runs everything on the caller. Each worker builds one state
+/// with `init` and keeps it across its chunks; `run` gets that state, the
+/// chunk's start index in `items` and the chunk itself, and writes its
+/// results into the chunk, so they land in their own index slots and the
+/// caller reads them back in index order. A worker's panic resumes on the
+/// caller with the worker's own payload.
+pub fn claim_chunks<T: Send, S>(
+    items: &mut [T],
+    workers: usize,
+    grain: usize,
+    init: impl Fn() -> S + Sync,
+    run: impl Fn(&mut S, usize, &mut [T]) + Sync,
+) {
+    let grain = grain
+        .max(1)
+        .min(items.len().div_ceil(workers.max(1)).max(1));
+    let workers = workers.clamp(1, items.len().div_ceil(grain).max(1));
+    let cursor = Mutex::new((0, items));
+    let claim = || {
+        let mut cursor = cursor
+            .lock()
+            .expect("no claim panics while holding the cursor");
+        let (start, rest) = &mut *cursor;
+        if rest.is_empty() {
+            return None;
+        }
+        let len = grain.min(rest.len());
+        let (chunk, tail) = std::mem::take(rest).split_at_mut(len);
+        *rest = tail;
+        let chunk_start = *start;
+        *start += chunk.len();
+        Some((chunk_start, chunk))
+    };
+    let worker = || {
+        let mut state = init();
+        while let Some((start, chunk)) = claim() {
+            run(&mut state, start, chunk);
+        }
+    };
+    if workers == 1 {
+        return worker();
+    }
+    std::thread::scope(|scope| {
+        let spawned: Vec<_> = (1..workers).map(|_| scope.spawn(worker)).collect();
+        worker();
+        for handle in spawned {
+            handle
+                .join()
+                .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+        }
+    });
+}
+
+/// Runs trials `0..trials` through [`claim_chunks`] and returns their
+/// results in trial-index order: serially on the calling thread, or, when
+/// `parallel`, on `available_parallelism` workers. `run` returns the
+/// results of a range of at most `grain` consecutive trials, in order.
 pub(crate) fn shard<S>(
     trials: usize,
     parallel: bool,
-    max_grain: usize,
+    grain: usize,
     init: impl Fn() -> S + Sync,
     run: impl Fn(&mut S, Range<usize>) -> Vec<TrialResult> + Sync,
 ) -> Vec<TrialResult> {
-    if !parallel || trials <= 1 {
-        return run(&mut init(), 0..trials);
-    }
-    let workers = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(2)
-        .min(trials);
-    let grain = max_grain.max(1).min(trials.div_ceil(workers));
-    let next = AtomicUsize::new(0);
-    let mut claims: Vec<(usize, Vec<TrialResult>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut state = init();
-                    let mut claims = Vec::new();
-                    loop {
-                        // The counter publishes no data: each claim's
-                        // results reach the caller through `join`.
-                        let start = next.fetch_add(grain, Ordering::Relaxed);
-                        if start >= trials {
-                            return claims;
-                        }
-                        let end = trials.min(start + grain);
-                        claims.push((start, run(&mut state, start..end)));
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|handle| {
-                handle
-                    .join()
-                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-            })
-            .collect()
+    let workers = if parallel {
+        std::thread::available_parallelism().map_or(2, |p| p.get())
+    } else {
+        1
+    };
+    let mut slots = Vec::new();
+    slots.resize_with(trials, || None);
+    claim_chunks(&mut slots, workers, grain, init, |state, start, chunk| {
+        let results = run(state, start..start + chunk.len());
+        for (slot, result) in chunk.iter_mut().zip(results) {
+            *slot = Some(result);
+        }
     });
-    claims.sort_unstable_by_key(|&(start, _)| start);
-    claims
+    slots
         .into_iter()
-        .flat_map(|(_, results)| results)
+        .map(|slot| slot.expect("every trial is claimed exactly once"))
         .collect()
 }
 
@@ -224,6 +252,87 @@ mod tests {
             seed: 42,
             parallel,
         }
+    }
+
+    #[test]
+    fn claim_chunks_claims_every_index_exactly_once() {
+        for workers in [1, 2, 3, 8] {
+            for grain in [1, 3, 64] {
+                for len in [0, 1, 7, 1_000] {
+                    // (index, times claimed) per item.
+                    let mut items: Vec<(usize, usize)> = (0..len).map(|i| (i, 0)).collect();
+                    claim_chunks(
+                        &mut items,
+                        workers,
+                        grain,
+                        || (),
+                        |(), start, chunk| {
+                            assert!(!chunk.is_empty() && chunk.len() <= grain);
+                            for (offset, (index, claimed)) in chunk.iter_mut().enumerate() {
+                                assert_eq!(*index, start + offset);
+                                *claimed += 1;
+                            }
+                        },
+                    );
+                    assert!(
+                        items.iter().all(|&(_, claimed)| claimed == 1),
+                        "workers {workers}, grain {grain}, len {len}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_worker_or_one_item_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        for (workers, len) in [(1, 0), (1, 1), (1, 100), (8, 0), (8, 1)] {
+            let mut items = vec![None; len];
+            claim_chunks(
+                &mut items,
+                workers,
+                1,
+                || std::thread::current().id(),
+                |init_thread, _, chunk| {
+                    assert_eq!(*init_thread, caller);
+                    for item in chunk {
+                        *item = Some(std::thread::current().id());
+                    }
+                },
+            );
+            assert!(items.iter().all(|&thread| thread == Some(caller)));
+        }
+    }
+
+    #[test]
+    fn a_panic_in_a_spawned_claim_resumes_with_its_own_payload() {
+        let caller = std::thread::current().id();
+        // Both workers meet in their first claim, so the spawned one holds
+        // a claim of its own whichever thread starts first.
+        let first_claims = std::sync::Barrier::new(2);
+        let mut items = vec![(); 16];
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            claim_chunks(
+                &mut items,
+                2,
+                1,
+                || false,
+                |met, start, _| {
+                    if !*met {
+                        first_claims.wait();
+                        *met = true;
+                    }
+                    if std::thread::current().id() != caller {
+                        panic!("spawned claim at {start} fails");
+                    }
+                },
+            );
+        }))
+        .expect_err("the spawned worker's panic reaches the caller");
+        let message = payload
+            .downcast_ref::<String>()
+            .expect("a formatted panic message");
+        assert!(message.starts_with("spawned claim at "), "{message}");
     }
 
     #[test]

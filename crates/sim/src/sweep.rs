@@ -581,10 +581,11 @@ impl<'a> Sweep<'a> {
         }
     }
 
-    /// Runs the planned trials with `family`'s data: the one dispatcher
-    /// behind every path. Workers claim one trial at a time on the scalar
-    /// paths and one lane batch of up to [`Sweep::lane_width`] consecutive
-    /// trials on the lane tier (see [`crate::runner`]). Lanes are fully
+    /// Runs the planned trials with `family`'s data on every path, through
+    /// [`crate::runner::claim_chunks`]. Workers claim one trial at a time on
+    /// the scalar paths and one lane batch of up to [`Sweep::lane_width`]
+    /// consecutive trials on the lane tier, fewer when there are too few
+    /// trials to give every worker a full batch. Lanes are fully
     /// independent (one source per lane), so the grouping — which differs
     /// between serial and parallel runs — never affects a per-trial result.
     fn dispatch<D: DatumFamily>(&self, plan: &Plan<'_>, family: &D) -> Vec<TrialResult> {
@@ -607,18 +608,12 @@ impl<'a> Sweep<'a> {
             init,
             |(runner, seq), trials| {
                 if lanes {
-                    // Lanes carry no plans, so every trial shares one config.
-                    let config = config(0, budget);
-                    return trials
-                        .clone()
-                        .step_by(width)
-                        .flat_map(|batch| {
-                            let mut sources: Vec<_> = (batch..trials.end.min(batch + width))
-                                .map(|trial| (plan.source)(seeds.seed(trial as u64)))
-                                .collect();
-                            runner.run_lane_batch(spec, &mut sources, &config, family)
-                        })
+                    // A claim is one lane batch. Lanes carry no plans, so
+                    // every trial shares one config.
+                    let mut sources: Vec<_> = trials
+                        .map(|trial| (plan.source)(seeds.seed(trial as u64)))
                         .collect();
+                    return runner.run_lane_batch(spec, &mut sources, &config(0, budget), family);
                 }
                 trials
                     .map(|trial| {
