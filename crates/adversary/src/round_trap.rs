@@ -24,7 +24,9 @@ use doda_graph::NodeId;
 /// The strategy is deterministic, seed-independent and **ownership**-
 /// oblivious — the matching never depends on who still owns data — but it
 /// does read the *sink* off the adversary view to know whom to isolate.
-/// Materialising the flattened stream
+/// The sink is fixed for a run, so [`RoundSource::is_oblivious`] holds:
+/// the engine and the lane engine pull the flattened trap in bursts, each
+/// under a view whose sink is the run's. Materialising the flattened stream
 /// ([`doda_core::InteractionSequence::materialize`]) drives the source
 /// with the convention-fixed sink node 0, so the materialised trap
 /// isolates node 0: faithful to every execution that uses sink 0 (the
@@ -73,6 +75,10 @@ impl RoundSource for RoundIsolator {
         }
         true
     }
+
+    fn is_oblivious(&self) -> bool {
+        true
+    }
 }
 
 #[cfg(test)]
@@ -103,29 +109,33 @@ mod tests {
     #[test]
     fn round_isolator_starves_every_algorithm() {
         let n = 12;
-        for use_gathering in [false, true] {
-            let mut engine: Engine<IdSet> = Engine::new();
-            let mut waiting = Waiting::new();
-            let mut gathering = Gathering::new();
-            let algorithm: &mut dyn DodaAlgorithm = if use_gathering {
-                &mut gathering
-            } else {
-                &mut waiting
-            };
-            let stats = engine
-                .run_rounds(
-                    algorithm,
-                    &mut RoundIsolator::new(n),
-                    NodeId(0),
-                    IdSet::singleton,
-                    EngineConfig::sweep(20_000),
-                    &mut DiscardTransmissions,
-                )
-                .unwrap();
-            assert!(!stats.run.terminated());
-            assert_eq!(stats.run.interactions_processed, 20_000);
-            // The sink never receives anything.
-            assert_eq!(engine.state().data_of(NodeId(0)).unwrap().len(), 1);
+        // The engine pulls the trap in bursts; each burst's view carries
+        // the run's sink, whichever node that is.
+        for sink in [NodeId(0), NodeId(5)] {
+            for use_gathering in [false, true] {
+                let mut engine: Engine<IdSet> = Engine::new();
+                let mut waiting = Waiting::new();
+                let mut gathering = Gathering::new();
+                let algorithm: &mut dyn DodaAlgorithm = if use_gathering {
+                    &mut gathering
+                } else {
+                    &mut waiting
+                };
+                let stats = engine
+                    .run(
+                        algorithm,
+                        &mut FlattenedRounds::new(RoundIsolator::new(n)),
+                        sink,
+                        IdSet::singleton,
+                        EngineConfig::sweep(20_000),
+                        &mut DiscardTransmissions,
+                    )
+                    .unwrap();
+                assert!(!stats.terminated());
+                assert_eq!(stats.interactions_processed, 20_000);
+                // The sink never receives anything.
+                assert_eq!(engine.state().data_of(sink).unwrap().len(), 1);
+            }
         }
     }
 

@@ -28,7 +28,7 @@
 //! doda-bench --lane-guard            # lanes >= 1.5x, scalar >= 1.25x over per-event (CI)
 //! doda-bench --stream-guard          # 10^7-interaction streamed sweeps, 8n² Waiting Greedy
 //! doda-bench --fault-guard           # 10^6-interaction faulted sweeps
-//! doda-bench --round-guard           # 10^6-interaction round sweeps
+//! doda-bench --round-guard           # 10^6-interaction flattened round sweeps, bounded heap
 //! doda-bench --service-guard         # 1000 sessions over the loopback wire
 //! doda-bench --scale-guard           # O(n) memory + throughput at n = 10^6
 //! doda-bench --algebra-guard         # sketch aggregates: less memory, bounded error
@@ -775,14 +775,19 @@ fn fault_guard() -> Result<String, String> {
     ))
 }
 
-/// Guards the round path's `O(n)`-memory and batched-application claims
-/// with long-horizon round sweeps at `n = 128`:
+/// The most heap `--round-guard`'s starved round run may grow by. The run
+/// grows the heap by 7.6 KiB (the same in every run on an x86-64 Linux
+/// host); a buffer sized to its 10^6-interaction budget would take 16 MB.
+const ROUND_GUARD_MAX_HEAP_BYTES: usize = 64 << 10;
+
+/// Guards the flattened round path with long-horizon round sweeps at
+/// `n = 128`:
 ///
 /// 1. `Waiting` vs the sink-unmatched round trap at a 10^6-interaction
 ///    budget: every round is a 63-pair matching that never touches the
-///    sink, so the engine genuinely batches ~16k rounds through the
-///    native round path without terminating — and without any
-///    horizon-sized buffer;
+///    sink, so ~16k rounds are pulled in bursts of flattened matchings
+///    without terminating, and the heap may grow by at most
+///    [`ROUND_GUARD_MAX_HEAP_BYTES`] — no horizon-sized buffer;
 /// 2. `Gathering` vs random matchings at the same `n`: every trial must
 ///    terminate (a near-perfect random matching reaches the sink fast)
 ///    with data conserved.
@@ -790,19 +795,34 @@ fn round_guard() -> Result<String, String> {
     const HORIZON: usize = 1_000_000;
     const N: usize = 128;
 
-    let config = BatchConfig {
-        n: N,
-        trials: 1,
-        horizon: Some(HORIZON),
-        seed: 0xD0DA,
-        parallel: false,
-    };
+    if !doda_bench::memory::tracking() {
+        return Err("the tracking allocator is not installed".to_string());
+    }
+    let starved =
+        Sweep::scenario(AlgorithmSpec::Waiting, Scenario::RoundIsolator).config(&BatchConfig {
+            n: N,
+            trials: 1,
+            horizon: Some(HORIZON),
+            seed: 0xD0DA,
+            parallel: false,
+        });
+    let tier = starved.path_label();
+    let floor = doda_bench::memory::reset_peak();
     let t0 = Instant::now();
-    let starved = Sweep::scenario(AlgorithmSpec::Waiting, Scenario::RoundIsolator)
-        .config(&config)
-        .run();
+    let starved = starved.run();
     let starved_secs = t0.elapsed().as_secs_f64();
+    let starved_peak = doda_bench::memory::peak_bytes().saturating_sub(floor);
     let starved = &starved[0];
+    let rounds = starved.interactions_processed / ((N as u64 - 1) / 2);
+    let starved_kib = starved_peak as f64 / 1024.0;
+    println!(
+        "round-guard: Waiting vs round-isolator, n = {N}, budget = {HORIZON}, {tier} tier: \
+         processed {} matched interactions (~{rounds} rounds) in {starved_secs:.2} s \
+         ({:.0} i/s), peak {starved_kib:.1} KiB (ceiling {} KiB)",
+        starved.interactions_processed,
+        starved.interactions_processed as f64 / starved_secs.max(1e-9),
+        ROUND_GUARD_MAX_HEAP_BYTES >> 10,
+    );
     if starved.terminated() || starved.interactions_processed != HORIZON as u64 {
         return Err(format!(
             "the round trap should process exactly {HORIZON} interactions without \
@@ -811,14 +831,13 @@ fn round_guard() -> Result<String, String> {
             starved.terminated()
         ));
     }
-    println!(
-        "round-guard: Waiting vs round-isolator, n = {N}, budget = {HORIZON}: \
-         processed {} matched interactions (~{} rounds) in {starved_secs:.2} s \
-         ({:.0} i/s), O(n) memory",
-        starved.interactions_processed,
-        starved.interactions_processed / ((N as u64 - 1) / 2),
-        starved.interactions_processed as f64 / starved_secs.max(1e-9),
-    );
+    if starved_peak > ROUND_GUARD_MAX_HEAP_BYTES {
+        return Err(format!(
+            "the starved round run grew the heap by {starved_kib:.1} KiB — a buffer \
+             that grows with the horizon (ceiling {} KiB)",
+            ROUND_GUARD_MAX_HEAP_BYTES >> 10
+        ));
+    }
 
     let config = BatchConfig {
         n: N,
@@ -843,9 +862,8 @@ fn round_guard() -> Result<String, String> {
         trials.len(),
     );
     Ok(format!(
-        "~{} rounds batched through the native round path without termination, O(n) \
-         memory; {} random-matching trials terminated with data conserved",
-        starved.interactions_processed / ((N as u64 - 1) / 2),
+        "~{rounds} flattened rounds pulled in bursts without termination, peak \
+         {starved_kib:.1} KiB; {} random-matching trials terminated with data conserved",
         trials.len(),
     ))
 }

@@ -5,17 +5,18 @@
 //! oblivious/adaptive adversaries; running it executes every cell through
 //! the sharded [`Sweep`] builder and produces a [`PerfReport`] that
 //! serialises to `BENCH_<grid>.json`. Each cell records its execution
-//! `mode` — the tier [`doda_sim::ExecutionTier::Auto`] resolved for it:
-//! `"lanes"` for knowledge-free fault-free pairwise cells (up to 64 trials
-//! stepped in lockstep through bit-lane state), `"rounds"` for round
-//! scenarios (one matching applied per synchronous round), `"streamed"`
-//! for the remaining knowledge-free cells (the engine pulls interactions
-//! straight from the source, `O(n)` memory at any horizon) and
-//! `"materialized"` for algorithms whose oracles force sequence
-//! generation. Every PR extends the perf trajectory by re-running a grid
-//! and comparing the emitted file against the committed baseline; CI runs
-//! the `smoke` grid on every push and schema-checks the artifact with
-//! [`validate_report`].
+//! `mode` — the tier [`doda_sim::ExecutionTier::Auto`] resolved for it
+//! ([`Sweep::path_label`]): `"lanes"` for knowledge-free fault-free honest
+//! cells (up to 64 trials stepped in lockstep through bit-lane state),
+//! `"streamed"` for the remaining knowledge-free cells (the engine pulls
+//! interactions straight from the source, `O(n)` memory at any horizon)
+//! and `"materialized"` for algorithms whose oracles force sequence
+//! generation. Round scenarios resolve like any other stream: their
+//! flattened round schedule runs on whichever tier the cell resolves to,
+//! and only the `model` column says that it came in rounds. Every PR
+//! extends the perf trajectory by re-running a grid and comparing the
+//! emitted file against the committed baseline; CI runs the `smoke` grid
+//! on every push and schema-checks the artifact with [`validate_report`].
 
 use std::time::Instant;
 
@@ -47,9 +48,12 @@ use crate::json::{pretty, Json};
 /// per-cluster aggregation, then an aggregator-only final phase);
 /// 7 = byzantine grids: every cell carries the `"byzantine_profile"`
 /// column (the scenario's Byzantine plan label, `"none"` when honest) —
-/// byzantine cells run the audited streamed path, so the lane, rounds
-/// and hierarchical tiers are byzantine-free by contract (validation
-/// rejects cells claiming otherwise).
+/// byzantine cells run the audited streamed path, so the lane and
+/// hierarchical tiers are byzantine-free by contract (validation rejects
+/// cells claiming otherwise). Within v7, `"mode"` no longer admits
+/// `"rounds"` since round scenarios lost their tier of their own: their
+/// cells report the tier they resolve to, and lane cells may carry the
+/// rounds model.
 pub const SCHEMA_VERSION: u64 = 7;
 
 /// A pinned perf grid: the cells plus the execution parameters.
@@ -234,10 +238,10 @@ pub struct CellResult {
     pub fault_profile: String,
     /// The Byzantine plan label of the cell's scenario (`"none"` when
     /// every node is honest). Byzantine cells run the audited streamed
-    /// path and never the lane, rounds or hierarchical tiers.
+    /// path and never the lane or hierarchical tiers.
     pub byzantine_profile: String,
-    /// The execution tier the sweep resolved for the cell: `"lanes"`
-    /// (lockstep bit-lane batches), `"rounds"` (native batched rounds),
+    /// The execution tier the sweep resolved for the cell
+    /// ([`Sweep::path_label`]): `"lanes"` (lockstep bit-lane batches),
     /// `"streamed"` (scalar pull loop, `O(n)` memory), `"materialized"`
     /// (oracle construction forced sequence generation) or
     /// `"hierarchical"` (clustered two-phase aggregation, pinned by a
@@ -245,7 +249,8 @@ pub struct CellResult {
     pub mode: &'static str,
     /// Interaction model of the cell's scenario: `"pairwise"` (one
     /// interaction per step, the paper's adversary) or `"rounds"` (one
-    /// matching of disjoint interactions per synchronous round).
+    /// matching of disjoint interactions per synchronous round, played as
+    /// a flattened stream on whichever tier `mode` names).
     pub model: &'static str,
     /// Node count.
     pub n: usize,
@@ -614,18 +619,10 @@ pub fn validate_report(doc: &Json) -> Result<(), String> {
                 .ok_or_else(|| format!("{}: missing string field: {field}", who()))?;
         }
         let mode = cell.get("mode").and_then(Json::as_str).expect("checked");
-        if ![
-            "streamed",
-            "materialized",
-            "lanes",
-            "rounds",
-            "hierarchical",
-        ]
-        .contains(&mode)
-        {
+        if !["streamed", "materialized", "lanes", "hierarchical"].contains(&mode) {
             return Err(format!(
-                "{}: mode '{mode}' must be 'streamed', 'materialized', 'lanes', 'rounds' \
-                 or 'hierarchical'",
+                "{}: mode '{mode}' must be 'streamed', 'materialized', 'lanes' or \
+                 'hierarchical'",
                 who()
             ));
         }
@@ -644,20 +641,10 @@ pub fn validate_report(doc: &Json) -> Result<(), String> {
             .get("byzantine_profile")
             .and_then(Json::as_str)
             .expect("checked");
-        // The lane tier is fault-free and pairwise by contract; the round
-        // tier only exists for round scenarios. A cell claiming otherwise
-        // was not produced by the sweep's tier resolution.
-        if mode == "lanes" && (fault_label != "none" || model != "pairwise") {
-            return Err(format!(
-                "{}: a lane cell must be fault-free and pairwise",
-                who()
-            ));
-        }
-        if mode == "rounds" && model != "rounds" {
-            return Err(format!(
-                "{}: a rounds-mode cell must carry the rounds model",
-                who()
-            ));
+        // The lane tier is fault-free by contract. A cell claiming
+        // otherwise was not produced by the sweep's tier resolution.
+        if mode == "lanes" && fault_label != "none" {
+            return Err(format!("{}: a lane cell must be fault-free", who()));
         }
         // The hierarchical tier re-instantiates the scenario family at
         // cluster size and is fault-free by contract; only pairwise
@@ -671,7 +658,7 @@ pub fn validate_report(doc: &Json) -> Result<(), String> {
         // Byzantine plans run on the audited scalar paths only: a cell
         // claiming a fast tier *and* a Byzantine plan was not produced by
         // the sweep's tier resolution.
-        if byzantine_label != "none" && ["lanes", "rounds", "hierarchical"].contains(&mode) {
+        if byzantine_label != "none" && ["lanes", "hierarchical"].contains(&mode) {
             return Err(format!(
                 "{}: a byzantine cell cannot run on the {mode} tier (honest by contract)",
                 who()
@@ -753,17 +740,15 @@ mod tests {
         let doc = Json::parse(&report.to_json()).expect("emitted JSON parses");
         validate_report(&doc).expect("emitted JSON passes the schema check");
         // The mode column names the resolved execution tier: fault-free
-        // pairwise cells of the lane-kernel algorithms run on lanes, round
-        // scenarios on the native round path, faulted cells fall back to
-        // the scalar streamed reference, and the pinned scale cell reports
-        // the hierarchical tier it requested.
+        // cells of the lane-kernel algorithms run on lanes, round scenarios
+        // included, faulted cells fall back to the scalar streamed
+        // reference, and the pinned scale cell reports the hierarchical
+        // tier it requested.
         for cell in &report.results {
             let expected = if cell.n == 2_048 {
                 "hierarchical"
             } else if cell.fault_profile != "none" {
                 "streamed"
-            } else if cell.model == "rounds" {
-                "rounds"
             } else {
                 "lanes"
             };
@@ -906,7 +891,7 @@ mod tests {
         assert_ne!(bad_mode, good, "fixture must contain a lane cell");
         let err = validate_report(&Json::parse(&bad_mode).unwrap()).unwrap_err();
         assert!(
-            err.contains("must be 'streamed', 'materialized', 'lanes', 'rounds' or 'hierarchical'"),
+            err.contains("must be 'streamed', 'materialized', 'lanes' or 'hierarchical'"),
             "{err}"
         );
         // A cell at a node count the envelope never declared is rejected
@@ -935,10 +920,11 @@ mod tests {
         assert_ne!(faulted_lane, good, "fixture must contain the field");
         let err = validate_report(&Json::parse(&faulted_lane).unwrap()).unwrap_err();
         assert!(err.contains("lane cell must be fault-free"), "{err}");
-        // A rounds-mode cell over a pairwise scenario is equally impossible.
-        let pairwise_rounds = good.replace("\"lanes\"", "\"rounds\"");
-        let err = validate_report(&Json::parse(&pairwise_rounds).unwrap()).unwrap_err();
-        assert!(err.contains("rounds-mode cell"), "{err}");
+        // Round scenarios have no tier of their own, so "rounds" is no
+        // mode; it names an interaction model only.
+        let rounds_mode = good.replace("\"lanes\"", "\"rounds\"");
+        let err = validate_report(&Json::parse(&rounds_mode).unwrap()).unwrap_err();
+        assert!(err.contains("mode 'rounds' must be"), "{err}");
         // A completion split that does not add up is rejected. The tiny
         // grid completes every trial, so "completed": 2 pairs with
         // "aggregated": 2; corrupting the latter breaks the identity.

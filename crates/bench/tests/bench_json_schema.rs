@@ -28,7 +28,7 @@ fn committed_baseline_matches_the_schema() {
         .into_iter()
         .map(|n| n as f64)
         .collect();
-    let mut modes_seen = [false; 5];
+    let mut modes_seen = [false; 4];
     let mut survivor_completions = 0.0;
     for cell in results {
         let n = cell.get("n").and_then(Json::as_f64).unwrap();
@@ -44,8 +44,7 @@ fn committed_baseline_matches_the_schema() {
             "streamed" => modes_seen[0] = true,
             "materialized" => modes_seen[1] = true,
             "lanes" => modes_seen[2] = true,
-            "rounds" => modes_seen[3] = true,
-            "hierarchical" => modes_seen[4] = true,
+            "hierarchical" => modes_seen[3] = true,
             other => panic!("unexpected mode {other}"),
         }
         // Schema v3: the completion split must add up, and fault-free
@@ -65,8 +64,8 @@ fn committed_baseline_matches_the_schema() {
     }
     assert!(
         modes_seen.iter().all(|&seen| seen),
-        "the baseline must cover all five execution tiers, saw {modes_seen:?} \
-         for (streamed, materialized, lanes, rounds, hierarchical)"
+        "the baseline must cover all four execution tiers, saw {modes_seen:?} \
+         for (streamed, materialized, lanes, hierarchical)"
     );
     assert!(
         survivor_completions > 0.0,

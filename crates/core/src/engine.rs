@@ -19,9 +19,10 @@
 //!   keep one `Engine` per worker thread and run thousands of trials
 //!   through it.
 //!
-//! Every pairwise execution — honest or audited, run to completion or in
-//! slices — goes through one event loop, [`Engine::step_for`], and every
-//! presented interaction, pairwise or in a round, through one step. The
+//! Every execution — honest or audited, run to completion or in slices,
+//! pairwise or a flattened round stream ([`crate::round::FlattenedRounds`])
+//! — goes through one event loop, [`Engine::step_for`], and every
+//! presented interaction through one step. The
 //! audited Byzantine path differs only in its data plane: what a transfer
 //! carries and which receipts it leaves.
 
@@ -34,7 +35,6 @@ use crate::error::{EngineError, FaultError, TransmissionError};
 use crate::fault::CrashPolicy;
 use crate::interaction::{Interaction, Time};
 use crate::outcome::{Completion, ExecutionOutcome, FaultTally, Transmission};
-use crate::round::{Matching, RoundSource, MAX_CONSECUTIVE_EMPTY_ROUNDS};
 use crate::sequence::{AdversaryView, InteractionSource, StepEvent, PULL_BATCH};
 use crate::state::NetworkState;
 
@@ -476,22 +476,6 @@ pub struct Engine<A> {
     /// as non-owners in the adversary view and must never appear in a
     /// presented interaction.
     live: Vec<bool>,
-    /// Scratch matching handed to [`RoundSource::next_round`] by
-    /// [`Engine::run_rounds`]; preallocated alongside the rest of the
-    /// engine scratch so round sweeps allocate nothing per round.
-    round_scratch: Matching,
-}
-
-/// The counters produced by one [`Engine::run_rounds`] execution: the
-/// shared pairwise counters plus the round clock.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RoundRunStats {
-    /// The interaction-level counters, identical in meaning to the
-    /// pairwise path's ([`RunStats::interactions_processed`] counts the
-    /// individual interactions of every applied matching).
-    pub run: RunStats,
-    /// Number of rounds pulled from the source, including empty ones.
-    pub rounds_processed: u64,
 }
 
 impl<A: Aggregate> Default for Engine<A> {
@@ -509,7 +493,6 @@ impl<A: Aggregate> Engine<A> {
             ownership: Vec::new(),
             owners: 0,
             live: Vec::new(),
-            round_scratch: Matching::default(),
         }
     }
 
@@ -865,124 +848,12 @@ impl<A: Aggregate> Engine<A> {
         checkpoint.progress
     }
 
-    /// Runs `algorithm` over the synchronous rounds produced by `rounds`,
-    /// reusing this engine's scratch (including a preallocated scratch
-    /// [`Matching`] — the per-round hot path allocates nothing).
-    ///
-    /// Each round, the source observes the ownership view *as of round
-    /// start* and commits a whole matching; the engine then applies the
-    /// round's interactions as a batch against the preallocated
-    /// [`NetworkState`]. Because a matching's edges are vertex-disjoint,
-    /// no interaction of a round can change the state another one reads —
-    /// batch application *is* the synchronous semantics. Within the batch
-    /// the interaction clock keeps ticking one step per interaction, so
-    /// [`RunStats::interactions_processed`] and `config.max_interactions`
-    /// mean exactly what they mean on the pairwise path; a budget that
-    /// runs out mid-round cuts the round, and termination (the sink
-    /// becoming sole owner) ends the round immediately.
-    ///
-    /// **Singleton anchor:** driving a [`crate::round::SingletonRounds`]
-    /// wrapper through this entry point is byte-identical to driving the
-    /// wrapped source through [`Engine::run`] — the property that anchors
-    /// the round model to the paper's, pinned by
-    /// `tests/round_equivalence.rs`.
-    ///
-    /// Empty rounds are legal (an evolving-graph window may carry no edge)
-    /// but bounded: after [`MAX_CONSECUTIVE_EMPTY_ROUNDS`] consecutive
-    /// empty rounds the source is treated as exhausted, the same rule
-    /// [`crate::round::FlattenedRounds`] applies — which keeps this path
-    /// and the flattened pairwise path equivalent on any round stream.
-    ///
-    /// Fault plans do not plug in here: wrap the *flattened* stream in a
-    /// [`crate::fault::FaultedSource`] and use [`Engine::run`] (see the
-    /// [`crate::round`] module docs).
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`EngineError`] if the algorithm produces a structurally
-    /// invalid decision, as on the pairwise path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sink` is out of range for `rounds.node_count()` or the
-    /// node count is zero (propagated from [`NetworkState::reset`]).
-    pub fn run_rounds<F, R, D, T>(
-        &mut self,
-        algorithm: &mut D,
-        rounds: &mut R,
-        sink: NodeId,
-        mut initial_data: F,
-        config: EngineConfig,
-        transmissions: &mut T,
-    ) -> Result<RoundRunStats, EngineError>
-    where
-        F: FnMut(NodeId) -> A,
-        R: RoundSource + ?Sized,
-        D: DodaAlgorithm + ?Sized,
-        T: TransmissionSink + ?Sized,
-    {
-        let n = rounds.node_count();
-        let mut run = self.begin_run(n, sink, &mut initial_data, config);
-        let mut rounds_processed = 0u64;
-        let mut consecutive_empty = 0u64;
-        // Split borrows: the view reads `self.ownership` while the source
-        // fills the scratch matching, so the scratch is moved out for the
-        // duration of the run.
-        let mut matching = std::mem::take(&mut self.round_scratch);
-        while !run.terminated() && run.processed < run.max_interactions {
-            matching.reset(n);
-            let view = AdversaryView {
-                owns_data: &self.ownership,
-                sink,
-            };
-            if !rounds.next_round(rounds_processed, &view, &mut matching) {
-                break;
-            }
-            rounds_processed += 1;
-            if matching.is_empty() {
-                consecutive_empty += 1;
-                if consecutive_empty >= MAX_CONSECUTIVE_EMPTY_ROUNDS {
-                    break;
-                }
-                continue;
-            }
-            consecutive_empty = 0;
-
-            for &interaction in matching.as_slice() {
-                if run.terminated() || run.processed >= run.max_interactions {
-                    break;
-                }
-                let t = run.processed;
-                run.processed += 1;
-                let step = self.apply_interaction(
-                    &mut run,
-                    algorithm,
-                    t,
-                    interaction,
-                    transmissions,
-                    &mut initial_data,
-                );
-                if let Err(e) = step {
-                    self.round_scratch = matching;
-                    return Err(e);
-                }
-            }
-        }
-        self.round_scratch = matching;
-        Ok(RoundRunStats {
-            run: self.finish_run(&run),
-            rounds_processed,
-        })
-    }
-
-    /// Applies one presented interaction — the step shared verbatim by the
-    /// pairwise path ([`Engine::step_for`]) and the round path
-    /// ([`Engine::run_rounds`]), which is what makes the two byte-identical
-    /// on singleton rounds: dead-endpoint check, algorithm decision,
+    /// Applies one presented interaction — the step shared by both arms of
+    /// [`Engine::step_for`]: dead-endpoint check, algorithm decision,
     /// transmission bookkeeping, and completion when the transfer leaves
     /// the sink the sole owner. The transfer itself runs through `plane`.
     ///
-    /// Always inlined: it is the body of every event loop, and a call per
+    /// Always inlined: it is the body of both pull loops, and a call per
     /// interaction costs about as much as the step itself.
     #[inline(always)]
     fn apply_interaction<D, P, F>(
@@ -1996,40 +1867,46 @@ mod tests {
     #[test]
     fn round_execution_applies_whole_matchings() {
         use crate::data::IdSet;
-        use crate::round::MatchingSequence;
+        use crate::round::tests::Schedule;
+        use crate::round::FlattenedRounds;
 
-        // One round: every pair {0, i} cannot coexist in a matching, so
-        // the star takes n/2-ish rounds — here a 6-node schedule where the
-        // outer nodes pair up first and then drain into the sink.
-        let mut schedule = MatchingSequence::new(6);
-        schedule.push_round([(1, 2), (3, 4)]);
-        schedule.push_round([(0, 1), (3, 5)]);
-        schedule.push_round([(0, 3)]);
-        schedule.push_round([(0, 5)]);
+        // The outer nodes pair up first and then drain into the sink;
+        // every round is one matching, applied in order.
+        let mut flat = FlattenedRounds::new(Schedule {
+            n: 6,
+            rounds: vec![
+                vec![(1, 2), (3, 4)],
+                vec![(0, 1), (3, 5)],
+                vec![(0, 3)],
+                vec![(0, 5)],
+            ],
+        });
         let mut engine: Engine<IdSet> = Engine::new();
         let stats = engine
-            .run_rounds(
+            .run(
                 &mut Gathering::new(),
-                &mut schedule.stream(false),
+                &mut flat,
                 NodeId(0),
                 IdSet::singleton,
                 EngineConfig::sweep(1_000),
                 &mut DiscardTransmissions,
             )
             .unwrap();
-        assert!(stats.run.terminated());
-        assert_eq!(stats.run.transmissions, 5);
-        // Gathering drains in 3 rounds (2 + 2 + 1 interactions); the
-        // fourth scheduled round is never pulled.
-        assert_eq!(stats.rounds_processed, 3);
-        assert_eq!(stats.run.interactions_processed, 5);
+        assert!(stats.terminated());
+        assert_eq!(stats.transmissions, 5);
+        // Gathering drains in 3 rounds (2 + 2 + 1 interactions). The one
+        // burst pulled the whole schedule: a completed run may leave an
+        // oblivious source ahead.
+        assert_eq!(stats.interactions_processed, 5);
+        assert_eq!(flat.rounds_pulled(), 4);
         assert!(engine.state().data_of(NodeId(0)).unwrap().covers_all(6));
     }
 
     #[test]
     fn singleton_rounds_match_the_pairwise_path() {
         use crate::data::IdSet;
-        use crate::round::SingletonRounds;
+        use crate::round::tests::Singletons;
+        use crate::round::FlattenedRounds;
 
         let seq = star_sequence(7, 2);
         for budget in [3u64, 9, 1_000] {
@@ -2046,18 +1923,18 @@ mod tests {
                 )
                 .unwrap();
             let mut rounds: Engine<IdSet> = Engine::new();
+            let mut flat = FlattenedRounds::new(Singletons(seq.stream(false)));
             let b = rounds
-                .run_rounds(
+                .run(
                     &mut Waiting::new(),
-                    &mut SingletonRounds::new(seq.stream(false)),
+                    &mut flat,
                     NodeId(0),
                     IdSet::singleton,
                     config,
                     &mut DiscardTransmissions,
                 )
                 .unwrap();
-            assert_eq!(a, b.run, "budget {budget}");
-            assert_eq!(b.rounds_processed, b.run.interactions_processed);
+            assert_eq!(a, b, "budget {budget}");
             assert_eq!(
                 pairwise.state().ownership_bitmap(),
                 rounds.state().ownership_bitmap()
@@ -2068,31 +1945,33 @@ mod tests {
     #[test]
     fn round_budget_cuts_a_round_mid_matching() {
         use crate::data::Count;
-        use crate::round::MatchingSequence;
+        use crate::round::tests::Schedule;
+        use crate::round::FlattenedRounds;
 
-        let mut schedule = MatchingSequence::new(8);
-        schedule.push_round([(1, 2), (3, 4), (5, 6)]);
+        let mut flat = FlattenedRounds::new(Schedule {
+            n: 8,
+            rounds: vec![vec![(1, 2), (3, 4), (5, 6)]; 3],
+        });
         let mut engine: Engine<Count> = Engine::new();
         let stats = engine
-            .run_rounds(
+            .run(
                 &mut Waiting::new(),
-                &mut schedule.stream(true),
+                &mut flat,
                 NodeId(0),
                 |_| Count::unit(),
                 EngineConfig::sweep(5),
                 &mut DiscardTransmissions,
             )
             .unwrap();
-        assert!(!stats.run.terminated());
-        assert_eq!(stats.run.interactions_processed, 5);
-        assert_eq!(stats.rounds_processed, 2);
+        assert!(!stats.terminated());
+        assert_eq!(stats.interactions_processed, 5);
+        assert_eq!(flat.rounds_pulled(), 2);
     }
 
     #[test]
     fn endless_empty_rounds_exhaust_instead_of_hanging() {
         use crate::data::Count;
-        use crate::round::{Matching, RoundSource, MAX_CONSECUTIVE_EMPTY_ROUNDS};
-        use crate::sequence::AdversaryView;
+        use crate::round::{FlattenedRounds, Matching, RoundSource, MAX_CONSECUTIVE_EMPTY_ROUNDS};
 
         struct AlwaysEmpty;
         impl RoundSource for AlwaysEmpty {
@@ -2107,21 +1986,25 @@ mod tests {
             ) -> bool {
                 true
             }
+            fn is_oblivious(&self) -> bool {
+                true
+            }
         }
+        let mut flat = FlattenedRounds::new(AlwaysEmpty);
         let mut engine: Engine<Count> = Engine::new();
         let stats = engine
-            .run_rounds(
+            .run(
                 &mut Waiting::new(),
-                &mut AlwaysEmpty,
+                &mut flat,
                 NodeId(0),
                 |_| Count::unit(),
                 EngineConfig::sweep(1_000),
                 &mut DiscardTransmissions,
             )
             .unwrap();
-        assert!(!stats.run.terminated());
-        assert_eq!(stats.run.interactions_processed, 0);
-        assert_eq!(stats.rounds_processed, MAX_CONSECUTIVE_EMPTY_ROUNDS);
+        assert!(!stats.terminated());
+        assert_eq!(stats.interactions_processed, 0);
+        assert_eq!(flat.rounds_pulled(), MAX_CONSECUTIVE_EMPTY_ROUNDS);
     }
 
     #[test]

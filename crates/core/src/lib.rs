@@ -95,50 +95,62 @@
 //! The paper's adversary schedules **one** interaction per time step, but
 //! the broader dynamic-graph setting is *synchronous rounds* in which a
 //! whole matching of disjoint edges is live at once. The [`round`] module
-//! generalises the streaming model to that setting: a
-//! [`round::RoundSource`] yields one validated [`Matching`] per round, and
-//! [`Engine::run_rounds`] applies each round as a batch against the
-//! preallocated state (disjointness makes batch application *exactly* the
-//! synchronous semantics). The interaction clock still ticks once per
-//! matched pair, so budgets and throughput mean the same thing in both
-//! models — and a stream of singleton rounds is byte-identical to the
-//! pairwise path (pinned by `tests/round_equivalence.rs`).
+//! describes that setting: a [`round::RoundSource`] yields one validated
+//! [`Matching`] per round, and [`FlattenedRounds`] plays its rounds one
+//! interaction per step through the same engine as any pairwise stream
+//! (disjointness makes in-order application *exactly* the synchronous
+//! semantics). The interaction clock ticks once per matched pair, so
+//! budgets and throughput mean the same thing in both models.
 //!
 //! ```
 //! use doda_core::prelude::*;
 //! use doda_graph::NodeId;
 //!
 //! // A fixed round schedule: outer pairs aggregate first, then drain
-//! // into the sink. (Streaming round adversaries implement RoundSource
-//! // directly; doda-workloads ships random-matching / tournament /
-//! // interval-connected generators.)
-//! let mut schedule = MatchingSequence::new(6);
-//! schedule.push_round([(1, 2), (3, 4)]); // two disjoint pairs, one round
-//! schedule.push_round([(0, 1), (3, 5)]);
-//! schedule.push_round([(0, 3)]);
+//! // into the sink. (doda-workloads ships random-matching, tournament,
+//! // interval-connected and torus-contact round generators.)
+//! struct Schedule(Vec<Vec<(usize, usize)>>);
 //!
+//! impl RoundSource for Schedule {
+//!     fn node_count(&self) -> usize {
+//!         6
+//!     }
+//!
+//!     fn next_round(&mut self, round: Time, _: &AdversaryView<'_>, out: &mut Matching) -> bool {
+//!         let Some(pairs) = self.0.get(round as usize) else {
+//!             return false;
+//!         };
+//!         for &(a, b) in pairs {
+//!             out.push(Interaction::new(NodeId(a), NodeId(b)));
+//!         }
+//!         true
+//!     }
+//!
+//!     // The schedule never looks at who owns data, so the engine pulls
+//!     // it in bursts.
+//!     fn is_oblivious(&self) -> bool {
+//!         true
+//!     }
+//! }
+//!
+//! let mut rounds = FlattenedRounds::new(Schedule(vec![
+//!     vec![(1, 2), (3, 4)], // two disjoint pairs, one round
+//!     vec![(0, 1), (3, 5)],
+//!     vec![(0, 3)],
+//! ]));
 //! let mut engine: Engine<IdSet> = Engine::new();
-//! let stats = engine.run_rounds(
+//! let stats = engine.run(
 //!     &mut Gathering::new(),
-//!     &mut schedule.stream(false),
+//!     &mut rounds,
 //!     NodeId(0),
 //!     IdSet::singleton,
 //!     EngineConfig::sweep(1_000),
 //!     &mut DiscardTransmissions,
 //! )?;
-//! assert!(stats.run.terminated());
-//! assert_eq!(stats.rounds_processed, 3);
-//! assert_eq!(stats.run.interactions_processed, 5); // 2 + 2 + 1
+//! assert!(stats.terminated());
+//! assert_eq!(rounds.rounds_pulled(), 3);
+//! assert_eq!(stats.interactions_processed, 5); // 2 + 2 + 1
 //! assert!(engine.state().data_of(NodeId(0)).unwrap().covers_all(6));
-//!
-//! // Bridges: SingletonRounds lifts any pairwise source to rounds;
-//! // FlattenedRounds plays any round source as a pairwise stream (the
-//! // view knowledge oracles and fault plans consume).
-//! let flat = InteractionSequence::materialize(
-//!     &mut FlattenedRounds::new(schedule.stream(false)),
-//!     5,
-//! );
-//! assert_eq!(flat.len(), 5);
 //! # Ok::<(), doda_core::error::EngineError>(())
 //! ```
 //!
@@ -234,15 +246,15 @@ pub use byzantine::{
     Receipt, ReceiptSink, Tally, Verdict,
 };
 pub use engine::{
-    DiscardTransmissions, Engine, EngineCheckpoint, EngineConfig, RoundRunStats, RunProgress,
-    RunStats, StepOutcome, TransmissionSink,
+    DiscardTransmissions, Engine, EngineCheckpoint, EngineConfig, RunProgress, RunStats,
+    StepOutcome, TransmissionSink,
 };
 pub use fault::{CrashPolicy, FaultConfigError, FaultProfile, FaultedSource};
 pub use hierarchy::ClusterPlan;
 pub use interaction::{Interaction, Time, TimedInteraction};
 pub use lane::{LaneAlgorithm, LaneEngine, LaneRunStats, MAX_LANES};
 pub use outcome::{Completion, ExecutionOutcome, FaultTally, Transmission};
-pub use round::{FlattenedRounds, Matching, MatchingSequence, RoundSource, SingletonRounds};
+pub use round::{FlattenedRounds, Matching, RoundSource};
 pub use sequence::{CommittedStream, InteractionSequence, InteractionSource, StepEvent};
 
 /// Commonly used items, for glob import in examples and benchmarks.
@@ -260,8 +272,8 @@ pub mod prelude {
     pub use crate::cost::{self, Cost};
     pub use crate::data::{Aggregate, Count, IdSet, MaxData, MinData, SumData};
     pub use crate::engine::{
-        self, DiscardTransmissions, Engine, EngineCheckpoint, EngineConfig, RoundRunStats,
-        RunProgress, RunStats, StepOutcome, TransmissionSink,
+        self, DiscardTransmissions, Engine, EngineCheckpoint, EngineConfig, RunProgress, RunStats,
+        StepOutcome, TransmissionSink,
     };
     pub use crate::fault::{CrashPolicy, FaultConfigError, FaultProfile, FaultedSource};
     pub use crate::hierarchy::ClusterPlan;
@@ -271,9 +283,7 @@ pub mod prelude {
     };
     pub use crate::lane::{LaneAlgorithm, LaneEngine, LaneRunStats, MAX_LANES};
     pub use crate::outcome::{Completion, ExecutionOutcome, FaultTally, Transmission};
-    pub use crate::round::{
-        FlattenedRounds, Matching, MatchingSequence, RoundSource, SingletonRounds,
-    };
+    pub use crate::round::{FlattenedRounds, Matching, RoundSource};
     pub use crate::sequence::{
         AdversaryView, CommittedStream, InteractionSequence, InteractionSource, StepEvent,
     };

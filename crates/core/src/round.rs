@@ -3,65 +3,52 @@
 //! The paper's adversary schedules **one** pairwise interaction per time
 //! step, but the setting it models — and the dynamic-graph literature it
 //! sits in — is *synchronous rounds* in which many disjoint edges are live
-//! at once. This module generalises the streaming model to that setting:
+//! at once. This module describes that setting:
 //!
 //! * a [`Matching`] is a validated set of vertex-disjoint interactions —
 //!   the edges live in one round;
 //! * a [`RoundSource`] produces one matching per round, observing the same
 //!   adversary view as an [`InteractionSource`] (so round adversaries can
 //!   be adaptive);
-//! * [`crate::engine::Engine::run_rounds`] applies whole rounds against
-//!   the preallocated network state.
+//! * [`FlattenedRounds`] plays a round source as an [`InteractionSource`],
+//!   one interaction per time step in matching order.
 //!
 //! Because the edges of a matching are disjoint, no node takes part in two
 //! interactions of the same round, so applying a round's interactions in
 //! matching order is *exactly* the synchronous semantics: each decision
 //! depends only on the two endpoints' state at round start, which no other
-//! interaction of the round can touch.
-//!
-//! # Bridges to the pairwise world
-//!
-//! The two models embed into each other, and both embeddings are pinned by
-//! the `tests/round_equivalence.rs` proptest suite:
-//!
-//! * [`SingletonRounds`] lifts any [`InteractionSource`] to a
-//!   [`RoundSource`] of one-interaction rounds — running it through
-//!   [`Engine::run_rounds`] is byte-identical to the pairwise path;
-//! * [`FlattenedRounds`] plays a [`RoundSource`] as an
-//!   [`InteractionSource`], emitting each round's interactions one per
-//!   step (the matching is fixed when the round starts, preserving the
-//!   synchronous semantics). This is how round streams reach everything
-//!   built for the pairwise model — knowledge oracles via
-//!   [`crate::InteractionSequence::materialize`], and **fault plans** via
-//!   [`crate::fault::FaultedSource`], which wraps the flattened stream so
-//!   crash / churn / loss compose over round scenarios without the round
-//!   source knowing ("`FaultedSource`-style adaptation").
-//!
-//! [`Engine::run_rounds`]: crate::engine::Engine::run_rounds
+//! interaction of the round can touch. A round is therefore just a run of
+//! consecutive steps, and every round execution goes through the one
+//! engine event loop, [`crate::Engine::step_for`], or the lane engine.
+//! [`RoundSource::is_oblivious`] sources are pulled there in bursts, like
+//! any oblivious pairwise source. The flattened stream also reaches
+//! everything else built for the pairwise model: knowledge oracles via
+//! [`crate::InteractionSequence::materialize`], and fault plans via
+//! [`crate::fault::FaultedSource`], which wraps the flattened stream so
+//! crash / churn / loss compose over round scenarios without the round
+//! source knowing.
 
-use doda_graph::{Edge, NodeId};
+use doda_graph::NodeId;
 
 use crate::interaction::{Interaction, Time};
 use crate::sequence::{AdversaryView, InteractionSource};
 
-/// How many consecutive *empty* rounds the execution paths tolerate before
+/// How many consecutive *empty* rounds [`FlattenedRounds`] tolerates before
 /// treating a round source as exhausted.
 ///
 /// Empty rounds are legal (an evolving-graph window may contain no edge)
 /// but consume no interaction budget, so an endless run of them would hang
-/// the engine; both [`FlattenedRounds`] and
-/// [`crate::engine::Engine::run_rounds`] share this bound, which keeps the
-/// two execution paths equivalent on streams that interleave empty rounds.
+/// the engine.
 pub const MAX_CONSECUTIVE_EMPTY_ROUNDS: u64 = 65_536;
 
 /// A validated matching: a set of pairwise vertex-disjoint interactions
 /// over `n` nodes — the set of edges live in one synchronous round.
 ///
 /// Disjointness is enforced on insertion in `O(1)` per interaction, so a
-/// `Matching` is a matching *by construction* and the round engine never
-/// has to re-validate. The buffer is reusable: [`Matching::reset`] clears
-/// it in `O(len)` (not `O(n)`), which keeps the per-round cost of the
-/// engine proportional to the matching size.
+/// `Matching` is a matching *by construction* and nothing downstream has
+/// to re-validate. The buffer is reusable: [`Matching::reset`] clears it
+/// in `O(len)` (not `O(n)`), which keeps the per-round cost of
+/// [`FlattenedRounds`] proportional to the matching size.
 ///
 /// # Example
 ///
@@ -178,8 +165,8 @@ impl Matching {
     }
 
     /// Clears the matching and re-targets it to `n` nodes, retaining the
-    /// allocations where possible. The round engine resets one scratch
-    /// matching per round through this.
+    /// allocations where possible. [`FlattenedRounds`] resets its round
+    /// through this before pulling the next one.
     pub fn reset(&mut self, n: usize) {
         if n == self.n {
             self.clear();
@@ -204,13 +191,12 @@ impl Matching {
 
 /// A producer of synchronous rounds: one [`Matching`] per round.
 ///
-/// The engine calls [`next_round`] exactly once per round with strictly
-/// increasing round indices starting from 0, handing in a cleared matching
-/// sized to [`node_count`]. Like [`InteractionSource`], the view exposes
-/// the ownership bitmap, so round adversaries can be adaptive; sources
-/// that reset internal state when `round == 0` are reusable across
-/// executions (the same convention the adaptive pairwise adversaries
-/// follow).
+/// [`next_round`] is called once per round with strictly increasing round
+/// indices starting from 0, with a cleared matching sized to
+/// [`node_count`]. Like [`InteractionSource`], the view exposes the
+/// ownership bitmap, so round adversaries can be adaptive; sources that
+/// reset internal state when `round == 0` are reusable across executions
+/// (the same convention the adaptive pairwise adversaries follow).
 ///
 /// [`next_round`]: RoundSource::next_round
 /// [`node_count`]: RoundSource::node_count
@@ -224,6 +210,14 @@ pub trait RoundSource {
     /// [`node_count`](RoundSource::node_count); an empty round (no live
     /// edge) is expressed by returning `true` without pushing anything.
     fn next_round(&mut self, round: Time, view: &AdversaryView<'_>, out: &mut Matching) -> bool;
+
+    /// `true` iff the source never reads the ownership bitmap of the
+    /// [`AdversaryView`], with the same meaning and the same consumers as
+    /// [`InteractionSource::is_oblivious`]: [`FlattenedRounds`] forwards
+    /// it, so an oblivious round stream is pulled in bursts.
+    fn is_oblivious(&self) -> bool {
+        false
+    }
 }
 
 impl<R: RoundSource + ?Sized> RoundSource for &mut R {
@@ -233,6 +227,10 @@ impl<R: RoundSource + ?Sized> RoundSource for &mut R {
 
     fn next_round(&mut self, round: Time, view: &AdversaryView<'_>, out: &mut Matching) -> bool {
         (**self).next_round(round, view, out)
+    }
+
+    fn is_oblivious(&self) -> bool {
+        (**self).is_oblivious()
     }
 }
 
@@ -244,46 +242,9 @@ impl<R: RoundSource + ?Sized> RoundSource for Box<R> {
     fn next_round(&mut self, round: Time, view: &AdversaryView<'_>, out: &mut Matching) -> bool {
         (**self).next_round(round, view, out)
     }
-}
 
-/// Lifts an [`InteractionSource`] to a [`RoundSource`] of singleton
-/// rounds: round `r` contains exactly the interaction the inner source
-/// produces at time `r`.
-///
-/// Running a singleton-round stream through
-/// [`crate::engine::Engine::run_rounds`] is **byte-identical** to running
-/// the inner source through the pairwise path — the property that anchors
-/// the round model to the paper's (pinned by `tests/round_equivalence.rs`).
-#[derive(Debug, Clone)]
-pub struct SingletonRounds<S> {
-    inner: S,
-}
-
-impl<S: InteractionSource> SingletonRounds<S> {
-    /// Wraps `inner`.
-    pub fn new(inner: S) -> Self {
-        SingletonRounds { inner }
-    }
-
-    /// The wrapped pairwise source.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-}
-
-impl<S: InteractionSource> RoundSource for SingletonRounds<S> {
-    fn node_count(&self) -> usize {
-        self.inner.node_count()
-    }
-
-    fn next_round(&mut self, round: Time, view: &AdversaryView<'_>, out: &mut Matching) -> bool {
-        match self.inner.next_interaction(round, view) {
-            Some(interaction) => {
-                out.push(interaction);
-                true
-            }
-            None => false,
-        }
+    fn is_oblivious(&self) -> bool {
+        (**self).is_oblivious()
     }
 }
 
@@ -291,23 +252,24 @@ impl<S: InteractionSource> RoundSource for SingletonRounds<S> {
 /// matching is fixed when the round starts (preserving the synchronous
 /// semantics) and its interactions are then emitted one per time step, in
 /// matching order. Empty rounds are skipped transparently, up to
-/// [`MAX_CONSECUTIVE_EMPTY_ROUNDS`] in a row.
+/// [`MAX_CONSECUTIVE_EMPTY_ROUNDS`] in a row; after that many the stream
+/// ends.
 ///
-/// This is the bridge that lets round streams reach everything built for
-/// the pairwise model: `InteractionSequence::materialize` for the
-/// knowledge oracles, and [`crate::fault::FaultedSource`] for fault
-/// plans — wrapping a flattened round stream gives round scenarios the
-/// whole crash / churn / loss axis without the round source knowing.
+/// An oblivious round source ([`RoundSource::is_oblivious`]) makes the
+/// flattened stream oblivious too, and [`InteractionSource::next_interaction_batch`] then
+/// copies whole rounds into a burst: a burst that ends inside a round
+/// keeps the rest of it buffered for the next pull, exactly as per-step
+/// pulls would.
 ///
 /// Like the adaptive adversaries, the adapter resets itself at `t = 0`,
 /// so one instance can be reused across executions deterministically.
 #[derive(Debug, Clone)]
 pub struct FlattenedRounds<R> {
     inner: R,
-    buffer: Vec<Interaction>,
+    /// The round being emitted; its first `cursor` interactions are out.
+    round: Matching,
     cursor: usize,
     rounds_pulled: Time,
-    scratch: Matching,
 }
 
 impl<R: RoundSource> FlattenedRounds<R> {
@@ -316,21 +278,52 @@ impl<R: RoundSource> FlattenedRounds<R> {
         let n = inner.node_count();
         FlattenedRounds {
             inner,
-            buffer: Vec::new(),
+            round: Matching::new(n),
             cursor: 0,
             rounds_pulled: 0,
-            scratch: Matching::new(n),
         }
     }
 
-    /// The wrapped round source.
-    pub fn inner(&self) -> &R {
-        &self.inner
-    }
-
-    /// Number of rounds pulled from the inner source so far.
+    /// Number of rounds pulled from the inner source in this execution,
+    /// empty ones included.
     pub fn rounds_pulled(&self) -> Time {
         self.rounds_pulled
+    }
+
+    /// Starts a fresh execution: a half-emitted round from a previous run
+    /// must not leak into this one.
+    fn restart(&mut self) {
+        self.round.clear();
+        self.cursor = 0;
+        self.rounds_pulled = 0;
+    }
+
+    /// Makes sure the current round has an interaction left to emit,
+    /// pulling the next non-empty round once the current one is spent.
+    /// Returns `false` when the inner source ends, or after
+    /// [`MAX_CONSECUTIVE_EMPTY_ROUNDS`] empty rounds in a row.
+    fn refill(&mut self, view: &AdversaryView<'_>) -> bool {
+        if self.cursor < self.round.len() {
+            return true;
+        }
+        let n = self.inner.node_count();
+        for _ in 0..MAX_CONSECUTIVE_EMPTY_ROUNDS {
+            self.round.reset(n);
+            self.cursor = 0;
+            if !self
+                .inner
+                .next_round(self.rounds_pulled, view, &mut self.round)
+            {
+                // Whatever an ending source pushed is not a round.
+                self.round.clear();
+                return false;
+            }
+            self.rounds_pulled += 1;
+            if !self.round.is_empty() {
+                return true;
+            }
+        }
+        false
     }
 }
 
@@ -341,189 +334,46 @@ impl<R: RoundSource> InteractionSource for FlattenedRounds<R> {
 
     fn next_interaction(&mut self, t: Time, view: &AdversaryView<'_>) -> Option<Interaction> {
         if t == 0 {
-            // A fresh execution: a half-emitted round from a previous run
-            // must not leak into this one.
-            self.buffer.clear();
-            self.cursor = 0;
-            self.rounds_pulled = 0;
+            self.restart();
         }
-        let mut consecutive_empty = 0u64;
-        loop {
-            if self.cursor < self.buffer.len() {
-                let interaction = self.buffer[self.cursor];
-                self.cursor += 1;
-                return Some(interaction);
-            }
-            self.scratch.reset(self.inner.node_count());
-            if !self
-                .inner
-                .next_round(self.rounds_pulled, view, &mut self.scratch)
-            {
-                return None;
-            }
-            self.rounds_pulled += 1;
-            if self.scratch.is_empty() {
-                consecutive_empty += 1;
-                if consecutive_empty >= MAX_CONSECUTIVE_EMPTY_ROUNDS {
-                    return None;
-                }
-                continue;
-            }
-            self.buffer.clear();
-            self.buffer.extend_from_slice(self.scratch.as_slice());
-            self.cursor = 0;
+        if !self.refill(view) {
+            return None;
         }
+        let interaction = self.round.as_slice()[self.cursor];
+        self.cursor += 1;
+        Some(interaction)
     }
-}
 
-/// A finite sequence of matchings — the round-model counterpart of
-/// [`crate::InteractionSequence`], and the landing point of the
-/// evolving-graph bridge (`doda_graph::EvolvingGraph::window_matchings`).
-///
-/// # Example
-///
-/// ```
-/// use doda_core::MatchingSequence;
-///
-/// let mut schedule = MatchingSequence::new(4);
-/// schedule.push_round([(0, 1), (2, 3)]);
-/// schedule.push_round([(1, 2)]);
-/// assert_eq!(schedule.len(), 2);
-/// assert_eq!(schedule.round(0).unwrap().len(), 2);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MatchingSequence {
-    n: usize,
-    rounds: Vec<Vec<Interaction>>,
-}
+    fn is_oblivious(&self) -> bool {
+        self.inner.is_oblivious()
+    }
 
-impl MatchingSequence {
-    /// Creates an empty schedule over `n` nodes.
-    pub fn new(n: usize) -> Self {
-        MatchingSequence {
-            n,
-            rounds: Vec::new(),
+    fn next_interaction_batch(
+        &mut self,
+        t0: Time,
+        view: &AdversaryView<'_>,
+        out: &mut Vec<Interaction>,
+        max: usize,
+    ) {
+        if t0 == 0 {
+            self.restart();
         }
-    }
-
-    /// Appends one round given as raw index pairs, validating that they
-    /// form a matching.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a pair is out of range or shares a node with another pair
-    /// of the same round.
-    pub fn push_round<I>(&mut self, pairs: I)
-    where
-        I: IntoIterator<Item = (usize, usize)>,
-    {
-        self.push_interactions(
-            pairs
-                .into_iter()
-                .map(|(a, b)| Interaction::new(NodeId(a), NodeId(b))),
-        );
-    }
-
-    /// Appends one round of interactions, validating the matching property.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an interaction is out of range or shares a node with
-    /// another interaction of the same round.
-    pub fn push_interactions<I>(&mut self, interactions: I)
-    where
-        I: IntoIterator<Item = Interaction>,
-    {
-        let mut m = Matching::new(self.n);
-        for i in interactions {
-            m.push(i);
+        // One reservation for the whole burst: growing `out` a round at a
+        // time would round its capacity up well past `max`.
+        out.reserve(max);
+        let mut left = max;
+        while left > 0 && self.refill(view) {
+            let pending = &self.round.as_slice()[self.cursor..];
+            let take = pending.len().min(left);
+            out.extend_from_slice(&pending[..take]);
+            self.cursor += take;
+            left -= take;
         }
-        self.rounds.push(m.as_slice().to_vec());
-    }
-
-    /// Builds a schedule from per-round edge lists — the shape produced by
-    /// `doda_graph::EvolvingGraph::window_matchings`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a round is not a matching over `n` nodes.
-    pub fn from_edge_rounds<I, J>(n: usize, rounds: I) -> Self
-    where
-        I: IntoIterator<Item = J>,
-        J: IntoIterator<Item = Edge>,
-    {
-        let mut seq = MatchingSequence::new(n);
-        for round in rounds {
-            seq.push_interactions(round.into_iter().map(|e| Interaction::new(e.a, e.b)));
-        }
-        seq
-    }
-
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.n
-    }
-
-    /// Number of rounds.
-    pub fn len(&self) -> usize {
-        self.rounds.len()
-    }
-
-    /// Returns `true` if the schedule has no rounds.
-    pub fn is_empty(&self) -> bool {
-        self.rounds.is_empty()
-    }
-
-    /// The interactions of round `r`, if within the schedule.
-    pub fn round(&self, r: usize) -> Option<&[Interaction]> {
-        self.rounds.get(r).map(Vec::as_slice)
-    }
-
-    /// Total number of interactions across all rounds.
-    pub fn interaction_count(&self) -> usize {
-        self.rounds.iter().map(Vec::len).sum()
-    }
-
-    /// A borrowing [`RoundSource`] replaying this schedule, optionally
-    /// cycling through it forever.
-    pub fn stream(&self, cycle: bool) -> MatchingReplay<'_> {
-        MatchingReplay { seq: self, cycle }
-    }
-}
-
-/// Borrowing [`RoundSource`] over a [`MatchingSequence`], created by
-/// [`MatchingSequence::stream`].
-#[derive(Debug, Clone)]
-pub struct MatchingReplay<'a> {
-    seq: &'a MatchingSequence,
-    cycle: bool,
-}
-
-impl RoundSource for MatchingReplay<'_> {
-    fn node_count(&self) -> usize {
-        self.seq.node_count()
-    }
-
-    fn next_round(&mut self, round: Time, _view: &AdversaryView<'_>, out: &mut Matching) -> bool {
-        if self.seq.is_empty() {
-            return false;
-        }
-        let idx = if self.cycle {
-            (round as usize) % self.seq.len()
-        } else if (round as usize) < self.seq.len() {
-            round as usize
-        } else {
-            return false;
-        };
-        for &interaction in &self.seq.rounds[idx] {
-            out.push(interaction);
-        }
-        true
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::sequence::InteractionSequence;
 
@@ -531,6 +381,81 @@ mod tests {
         AdversaryView {
             owns_data: owns,
             sink,
+        }
+    }
+
+    /// A round source over a fixed list of rounds, each a list of index
+    /// pairs; it ends after the last one.
+    pub(crate) struct Schedule {
+        pub(crate) n: usize,
+        pub(crate) rounds: Vec<Vec<(usize, usize)>>,
+    }
+
+    impl RoundSource for Schedule {
+        fn node_count(&self) -> usize {
+            self.n
+        }
+
+        fn next_round(&mut self, round: Time, _: &AdversaryView<'_>, out: &mut Matching) -> bool {
+            let Some(pairs) = self.rounds.get(round as usize) else {
+                return false;
+            };
+            for &(a, b) in pairs {
+                out.push(Interaction::new(NodeId(a), NodeId(b)));
+            }
+            true
+        }
+
+        fn is_oblivious(&self) -> bool {
+            true
+        }
+    }
+
+    /// Lifts a pairwise source to one-interaction rounds: round `r` holds
+    /// the interaction the inner source produces at time `r`.
+    pub(crate) struct Singletons<S>(pub(crate) S);
+
+    impl<S: InteractionSource> RoundSource for Singletons<S> {
+        fn node_count(&self) -> usize {
+            self.0.node_count()
+        }
+
+        fn next_round(
+            &mut self,
+            round: Time,
+            view: &AdversaryView<'_>,
+            out: &mut Matching,
+        ) -> bool {
+            self.0
+                .next_interaction(round, view)
+                .map(|interaction| out.push(interaction))
+                .is_some()
+        }
+
+        fn is_oblivious(&self) -> bool {
+            self.0.is_oblivious()
+        }
+    }
+
+    /// Drains `flat` from `t = 0` in bursts of `burst` interactions (one
+    /// per-step pull each when `burst` is 0), until the stream ends.
+    fn drain<R: RoundSource>(flat: &mut FlattenedRounds<R>, burst: usize) -> Vec<Interaction> {
+        let owns = vec![true; flat.node_count()];
+        let view = view_all(&owns, NodeId(0));
+        let mut out = Vec::new();
+        loop {
+            let t = out.len() as Time;
+            if burst == 0 {
+                match flat.next_interaction(t, &view) {
+                    Some(interaction) => out.push(interaction),
+                    None => return out,
+                }
+            } else {
+                flat.next_interaction_batch(t, &view, &mut out, burst);
+                if out.len() < t as usize + burst {
+                    return out;
+                }
+            }
         }
     }
 
@@ -584,26 +509,21 @@ mod tests {
     #[test]
     fn singleton_rounds_mirror_the_inner_source() {
         let seq = InteractionSequence::from_pairs(4, vec![(0, 1), (2, 3), (1, 2)]);
-        let mut rounds = SingletonRounds::new(seq.stream(false));
-        assert_eq!(rounds.node_count(), 4);
-        let owns = vec![true; 4];
-        let view = view_all(&owns, NodeId(0));
-        let mut out = Matching::new(4);
-        for t in 0..3u64 {
-            out.reset(4);
-            assert!(rounds.next_round(t, &view, &mut out));
-            assert_eq!(out.as_slice(), &[seq.get(t).unwrap()]);
+        let expected: Vec<_> = (0..3).map(|t| seq.get(t).unwrap()).collect();
+        for burst in [0, 1, 2, 256] {
+            let mut flat = FlattenedRounds::new(Singletons(seq.stream(false)));
+            assert!(flat.is_oblivious());
+            assert_eq!(drain(&mut flat, burst), expected, "burst {burst}");
+            assert_eq!(flat.rounds_pulled(), 3);
         }
-        out.reset(4);
-        assert!(!rounds.next_round(3, &view, &mut out));
     }
 
     #[test]
     fn flattened_rounds_emit_matchings_in_order_and_reset_at_t0() {
-        let mut schedule = MatchingSequence::new(5);
-        schedule.push_round([(0, 1), (2, 3)]);
-        schedule.push_round([(1, 4)]);
-        let mut flat = FlattenedRounds::new(schedule.stream(false));
+        let mut flat = FlattenedRounds::new(Schedule {
+            n: 5,
+            rounds: vec![vec![(0, 1), (2, 3)], vec![(1, 4)]],
+        });
         let owns = vec![true; 5];
         let view = view_all(&owns, NodeId(0));
         let expected = [
@@ -626,11 +546,10 @@ mod tests {
 
     #[test]
     fn flattened_rounds_skip_empty_rounds() {
-        let mut schedule = MatchingSequence::new(3);
-        schedule.push_round(Vec::<(usize, usize)>::new());
-        schedule.push_round([(1, 2)]);
-        schedule.push_round(Vec::<(usize, usize)>::new());
-        let mut flat = FlattenedRounds::new(schedule.stream(false));
+        let mut flat = FlattenedRounds::new(Schedule {
+            n: 3,
+            rounds: vec![vec![], vec![(1, 2)], vec![]],
+        });
         let owns = vec![true; 3];
         let view = view_all(&owns, NodeId(0));
         assert_eq!(
@@ -656,52 +575,86 @@ mod tests {
                 true
             }
         }
-        let mut flat = FlattenedRounds::new(AlwaysEmpty);
-        let owns = vec![true; 3];
-        let view = view_all(&owns, NodeId(0));
-        assert_eq!(flat.next_interaction(0, &view), None);
-        assert_eq!(flat.rounds_pulled(), MAX_CONSECUTIVE_EMPTY_ROUNDS);
+        for burst in [0, 256] {
+            let mut flat = FlattenedRounds::new(AlwaysEmpty);
+            assert!(drain(&mut flat, burst).is_empty());
+            assert_eq!(flat.rounds_pulled(), MAX_CONSECUTIVE_EMPTY_ROUNDS);
+        }
     }
 
+    /// Bursts of every size give the per-step stream: a burst that ends
+    /// inside a round resumes it, a run of one empty round fewer than the
+    /// limit is skipped, and a run that reaches the limit ends the stream
+    /// before the round behind it.
     #[test]
-    fn matching_sequence_replays_and_cycles() {
-        let schedule = MatchingSequence::from_edge_rounds(
-            4,
-            vec![
-                vec![
-                    Edge::new(NodeId(0), NodeId(1)),
-                    Edge::new(NodeId(2), NodeId(3)),
-                ],
-                vec![Edge::new(NodeId(1), NodeId(2))],
-            ],
-        );
-        assert_eq!(schedule.len(), 2);
-        assert_eq!(schedule.interaction_count(), 3);
-        assert_eq!(schedule.round(1).unwrap().len(), 1);
-        assert!(schedule.round(2).is_none());
-
-        let owns = vec![true; 4];
-        let view = view_all(&owns, NodeId(0));
-        let mut out = Matching::new(4);
-        let mut replay = schedule.stream(true);
-        out.reset(4);
-        assert!(replay.next_round(5, &view, &mut out)); // 5 % 2 == 1
-        assert_eq!(out.len(), 1);
-
-        let mut finite = schedule.stream(false);
-        out.reset(4);
-        assert!(!finite.next_round(2, &view, &mut out));
-
-        let empty = MatchingSequence::new(4);
-        let mut dry = empty.stream(true);
-        out.reset(4);
-        assert!(!dry.next_round(0, &view, &mut out));
+    fn burst_pulls_equal_per_step_pulls() {
+        let empty = |k: u64| vec![Vec::new(); k as usize];
+        let schedule = || {
+            let mut rounds = vec![vec![(0, 1), (2, 3), (4, 5)], vec![(1, 2)]];
+            rounds.extend(empty(MAX_CONSECUTIVE_EMPTY_ROUNDS - 1));
+            rounds.push(vec![(3, 4), (0, 5)]);
+            rounds.push(vec![(0, 2), (1, 3), (4, 5)]);
+            rounds.extend(empty(MAX_CONSECUTIVE_EMPTY_ROUNDS));
+            rounds.push(vec![(0, 1)]);
+            FlattenedRounds::new(Schedule { n: 6, rounds })
+        };
+        let pairs = [
+            (0, 1),
+            (2, 3),
+            (4, 5),
+            (1, 2),
+            (3, 4),
+            (0, 5),
+            (0, 2),
+            (1, 3),
+            (4, 5),
+        ];
+        let expected: Vec<_> = pairs
+            .iter()
+            .map(|&(a, b)| Interaction::new(NodeId(a), NodeId(b)))
+            .collect();
+        for burst in [0, 1, 2, 3, 4, 5, 8, 256] {
+            let mut flat = schedule();
+            assert_eq!(drain(&mut flat, burst), expected, "burst {burst}");
+            assert_eq!(
+                flat.rounds_pulled(),
+                2 * MAX_CONSECUTIVE_EMPTY_ROUNDS + 3,
+                "burst {burst}"
+            );
+        }
     }
 
+    /// One instance serves a second run from `t = 0` after the first
+    /// paused inside a round, whichever way either run pulls.
     #[test]
-    #[should_panic(expected = "shares a node")]
-    fn matching_sequence_rejects_non_matchings() {
-        let mut schedule = MatchingSequence::new(4);
-        schedule.push_round([(0, 1), (1, 2)]);
+    fn one_flattened_stream_serves_two_runs_after_a_mid_round_pause() {
+        let mut flat = FlattenedRounds::new(Schedule {
+            n: 6,
+            rounds: vec![vec![(0, 1), (2, 3), (4, 5)], vec![(1, 2), (3, 4)]],
+        });
+        let fresh = drain(&mut flat, 0);
+        assert_eq!(fresh.len(), 5);
+        let owns = vec![true; 6];
+        let view = view_all(&owns, NodeId(0));
+        for paused_after in [1, 2, 4] {
+            for first_burst in [0, paused_after] {
+                for second_burst in [0, 1, 2, 256] {
+                    let mut first = Vec::new();
+                    if first_burst == 0 {
+                        for t in 0..paused_after as Time {
+                            first.extend(flat.next_interaction(t, &view));
+                        }
+                    } else {
+                        flat.next_interaction_batch(0, &view, &mut first, first_burst);
+                    }
+                    assert_eq!(first, fresh[..paused_after]);
+                    assert_eq!(
+                        drain(&mut flat, second_burst),
+                        fresh,
+                        "paused after {paused_after}, bursts {first_burst} then {second_burst}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -106,16 +106,19 @@ pub trait InteractionSource {
         self.next_interaction(t, view).map(StepEvent::Interaction)
     }
 
-    /// `true` iff the source never reads the [`AdversaryView`] — its stream
-    /// is a function of its own state and `t` alone (the paper's
-    /// *oblivious* adversaries, and every synthetic workload generator).
+    /// `true` iff the source never reads the ownership bitmap of the
+    /// [`AdversaryView`] — its stream is a function of its own state, `t`
+    /// and at most the view's sink, which is fixed for a run (the paper's
+    /// *oblivious* adversaries, every synthetic workload generator, and
+    /// flattened oblivious round streams).
     ///
     /// Oblivious sources are pulled in bursts of up to [`PULL_BATCH`]
     /// ([`next_interaction_batch`]) by both consumers of a stream:
     /// [`crate::Engine::step_for`] and the lane engine's fast path. Each
-    /// samples the view once per burst. Adaptive adversaries, the fault
-    /// layer and incrementally fed inboxes must keep the default `false`:
-    /// the engine then pulls one [`next_event`] per step.
+    /// samples the view once per burst, so the ownership bitmap a burst
+    /// sees may be stale, but its sink is the run's. Adaptive adversaries,
+    /// the fault layer and incrementally fed inboxes must keep the default
+    /// `false`: the engine then pulls one [`next_event`] per step.
     ///
     /// [`next_event`]: InteractionSource::next_event
     /// [`next_interaction_batch`]: InteractionSource::next_interaction_batch

@@ -21,7 +21,7 @@
 //! * [`sweep::Sweep`] is the unified batch builder: scenario or workload ×
 //!   algorithm × trials × seed × parallelism × execution tier
 //!   ([`sweep::ExecutionTier`]: auto / scalar / lockstep **lanes** /
-//!   native rounds);
+//!   hierarchical);
 //! * [`runner`] holds the batch shape and summary, and
 //!   [`runner::claim_chunks`], the claim-based dispatcher that shards a
 //!   sweep's trials, and the service's sessions, over worker threads;

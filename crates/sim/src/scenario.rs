@@ -163,9 +163,8 @@ impl Scenario {
     }
 
     /// `true` iff the scenario is **round-based**: it natively yields a
-    /// matching of disjoint interactions per synchronous round (see
-    /// [`Scenario::round_source`]). Its pairwise [`source`] view is the
-    /// flattened round stream.
+    /// matching of disjoint interactions per synchronous round. Its
+    /// [`source`] is the flattened round stream, which every tier runs.
     ///
     /// [`source`]: Scenario::source
     pub fn is_round(&self) -> bool {
@@ -229,15 +228,8 @@ impl Scenario {
     }
 
     /// A seeded **round** source over `n` nodes, for the round scenarios
-    /// (`None` for the pairwise ones). This is the native view the round
-    /// engine ([`doda_core::Engine::run_rounds`]) consumes; the
-    /// [`source`](Scenario::source) view of the same scenario is the
-    /// flattened equivalent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n < self.min_nodes()`.
-    pub fn round_source(&self, n: usize, seed: u64) -> Option<Box<dyn RoundSource + Send>> {
+    /// (`None` for the pairwise ones); [`Scenario::source`] flattens it.
+    fn round_source(&self, n: usize, seed: u64) -> Option<Box<dyn RoundSource + Send>> {
         match self {
             Scenario::RandomMatching => Some(RandomMatchingWorkload::new(n).rounds(seed)),
             Scenario::Tournament => Some(TournamentWorkload::new(n).rounds(seed)),
@@ -629,10 +621,7 @@ mod tests {
             .filter(|s| !s.is_adaptive())
             .map(|s| {
                 let n = s.min_nodes().max(9);
-                // Flattened round streams pull per step; the rest batch.
-                if s.round_source(n, 13).is_none() {
-                    assert!(s.source(n, 13).is_oblivious(), "{s}");
-                }
+                assert!(s.source(n, 13).is_oblivious(), "{s}");
                 let make: MakeSource = Box::new(move || s.source(n, 13));
                 (s.to_string(), make)
             })
@@ -845,6 +834,8 @@ mod tests {
                     round_scenarios += 1;
                     assert!(s.is_round(), "{s}");
                     assert!(!s.is_adaptive(), "{s}");
+                    // Every round stream is pulled in bursts.
+                    assert!(rounds.is_oblivious(), "{s}");
                     assert_eq!(rounds.node_count(), n, "{s}");
                     // The pairwise view is exactly the flattened schedule.
                     let mut flat = doda_core::FlattenedRounds::new(rounds);

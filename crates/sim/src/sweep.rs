@@ -29,14 +29,17 @@
 //! |------|-----------|---------------------------------------|
 //! | materialised scalar | against a committed schedule: [`TrialRunner::run_lookahead`] for `meetTime` specs, [`TrialRunner::run`] over a per-worker scratch sequence for the rest | the spec's oracles need the future |
 //! | streamed scalar | [`TrialRunner::run_streamed`], `O(n)` memory | a fault or Byzantine plan is present (both are scalar-path features), or no faster tier applies |
-//! | native rounds | [`TrialRunner::run_rounds`], one matching per round | the scenario is round-based, fault-free and honest, spec knowledge-free |
-//! | **lanes** | [`TrialRunner::run_lane_batch`]: up to 64 trials in lockstep through bit-lane state | the spec has a lane kernel ([`AlgorithmSpec::lane_algorithm`]), the trials are fault-free, honest and pairwise, and the aggregate is the default |
+//! | **lanes** | [`TrialRunner::run_lane_batch`]: up to 64 trials in lockstep through bit-lane state | the spec has a lane kernel ([`AlgorithmSpec::lane_algorithm`]), the trials are fault-free and honest, and the aggregate is the default |
 //! | **hierarchical** | [`TrialRunner::run_hierarchical`]: cluster election, intra-cluster aggregation, then an aggregator-only phase | never — opt in with [`Sweep::tier`] |
 //!
+//! Round scenarios have no tier of their own: every tier runs their
+//! flattened stream ([`Scenario::source`]), pulled in bursts when the
+//! round source is oblivious, like any pairwise stream.
+//!
 //! Every flat tier is byte-identical per trial to the scalar reference on
-//! the same seeds — pinned by `tests/lane_equivalence.rs` and
-//! `tests/round_equivalence.rs` — so [`ExecutionTier::Auto`] (the
-//! default) is purely a performance decision, never a semantic one. Trial
+//! the same seeds — pinned by `tests/lane_equivalence.rs` — so
+//! [`ExecutionTier::Auto`] (the default) is purely a performance decision,
+//! never a semantic one. Trial
 //! `i` always draws sub-seed `i` of the sweep seed regardless of worker
 //! count or lane grouping, so serial and parallel runs of any tier are
 //! byte-identical too.
@@ -75,8 +78,7 @@ pub enum ExecutionTier {
     #[default]
     Auto,
     /// Force the scalar reference path: materialised for knowledge-based
-    /// specs, streamed otherwise — never native rounds, never lanes. Round
-    /// scenarios run their flattened pairwise stream.
+    /// specs, streamed otherwise — never lanes.
     Scalar,
     /// Force the lane tier: knowledge-free, fault-free trials stepped in
     /// lockstep through `[u64]` bit-lane state, up to
@@ -86,14 +88,6 @@ pub enum ExecutionTier {
     /// Sweeps panic if the spec has no lane kernel or a fault plan is
     /// present.
     Lanes,
-    /// Force the native round path: one matching of disjoint interactions
-    /// applied per synchronous round.
-    ///
-    /// Sweeps panic unless the scenario is round-based
-    /// ([`crate::scenario::Scenario::is_round`]), fault-free, and the spec
-    /// is knowledge-free. Workload sweeps (pairwise by construction) panic
-    /// too.
-    Rounds,
     /// Force hierarchical aggregation: a seeded
     /// [`doda_core::hierarchy::ClusterPlan`] election partitions the
     /// non-sink nodes into clusters of [`Sweep::cluster_size`] (default
@@ -136,7 +130,6 @@ enum Path {
     Materialized,
     Streamed,
     Lanes,
-    Rounds,
     Hierarchical,
 }
 
@@ -147,8 +140,8 @@ struct Plan<'s> {
     n: usize,
     horizon: usize,
     path: Path,
-    /// The scenario behind the sweep: the round and hierarchical tiers
-    /// build their streams from it (`None` for a workload).
+    /// The scenario behind the sweep: the hierarchical tier builds its
+    /// streams from it (`None` for a workload).
     scenario: Option<Scenario>,
     /// The hierarchical tier's target cluster size.
     cluster_size: usize,
@@ -231,8 +224,8 @@ impl<'a> Sweep<'a> {
         self
     }
 
-    /// Sets the per-trial horizon: the engine budget of streamed / round /
-    /// lane trials and the committed length of oracle trials. `None`
+    /// Sets the per-trial horizon: the engine budget of streamed and lane
+    /// trials and the committed length of oracle trials. `None`
     /// (the default) uses the generous `8·n²` of
     /// [`doda_adversary::RandomizedAdversary::default_horizon`].
     pub fn horizon(mut self, horizon: Option<usize>) -> Self {
@@ -313,8 +306,8 @@ impl<'a> Sweep<'a> {
     ///
     /// The audited path is scalar: [`ExecutionTier::Auto`] resolves
     /// byzantine sweeps to the streamed (or materialised) tier, and
-    /// forcing [`ExecutionTier::Lanes`], [`ExecutionTier::Rounds`] or
-    /// [`ExecutionTier::Hierarchical`] panics at [`Sweep::run`].
+    /// forcing [`ExecutionTier::Lanes`] or [`ExecutionTier::Hierarchical`]
+    /// panics at [`Sweep::run`].
     pub fn byzantine(mut self, profile: ByzantineProfile) -> Self {
         self.byzantine = Some(profile);
         self
@@ -331,8 +324,8 @@ impl<'a> Sweep<'a> {
     }
 
     /// The label of the execution path this sweep will actually run —
-    /// `"materialized"`, `"streamed"`, `"rounds"`, `"lanes"` or
-    /// `"hierarchical"` — resolved from the tier, the spec and the
+    /// `"materialized"`, `"streamed"`, `"lanes"` or `"hierarchical"` —
+    /// resolved from the tier, the spec and the
     /// interaction family exactly as [`Sweep::run`] resolves it.
     /// `doda-bench` stamps this into each grid cell's `mode` column.
     ///
@@ -351,7 +344,6 @@ impl<'a> Sweep<'a> {
         match self.plan().path {
             Path::Materialized => "materialized",
             Path::Streamed => "streamed",
-            Path::Rounds => "rounds",
             Path::Lanes => "lanes",
             Path::Hierarchical => "hierarchical",
         }
@@ -477,7 +469,6 @@ impl<'a> Sweep<'a> {
         }
 
         let materialize = spec.requires_materialization();
-        let round = scenario.is_some_and(|s| s.is_round());
         // Fault and Byzantine plans run on the scalar tiers only.
         let scalar_only = |tier: &str| {
             assert!(
@@ -496,7 +487,6 @@ impl<'a> Sweep<'a> {
             // Both planes are scalar-path features: faults perturb the
             // stream, byzantine plans need the audited engine.
             ExecutionTier::Auto if faults.is_some() || byzantine.is_some() => Path::Streamed,
-            ExecutionTier::Auto if round => Path::Rounds,
             ExecutionTier::Auto if spec.lane_algorithm().is_some() => Path::Lanes,
             ExecutionTier::Auto => Path::Streamed,
             ExecutionTier::Scalar if materialize => Path::Materialized,
@@ -509,19 +499,6 @@ impl<'a> Sweep<'a> {
                 );
                 scalar_only("lane");
                 Path::Lanes
-            }
-            ExecutionTier::Rounds => {
-                assert!(
-                    round,
-                    "{subject} is pairwise; the round tier needs a round scenario"
-                );
-                scalar_only("round");
-                assert!(
-                    !materialize,
-                    "{spec} requires {} knowledge and cannot run round-streamed",
-                    spec.knowledge()
-                );
-                Path::Rounds
             }
             ExecutionTier::Hierarchical => {
                 assert!(
@@ -646,18 +623,6 @@ impl<'a> Sweep<'a> {
                                     family,
                                 )
                             }
-                            Path::Rounds => {
-                                let mut rounds = plan
-                                    .scenario
-                                    .and_then(|s| s.round_source(plan.n, seed))
-                                    .expect("the round path only resolves for round scenarios");
-                                runner.run_rounds(
-                                    spec,
-                                    rounds.as_mut(),
-                                    &config(seed, budget),
-                                    family,
-                                )
-                            }
                             Path::Hierarchical => runner.run_hierarchical(
                                 spec,
                                 plan.scenario
@@ -720,7 +685,6 @@ mod tests {
                 AlgorithmSpec::Waiting,
                 Scenario::Vehicular.with_faults(FaultProfile::crash(0.002)),
             ),
-            "rounds" => Sweep::scenario(AlgorithmSpec::Gathering, Scenario::RandomMatching),
             "hierarchical" => Sweep::scenario(AlgorithmSpec::Gathering, Scenario::Uniform)
                 .tier(ExecutionTier::Hierarchical),
             _ => Sweep::scenario(AlgorithmSpec::Waiting, Scenario::Uniform),
@@ -728,7 +692,6 @@ mod tests {
         let paths = [
             ("materialized", MAX_LANES),
             ("streamed", MAX_LANES),
-            ("rounds", MAX_LANES),
             ("hierarchical", MAX_LANES),
             ("lanes", 1),
             ("lanes", 7),
@@ -803,29 +766,6 @@ mod tests {
             .run();
         assert_eq!(results.len(), 3);
         assert!(results.iter().all(|r| r.n == 9 && r.terminated()));
-    }
-
-    #[test]
-    fn rounds_tier_matches_auto_on_round_scenarios() {
-        let auto = Sweep::scenario(AlgorithmSpec::Gathering, Scenario::RandomMatching)
-            .n(12)
-            .trials(5)
-            .horizon(Some(5_000))
-            .run();
-        let pinned = Sweep::scenario(AlgorithmSpec::Gathering, Scenario::RandomMatching)
-            .n(12)
-            .trials(5)
-            .horizon(Some(5_000))
-            .tier(ExecutionTier::Rounds)
-            .run();
-        let scalar = Sweep::scenario(AlgorithmSpec::Gathering, Scenario::RandomMatching)
-            .n(12)
-            .trials(5)
-            .horizon(Some(5_000))
-            .tier(ExecutionTier::Scalar)
-            .run();
-        assert_eq!(auto, pinned);
-        assert_eq!(auto, scalar);
     }
 
     #[test]
@@ -928,15 +868,6 @@ mod tests {
         let _ = Sweep::scenario(AlgorithmSpec::OfflineOptimal, Scenario::Uniform)
             .n(10)
             .tier(ExecutionTier::Lanes)
-            .run();
-    }
-
-    #[test]
-    #[should_panic(expected = "needs a round scenario")]
-    fn rounds_tier_rejects_pairwise_scenarios() {
-        let _ = Sweep::scenario(AlgorithmSpec::Gathering, Scenario::Uniform)
-            .n(10)
-            .tier(ExecutionTier::Rounds)
             .run();
     }
 

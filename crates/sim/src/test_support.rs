@@ -97,9 +97,8 @@ pub fn byzantine_free_registry_cases() -> Vec<FaultedScenario> {
 }
 
 /// The registry entries whose base schedule is round-based — plain,
-/// faulted, and Byzantine variants. For the round-equivalence suite:
-/// fault-free entries route through the native round path, faulted and
-/// Byzantine entries through the flattened stream.
+/// faulted, and Byzantine variants, all of which run the flattened round
+/// stream. For the round-scenario sweep suite.
 pub fn round_registry_cases() -> Vec<FaultedScenario> {
     FaultedScenario::registry()
         .into_iter()

@@ -10,8 +10,8 @@
 //! (`O(n)` memory, any source) differ only in how they build the
 //! algorithm and whether they price the cost: all run one execution,
 //! where a fault plan wraps the source and a Byzantine plan selects the
-//! audited data plane. The round, lane and hierarchical tiers are
-//! fault-free and honest.
+//! audited data plane. Round streams run flattened on every path. The
+//! lane and hierarchical tiers are fault-free and honest.
 
 use doda_core::algebra::AggregateSummary;
 use doda_core::byzantine::{ByzantineInjector, ByzantineProfile, Tally, Verdict};
@@ -22,7 +22,6 @@ use doda_core::fault::{FaultProfile, FaultedSource};
 use doda_core::hierarchy::ClusterPlan;
 use doda_core::lane::{LaneEngine, LaneRunStats};
 use doda_core::outcome::{Completion, FaultTally};
-use doda_core::round::RoundSource;
 use doda_core::{CommittedStream, DodaAlgorithm, InteractionSequence, InteractionSource, Time};
 use doda_graph::NodeId;
 use doda_stats::rng::SeedSequence;
@@ -117,7 +116,7 @@ impl TrialConfig {
 
     /// Asserts what the fault-free, honest tiers (`tier` trials) require:
     /// no cost, no fault plan and no Byzantine plan. Faulted and audited
-    /// trials run on the scalar paths (round streams flattened).
+    /// trials run on the scalar paths.
     fn assert_plain(&self, tier: &str) {
         assert!(
             !self.compute_cost,
@@ -530,53 +529,6 @@ impl<A: Aggregate> TrialRunner<A> {
         let mut result = finish_trial_with(spec, &self.engine, family, stats, None);
         result.verdict = config.byzantine.map(|_| tally.verdict::<A>());
         result
-    }
-
-    /// Runs `spec` over a **round** stream: the engine pulls one matching
-    /// of disjoint interactions per synchronous round straight from
-    /// `rounds` ([`doda_core::Engine::run_rounds`]), in `O(n)` memory at
-    /// any horizon.
-    ///
-    /// The budget ([`TrialConfig::max_interactions`]) still counts
-    /// individual interactions — the engine's interaction clock ticks once
-    /// per matched pair — so round trials are measured in the same unit as
-    /// pairwise trials, and a singleton-round stream reproduces the
-    /// pairwise path byte for byte.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `spec` requires knowledge of the future (materialise the
-    /// flattened stream and use [`TrialRunner::run`]), if
-    /// `config.compute_cost` is set, or if a fault or Byzantine plan is
-    /// configured — both compose over the *flattened* stream
-    /// (`FlattenedRounds<R>` via [`TrialRunner::run_streamed`]), not over
-    /// the batched round path.
-    pub fn run_rounds<R, D>(
-        &mut self,
-        spec: AlgorithmSpec,
-        rounds: &mut R,
-        config: &TrialConfig,
-        family: &D,
-    ) -> TrialResult
-    where
-        R: RoundSource + ?Sized,
-        D: DatumFamily<Agg = A>,
-    {
-        config.assert_plain("round");
-        let max_interactions = config.stream_budget();
-        let mut algorithm = online(spec, "round-streamed");
-        let stats = self
-            .engine
-            .run_rounds(
-                algorithm.as_mut(),
-                rounds,
-                config.sink,
-                |v| family.initial(v),
-                EngineConfig::sweep(max_interactions),
-                &mut DiscardTransmissions,
-            )
-            .expect("the provided algorithms never emit structurally invalid decisions");
-        finish_trial_with(spec, &self.engine, family, stats.run, None)
     }
 
     /// Runs one trial per source through the **lane tier**

@@ -24,9 +24,11 @@
 //!   large-n round generator (nothing it does ever materialises
 //!   `O(n · horizon)` state).
 //!
-//! Like the pairwise workloads, every generator is deterministic per seed
-//! and resets itself when asked for round 0, so one source instance can be
-//! reused across executions.
+//! Like the pairwise workloads, every generator is deterministic per seed,
+//! never reads the adversary view (so [`RoundSource::is_oblivious`] holds
+//! and the engine pulls the flattened stream in bursts), and resets itself
+//! when asked for round 0, so one source instance can be reused across
+//! executions.
 
 use doda_core::round::{Matching, RoundSource};
 use doda_core::sequence::AdversaryView;
@@ -131,6 +133,10 @@ impl RoundSource for RandomMatchingRounds {
         }
         true
     }
+
+    fn is_oblivious(&self) -> bool {
+        true
+    }
 }
 
 /// The round-robin tournament (circle method): node 0 stays fixed while
@@ -208,6 +214,10 @@ impl RoundSource for TournamentRounds {
                 out.push(Interaction::new(NodeId(a), NodeId(b)));
             }
         }
+        true
+    }
+
+    fn is_oblivious(&self) -> bool {
         true
     }
 }
@@ -299,6 +309,10 @@ impl RoundSource for IntervalConnectedRounds {
         for i in (parity..self.n - 1).step_by(2) {
             out.push(Interaction::new(self.path[i], self.path[i + 1]));
         }
+        true
+    }
+
+    fn is_oblivious(&self) -> bool {
         true
     }
 }
@@ -402,6 +416,10 @@ impl RoundSource for TorusContactRounds {
                 out.try_push(Interaction::new(edge.a, edge.b));
             }
         }
+        true
+    }
+
+    fn is_oblivious(&self) -> bool {
         true
     }
 }

@@ -7,11 +7,13 @@
 //!
 //! - **lanes** — knowledge-free, fault-free trials stepped in lockstep
 //!   through `[u64]` bit-lane state, up to 64 per batch;
-//! - **rounds** — native matching-per-round execution for round scenarios;
-//! - **streamed** — the scalar per-trial path, one interaction per step
-//!   (`O(n)` memory at any horizon), required once faults are in play;
+//! - **streamed** — the scalar per-trial path (`O(n)` memory at any
+//!   horizon), required once faults are in play;
 //! - **materialized** — knowledge-based algorithms only: the adversary
 //!   commits to a finite sequence so oracles over the future can be built.
+//!
+//! Round scenarios run on the same tiers: their matchings are played one
+//! interaction per step.
 //!
 //! Tiers are interchangeable where they overlap — per-trial results are
 //! byte-identical — so the resolver is free to chase throughput.

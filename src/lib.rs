@@ -19,8 +19,7 @@
 //! [`Sweep`](prelude::Sweep) is the one entry point for running trials:
 //! pick an algorithm and an interaction family, set the shape fluently,
 //! and the sweep resolves the fastest admissible execution tier (lanes,
-//! rounds, streamed or materialized — byte-identical wherever they
-//! overlap):
+//! streamed or materialized — byte-identical wherever they overlap):
 //!
 //! ```
 //! use doda::prelude::*;

@@ -303,3 +303,25 @@ fn a_source_ending_mid_burst_exhausts_like_the_per_event_loop() {
         assert_eq!(pulled.get(), seq.len() as u64, "budget {budget}");
     }
 }
+
+/// The properties above cover the round scenarios only because their
+/// flattened streams are oblivious: a round source that lost
+/// `is_oblivious` would drop out of `oblivious_cases()` without a failure,
+/// so every plain round scenario must be among the cases.
+#[test]
+fn every_round_scenario_is_an_oblivious_case() {
+    let cases = oblivious_cases();
+    let rounds: Vec<Scenario> = Scenario::registry()
+        .into_iter()
+        .filter(Scenario::is_round)
+        .collect();
+    assert_eq!(rounds.len(), 5);
+    for scenario in rounds {
+        assert!(
+            cases.iter().any(|case| case.base == scenario
+                && case.faults.is_none()
+                && case.byzantine.is_none()),
+            "{scenario} is not an oblivious case"
+        );
+    }
+}

@@ -2,7 +2,7 @@
 //! on **count-style outcomes** — completion classification and the
 //! conserved origin set.
 //!
-//! Unlike the lane and round tiers, the hierarchical tier runs a
+//! Unlike the lane tier, the hierarchical tier runs a
 //! genuinely different interaction process (clusters aggregate locally,
 //! then an aggregator-only phase finishes the job), so per-trial byte
 //! equality with the scalar reference is impossible — and not the
