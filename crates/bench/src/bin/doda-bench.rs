@@ -1115,16 +1115,10 @@ fn scale_run(n: usize, budget: usize) -> Result<(u64, u64, f64), String> {
 /// 2. **Throughput** — the n = 10^6 run must clear
 ///    [`SCALE_GUARD_MIN_IPS`]: a million-node state that thrashes is as
 ///    broken as one that bloats.
-/// 3. **Hierarchical completion** — a clustered sweep at n = 10^5 must
-///    actually finish with every origin at the sink: `O(n^{3/2})`
-///    interactions make completion feasible where flat aggregation
-///    starves at any practical budget.
 fn scale_guard() -> Result<String, String> {
     const REFERENCE_N: usize = 100_000;
     const TARGET_N: usize = 1_000_000;
     const BUDGET: usize = 2_000_000;
-    const HIER_N: usize = 100_000;
-    const HIER_BUDGET: usize = 80_000_000;
 
     if !doda_bench::memory::tracking() {
         return Err("the tracking allocator is not installed".to_string());
@@ -1156,60 +1150,30 @@ fn scale_guard() -> Result<String, String> {
              {SCALE_GUARD_MIN_IPS:.0} i/s floor"
         ));
     }
-
-    let floor = doda_bench::memory::reset_peak();
-    let t0 = Instant::now();
-    let trials = Sweep::scenario(AlgorithmSpec::Gathering, Scenario::Uniform)
-        .n(HIER_N)
-        .trials(1)
-        .seed(0xD0DA)
-        .horizon(Some(HIER_BUDGET))
-        .parallel(false)
-        .tier(ExecutionTier::Hierarchical)
-        .run();
-    let hier_secs = t0.elapsed().as_secs_f64();
-    let hier_peak = doda_bench::memory::peak_bytes().saturating_sub(floor) as u64;
-    let trial = &trials[0];
-    if !trial.terminated() || !trial.fully_aggregated() {
-        return Err(format!(
-            "the hierarchical n = {HIER_N} sweep must aggregate every origin at the sink \
-             within its {HIER_BUDGET}-interaction budget, got {} interactions \
-             (terminated: {}, fully aggregated: {})",
-            trial.interactions_processed,
-            trial.terminated(),
-            trial.fully_aggregated()
-        ));
-    }
-    println!(
-        "scale-guard: hierarchical Gathering vs uniform, n = {HIER_N}: fully aggregated \
-         after {} interactions in {hier_secs:.2} s, peak {:.1} MiB — completion at a node \
-         count where the flat tiers starve",
-        trial.interactions_processed,
-        hier_peak as f64 / (1 << 20) as f64,
-    );
     Ok(format!(
         "10x nodes grew peak memory {ratio:.1}x (ceiling {SCALE_GUARD_MAX_MEM_RATIO}x) at \
-         {throughput:.0} i/s; hierarchical n = {HIER_N} fully aggregated"
+         {throughput:.0} i/s"
     ))
 }
 
 /// The relative-error ceiling `--algebra-guard` allows the distinct
-/// sketch at n = 10^5. With 256 8-bit registers the standard error is
+/// sketch at n = 10^4. With 256 8-bit registers the standard error is
 /// ~6.5%; the ceiling sits 3x above it so the gate only fires on a
 /// broken estimator, not an unlucky seed.
 const ALGEBRA_GUARD_MAX_DISTINCT_ERR: f64 = 0.20;
 
-/// Runs one hierarchical Gathering-vs-uniform trial at `n` under the
-/// given aggregate kind and returns `(peak heap growth, the trial)`.
-fn algebra_run(n: usize, budget: usize, kind: AggregateKind) -> (u64, TrialResult) {
+/// Runs one flat scalar Gathering-vs-uniform trial at `n` and the default
+/// `8n²` horizon under the given aggregate kind and returns `(peak heap
+/// growth, the trial)`. The tier is forced: under `Auto` the `IdSet` run
+/// would take the lane tier, which holds no aggregate.
+fn algebra_run(n: usize, kind: AggregateKind) -> (u64, TrialResult) {
     let floor = doda_bench::memory::reset_peak();
     let trial = Sweep::scenario(AlgorithmSpec::Gathering, Scenario::Uniform)
         .n(n)
         .trials(1)
         .seed(0xD0DA)
-        .horizon(Some(budget))
         .parallel(false)
-        .tier(ExecutionTier::Hierarchical)
+        .tier(ExecutionTier::Scalar)
         .aggregate(kind)
         .run()
         .remove(0);
@@ -1217,11 +1181,11 @@ fn algebra_run(n: usize, budget: usize, kind: AggregateKind) -> (u64, TrialResul
     (peak, trial)
 }
 
-/// Guards the sketch aggregates' reason to exist at n = 10^5, on real
+/// Guards the sketch aggregates' reason to exist at n = 10^4, on real
 /// heap high-water marks:
 ///
 /// 1. **Memory** — the distinct-sketch run must peak *strictly below*
-///    the `IdSet` reference on the identical hierarchical sweep: the
+///    the `IdSet` reference on the identical flat sweep: the
 ///    sketch carries `O(1)` state per node where the exact origin set
 ///    pays `O(n)` at the sink.
 /// 2. **Accuracy** — the estimate it buys with that memory must land
@@ -1230,22 +1194,21 @@ fn algebra_run(n: usize, budget: usize, kind: AggregateKind) -> (u64, TrialResul
 ///    interaction counts: the aggregate changes what the sink knows,
 ///    never how the run unfolds.
 fn algebra_guard() -> Result<String, String> {
-    const N: usize = 100_000;
-    const BUDGET: usize = 80_000_000;
+    const N: usize = 10_000;
 
     if !doda_bench::memory::tracking() {
         return Err("the tracking allocator is not installed".to_string());
     }
-    let (exact_peak, exact) = algebra_run(N, BUDGET, AggregateKind::IdSet);
+    let (exact_peak, exact) = algebra_run(N, AggregateKind::IdSet);
     if !exact.terminated() || !exact.fully_aggregated() {
         return Err(format!(
-            "the IdSet reference must aggregate every origin within its budget, got {} \
+            "the IdSet reference must aggregate every origin within its horizon, got {} \
              interactions (terminated: {})",
             exact.interactions_processed,
             exact.terminated()
         ));
     }
-    let (sketch_peak, sketch) = algebra_run(N, BUDGET, AggregateKind::Distinct);
+    let (sketch_peak, sketch) = algebra_run(N, AggregateKind::Distinct);
     if !sketch.terminated() || !sketch.data_conserved {
         return Err("the distinct-sketch run must terminate with data conserved".to_string());
     }
@@ -1262,7 +1225,7 @@ fn algebra_guard() -> Result<String, String> {
     };
     let error = (estimate - N as f64).abs() / N as f64;
     println!(
-        "algebra-guard: hierarchical Gathering vs uniform, n = {N}: id-set peak {:.1} MiB, \
+        "algebra-guard: flat scalar Gathering vs uniform, n = {N}: id-set peak {:.1} MiB, \
          distinct-sketch peak {:.1} MiB, estimate {estimate:.0} ({:.2}% error, ceiling \
          {:.0}%), {} interactions either way",
         exact_peak as f64 / (1 << 20) as f64,

@@ -22,7 +22,7 @@ use std::time::Instant;
 
 use doda_core::fault::FaultProfile;
 use doda_sim::runner::BatchConfig;
-use doda_sim::{AlgorithmSpec, ExecutionTier, FaultedScenario, Scenario, Sweep};
+use doda_sim::{AlgorithmSpec, FaultedScenario, Scenario, Sweep};
 use doda_stats::Summary;
 
 use crate::json::{pretty, Json};
@@ -44,16 +44,20 @@ use crate::json::{pretty, Json};
 /// heap high-water growth while the cell ran; 0 when no tracking
 /// allocator is installed), the envelope declares the full node-count
 /// grid under `"ns"` (validation rejects cells at undeclared `n`), and
-/// `"mode"` admits `"hierarchical"` (seeded aggregator election,
-/// per-cluster aggregation, then an aggregator-only final phase);
+/// `"mode"` admits a clustered two-phase tier (seeded aggregator
+/// election, per-cluster aggregation, then an aggregator-only final
+/// phase);
 /// 7 = byzantine grids: every cell carries the `"byzantine_profile"`
 /// column (the scenario's Byzantine plan label, `"none"` when honest) —
-/// byzantine cells run the audited streamed path, so the lane and
-/// hierarchical tiers are byzantine-free by contract (validation rejects
-/// cells claiming otherwise). Within v7, `"mode"` no longer admits
-/// `"rounds"` since round scenarios lost their tier of their own: their
-/// cells report the tier they resolve to, and lane cells may carry the
-/// rounds model.
+/// byzantine cells run the audited streamed path, so the lane tier is
+/// byzantine-free by contract (validation rejects cells claiming
+/// otherwise). Within v7, `"mode"` no longer admits `"rounds"` since
+/// round scenarios lost their tier of their own: their cells report the
+/// tier they resolve to, and lane cells may carry the rounds model.
+/// Within v7, `"mode"` no longer admits the clustered tier's label
+/// either: the tier was deleted, since it swapped the one adversary over
+/// all `n` nodes for per-cluster ones and so did not run the paper's
+/// problem.
 pub const SCHEMA_VERSION: u64 = 7;
 
 /// A pinned perf grid: the cells plus the execution parameters.
@@ -78,7 +82,7 @@ pub struct PerfGrid {
     /// Explicitly pinned large-n cells run in addition to the cross
     /// product. Million-node cells cannot inherit the unbounded-horizon
     /// defaults of the small-n grid, so each pins its own interaction
-    /// budget, execution tier and trial count.
+    /// budget and trial count.
     pub scale_cells: Vec<ScaleCell>,
 }
 
@@ -96,10 +100,6 @@ pub struct ScaleCell {
     /// counts needs `Θ(n²)` interactions, so large-n flat cells are
     /// throughput/memory cells that deliberately starve at the budget.
     pub horizon: usize,
-    /// Execution tier the cell pins (the cross-product cells always use
-    /// [`ExecutionTier::Auto`]; the hierarchical tier is never
-    /// auto-selected, so its cells must pin it here).
-    pub tier: ExecutionTier,
     /// Trials for the cell.
     pub trials: usize,
 }
@@ -126,7 +126,6 @@ impl PerfGrid {
                 scenario: Scenario::Uniform,
                 n: 2_048,
                 horizon: 2_000_000,
-                tier: ExecutionTier::Hierarchical,
                 trials: 1,
             }],
         }
@@ -169,7 +168,6 @@ impl PerfGrid {
                     scenario: Scenario::Uniform,
                     n: 100_000,
                     horizon: 2_000_000,
-                    tier: ExecutionTier::Auto,
                     trials: 1,
                 },
                 // CSR-backed round matchings at n = 10^5: the O(n)-per-round
@@ -179,17 +177,6 @@ impl PerfGrid {
                     scenario: Scenario::TorusContact,
                     n: 100_000,
                     horizon: 2_000_000,
-                    tier: ExecutionTier::Auto,
-                    trials: 1,
-                },
-                // Hierarchical at n = 10^4: O(n^{3/2}) interactions make
-                // completion feasible where flat aggregation starves.
-                ScaleCell {
-                    spec: AlgorithmSpec::Gathering,
-                    scenario: Scenario::Uniform,
-                    n: 10_000,
-                    horizon: 8_000_000,
-                    tier: ExecutionTier::Hierarchical,
                     trials: 1,
                 },
             ],
@@ -238,14 +225,12 @@ pub struct CellResult {
     pub fault_profile: String,
     /// The Byzantine plan label of the cell's scenario (`"none"` when
     /// every node is honest). Byzantine cells run the audited streamed
-    /// path and never the lane or hierarchical tiers.
+    /// path and never the lane tier.
     pub byzantine_profile: String,
     /// The execution tier the sweep resolved for the cell
     /// ([`Sweep::path_label`]): `"lanes"` (lockstep bit-lane batches),
-    /// `"streamed"` (scalar pull loop, `O(n)` memory), `"materialized"`
-    /// (oracle construction forced sequence generation) or
-    /// `"hierarchical"` (clustered two-phase aggregation, pinned by a
-    /// [`ScaleCell`] — never auto-selected).
+    /// `"streamed"` (scalar pull loop, `O(n)` memory) or `"materialized"`
+    /// (oracle construction forced sequence generation).
     pub mode: &'static str,
     /// Interaction model of the cell's scenario: `"pairwise"` (one
     /// interaction per step, the paper's adversary) or `"rounds"` (one
@@ -392,7 +377,6 @@ pub fn run_grid(grid: &PerfGrid) -> PerfReport {
                     n,
                     trials: grid.trials,
                     horizon: None,
-                    tier: ExecutionTier::Auto,
                 };
                 results.push(run_cell(grid, shape, cell_index));
                 cell_index += 1;
@@ -406,7 +390,6 @@ pub fn run_grid(grid: &PerfGrid) -> PerfReport {
             n: cell.n,
             trials: cell.trials,
             horizon: Some(cell.horizon),
-            tier: cell.tier,
         };
         results.push(run_cell(grid, shape, cell_index));
         cell_index += 1;
@@ -429,7 +412,6 @@ struct CellShape {
     n: usize,
     trials: usize,
     horizon: Option<usize>,
-    tier: ExecutionTier,
 }
 
 fn run_cell(grid: &PerfGrid, shape: CellShape, cell_index: u64) -> CellResult {
@@ -439,7 +421,6 @@ fn run_cell(grid: &PerfGrid, shape: CellShape, cell_index: u64) -> CellResult {
         n,
         trials,
         horizon,
-        tier,
     } = shape;
     let config = BatchConfig {
         n,
@@ -450,7 +431,7 @@ fn run_cell(grid: &PerfGrid, shape: CellShape, cell_index: u64) -> CellResult {
             .seed(0),
         parallel: grid.parallel,
     };
-    let sweep = Sweep::scenario(spec, scenario).config(&config).tier(tier);
+    let sweep = Sweep::scenario(spec, scenario).config(&config);
     let mode = sweep.path_label();
     // Bracket the cell's heap growth when a tracking allocator is
     // installed; without one the counters never move and the column
@@ -619,10 +600,9 @@ pub fn validate_report(doc: &Json) -> Result<(), String> {
                 .ok_or_else(|| format!("{}: missing string field: {field}", who()))?;
         }
         let mode = cell.get("mode").and_then(Json::as_str).expect("checked");
-        if !["streamed", "materialized", "lanes", "hierarchical"].contains(&mode) {
+        if !["streamed", "materialized", "lanes"].contains(&mode) {
             return Err(format!(
-                "{}: mode '{mode}' must be 'streamed', 'materialized', 'lanes' or \
-                 'hierarchical'",
+                "{}: mode '{mode}' must be 'streamed', 'materialized' or 'lanes'",
                 who()
             ));
         }
@@ -646,21 +626,12 @@ pub fn validate_report(doc: &Json) -> Result<(), String> {
         if mode == "lanes" && fault_label != "none" {
             return Err(format!("{}: a lane cell must be fault-free", who()));
         }
-        // The hierarchical tier re-instantiates the scenario family at
-        // cluster size and is fault-free by contract; only pairwise
-        // fault-free cells can have run on it.
-        if mode == "hierarchical" && (fault_label != "none" || model != "pairwise") {
-            return Err(format!(
-                "{}: a hierarchical cell must be fault-free and pairwise",
-                who()
-            ));
-        }
         // Byzantine plans run on the audited scalar paths only: a cell
-        // claiming a fast tier *and* a Byzantine plan was not produced by
+        // claiming the lane tier *and* a Byzantine plan was not produced by
         // the sweep's tier resolution.
-        if byzantine_label != "none" && ["lanes", "hierarchical"].contains(&mode) {
+        if byzantine_label != "none" && mode == "lanes" {
             return Err(format!(
-                "{}: a byzantine cell cannot run on the {mode} tier (honest by contract)",
+                "{}: a byzantine cell cannot run on the lanes tier (honest by contract)",
                 who()
             ));
         }
@@ -733,21 +704,17 @@ mod tests {
         let report = run_grid(&PerfGrid::smoke());
         assert_eq!(report.file_name(), "BENCH_smoke.json");
         // 2 algorithms x 5 scenarios x 2 node counts, all compatible (both
-        // smoke algorithms are knowledge-free), plus one pinned
-        // hierarchical scale cell.
+        // smoke algorithms are knowledge-free), plus one pinned scale cell.
         assert_eq!(report.results.len(), PerfGrid::smoke().cell_count());
         assert_eq!(report.results.len(), 2 * 5 * 2 + 1);
         let doc = Json::parse(&report.to_json()).expect("emitted JSON parses");
         validate_report(&doc).expect("emitted JSON passes the schema check");
         // The mode column names the resolved execution tier: fault-free
         // cells of the lane-kernel algorithms run on lanes, round scenarios
-        // included, faulted cells fall back to the scalar streamed
-        // reference, and the pinned scale cell reports the hierarchical
-        // tier it requested.
+        // and the scale cell included, and faulted cells fall back to the
+        // scalar streamed reference.
         for cell in &report.results {
-            let expected = if cell.n == 2_048 {
-                "hierarchical"
-            } else if cell.fault_profile != "none" {
+            let expected = if cell.fault_profile != "none" {
                 "streamed"
             } else {
                 "lanes"
@@ -758,12 +725,6 @@ mod tests {
                 cell.algorithm, cell.workload
             );
         }
-        // The hierarchical scale cell genuinely completes: clustered
-        // aggregation needs O(n^{3/2}) interactions, well inside its
-        // budget at n = 2048.
-        let scale = report.results.last().expect("scale cell present");
-        assert_eq!(scale.mode, "hierarchical");
-        assert_eq!(scale.completion_rate, 1.0);
         // The declared grid covers the cross product and the scale cell.
         assert_eq!(report.ns, vec![8, 16, 2_048]);
         // The fault axis is present: fault-free cells say "none", the
@@ -808,10 +769,10 @@ mod tests {
         let grid = PerfGrid::baseline();
         // 3 algorithms x 10 scenarios x 3 node counts, minus the
         // WaitingGreedy x adaptive-isolator column (3 cells), plus the
-        // three pinned scale cells. The round scenarios are non-adaptive,
+        // two pinned scale cells. The round scenarios are non-adaptive,
         // so they admit every algorithm.
-        assert_eq!(grid.cell_count(), 3 * 10 * 3 - 3 + 3);
-        assert_eq!(grid.declared_ns(), vec![32, 128, 512, 10_000, 100_000]);
+        assert_eq!(grid.cell_count(), 3 * 10 * 3 - 3 + 2);
+        assert_eq!(grid.declared_ns(), vec![32, 128, 512, 100_000]);
     }
 
     #[test]
@@ -891,7 +852,7 @@ mod tests {
         assert_ne!(bad_mode, good, "fixture must contain a lane cell");
         let err = validate_report(&Json::parse(&bad_mode).unwrap()).unwrap_err();
         assert!(
-            err.contains("must be 'streamed', 'materialized', 'lanes' or 'hierarchical'"),
+            err.contains("must be 'streamed', 'materialized' or 'lanes'"),
             "{err}"
         );
         // A cell at a node count the envelope never declared is rejected
@@ -900,17 +861,6 @@ mod tests {
         assert_ne!(off_grid, good, "fixture must contain the field");
         let err = validate_report(&Json::parse(&off_grid).unwrap()).unwrap_err();
         assert!(err.contains("not in the declared node-count grid"), "{err}");
-        // A hierarchical cell claiming a fault plan or the rounds model
-        // contradicts the hierarchical tier's contract.
-        let faulted_hier = good.replace("\"lanes\"", "\"hierarchical\"").replace(
-            "\"fault_profile\": \"none\"",
-            "\"fault_profile\": \"crash(0.1)\"",
-        );
-        let err = validate_report(&Json::parse(&faulted_hier).unwrap()).unwrap_err();
-        assert!(
-            err.contains("hierarchical cell must be fault-free"),
-            "{err}"
-        );
         // A lane cell claiming a fault plan contradicts the lane tier's
         // fault-free contract.
         let faulted_lane = good.replace(

@@ -20,7 +20,7 @@ fn committed_baseline_matches_the_schema() {
     assert_eq!(doc.get("scenario").and_then(Json::as_str), Some("baseline"));
     let results = doc.get("results").and_then(Json::as_array).unwrap();
     // The pinned grid: 3 algorithms x 10 scenarios x 3 node counts, minus
-    // the skipped WaitingGreedy x adaptive columns, plus the 3 large-n
+    // the skipped WaitingGreedy x adaptive columns, plus the 2 large-n
     // scale cells (schema v6).
     assert_eq!(results.len(), PerfGrid::baseline().cell_count());
     let declared: Vec<f64> = PerfGrid::baseline()
@@ -28,7 +28,7 @@ fn committed_baseline_matches_the_schema() {
         .into_iter()
         .map(|n| n as f64)
         .collect();
-    let mut modes_seen = [false; 4];
+    let mut modes_seen = [false; 3];
     let mut survivor_completions = 0.0;
     for cell in results {
         let n = cell.get("n").and_then(Json::as_f64).unwrap();
@@ -44,7 +44,6 @@ fn committed_baseline_matches_the_schema() {
             "streamed" => modes_seen[0] = true,
             "materialized" => modes_seen[1] = true,
             "lanes" => modes_seen[2] = true,
-            "hierarchical" => modes_seen[3] = true,
             other => panic!("unexpected mode {other}"),
         }
         // Schema v3: the completion split must add up, and fault-free
@@ -64,8 +63,8 @@ fn committed_baseline_matches_the_schema() {
     }
     assert!(
         modes_seen.iter().all(|&seen| seen),
-        "the baseline must cover all four execution tiers, saw {modes_seen:?} \
-         for (streamed, materialized, lanes, hierarchical)"
+        "the baseline must cover all three execution tiers, saw {modes_seen:?} \
+         for (streamed, materialized, lanes)"
     );
     assert!(
         survivor_completions > 0.0,

@@ -230,7 +230,6 @@ pub mod data;
 pub mod engine;
 pub mod error;
 pub mod fault;
-pub mod hierarchy;
 pub mod interaction;
 pub mod knowledge;
 pub mod lane;
@@ -250,7 +249,6 @@ pub use engine::{
     StepOutcome, TransmissionSink,
 };
 pub use fault::{CrashPolicy, FaultConfigError, FaultProfile, FaultedSource};
-pub use hierarchy::ClusterPlan;
 pub use interaction::{Interaction, Time, TimedInteraction};
 pub use lane::{LaneAlgorithm, LaneEngine, LaneRunStats, MAX_LANES};
 pub use outcome::{Completion, ExecutionOutcome, FaultTally, Transmission};
@@ -276,7 +274,6 @@ pub mod prelude {
         StepOutcome, TransmissionSink,
     };
     pub use crate::fault::{CrashPolicy, FaultConfigError, FaultProfile, FaultedSource};
-    pub use crate::hierarchy::ClusterPlan;
     pub use crate::interaction::{Interaction, Time, TimedInteraction};
     pub use crate::knowledge::{
         FullKnowledge, MeetTime, MeetTimeLookahead, MeetTimeOracle, OwnFuture,

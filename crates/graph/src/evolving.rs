@@ -97,7 +97,7 @@ impl EvolvingGraph {
 
     /// The static graph formed by all interactions in the half-open time
     /// window `[from, to)` (clamped to the sequence length).
-    pub fn window_graph(&self, from: usize, to: usize) -> AdjacencyGraph {
+    fn window_graph(&self, from: usize, to: usize) -> AdjacencyGraph {
         let mut g = AdjacencyGraph::new(self.n);
         let to = to.min(self.snapshots.len());
         if from >= to {
@@ -120,45 +120,6 @@ impl EvolvingGraph {
             .filter(|(_, e)| e.contains(u))
             .map(|(t, _)| t)
             .collect()
-    }
-
-    /// The evolving-graph → round-stream bridge: chops the snapshot
-    /// sequence into consecutive windows of `window` time steps and
-    /// extracts the deterministic [`maximal_matching`] of each window's
-    /// static graph — one matching per window, i.e. one synchronous round
-    /// per window.
-    ///
-    /// The paper's model is the single-edge specialisation of the evolving
-    /// graph model; the round model of `doda-core` is the other direction
-    /// (many disjoint edges live at once), and this is the sanctioned way
-    /// to turn a recorded evolving graph into a round schedule. A window
-    /// whose graph has no edges yields an empty round.
-    ///
-    /// [`maximal_matching`]: crate::matching::maximal_matching
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window == 0`.
-    pub fn window_matchings(&self, window: usize) -> Vec<Vec<Edge>> {
-        self.window_matching_rounds(window).collect()
-    }
-
-    /// Streaming variant of [`window_matchings`]: yields one matching per
-    /// window lazily, so consuming a long evolving graph round by round
-    /// holds only the current window's `O(n + window)` scratch in memory —
-    /// never the `O(n · horizon)` of the materialised round list. This is
-    /// the bridge large-n round sweeps use.
-    ///
-    /// [`window_matchings`]: EvolvingGraph::window_matchings
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window == 0`.
-    pub fn window_matching_rounds(&self, window: usize) -> impl Iterator<Item = Vec<Edge>> + '_ {
-        assert!(window > 0, "the matching window must be at least 1 step");
-        (0..self.snapshots.len()).step_by(window).map(move |from| {
-            crate::matching::maximal_matching(&self.window_graph(from, from + window))
-        })
     }
 }
 
@@ -231,55 +192,5 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn out_of_range_pair_panics() {
         let _ = EvolvingGraph::from_pairs(2, vec![(NodeId(0), NodeId(5))]);
-    }
-
-    #[test]
-    fn window_matchings_extract_one_matching_per_window() {
-        let eg = sample(); // 4 snapshots over 4 nodes
-        let rounds = eg.window_matchings(2);
-        assert_eq!(rounds.len(), 2);
-        for round in &rounds {
-            assert!(crate::matching::is_matching(4, round));
-            assert!(!round.is_empty());
-        }
-        // Window 0 covers {0,1} and {1,2} (share node 1): one survives;
-        // window 1 covers {2,3} and {0,1}: disjoint, both survive.
-        assert_eq!(rounds[0].len(), 1);
-        assert_eq!(rounds[1].len(), 2);
-        // One big window degenerates to the underlying graph's matching.
-        assert_eq!(
-            eg.window_matchings(100),
-            vec![crate::matching::maximal_matching(&eg.underlying())]
-        );
-    }
-
-    #[test]
-    fn window_matchings_keep_empty_windows_as_empty_rounds() {
-        let mut eg = EvolvingGraph::new(3);
-        eg.push_empty();
-        eg.push_empty();
-        eg.push_edge(NodeId(0), NodeId(1));
-        let rounds = eg.window_matchings(2);
-        assert_eq!(rounds.len(), 2);
-        assert!(rounds[0].is_empty());
-        assert_eq!(rounds[1].len(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 1 step")]
-    fn zero_window_is_rejected() {
-        let _ = sample().window_matchings(0);
-    }
-
-    #[test]
-    fn streaming_window_matchings_match_the_materialized_list() {
-        let eg = sample();
-        for window in [1, 2, 3, 100] {
-            let streamed: Vec<_> = eg.window_matching_rounds(window).collect();
-            assert_eq!(streamed, eg.window_matchings(window), "window {window}");
-        }
-        // The iterator is lazy: pulling one round never builds the rest.
-        let mut rounds = eg.window_matching_rounds(2);
-        assert_eq!(rounds.next().unwrap().len(), 1);
     }
 }

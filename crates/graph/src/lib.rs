@@ -41,7 +41,6 @@ pub mod adjacency;
 pub mod csr;
 pub mod evolving;
 pub mod generators;
-pub mod matching;
 pub mod node;
 pub mod spanning_tree;
 pub mod traversal;
@@ -52,7 +51,6 @@ pub mod union_find;
 pub use adjacency::AdjacencyGraph;
 pub use csr::CsrGraph;
 pub use evolving::EvolvingGraph;
-pub use matching::{is_matching, maximal_matching};
 pub use node::NodeId;
 pub use tree::RootedTree;
 pub use underlying::underlying_graph;

@@ -20,8 +20,7 @@
 //!   extracts metrics;
 //! * [`sweep::Sweep`] is the unified batch builder: scenario or workload ×
 //!   algorithm × trials × seed × parallelism × execution tier
-//!   ([`sweep::ExecutionTier`]: auto / scalar / lockstep **lanes** /
-//!   hierarchical);
+//!   ([`sweep::ExecutionTier`]: auto / scalar / lockstep **lanes**);
 //! * [`runner`] holds the batch shape and summary, and
 //!   [`runner::claim_chunks`], the claim-based dispatcher that shards a
 //!   sweep's trials, and the service's sessions, over worker threads;

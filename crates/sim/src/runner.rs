@@ -239,7 +239,7 @@ mod tests {
     use super::*;
     use crate::datum::ExactOrigins;
     use crate::scenario::{FaultedScenario, Scenario};
-    use crate::sweep::{ExecutionTier, Sweep};
+    use crate::sweep::Sweep;
     use crate::trial::{TrialConfig, TrialRunner};
     use doda_core::fault::FaultProfile;
     use doda_workloads::{UniformWorkload, Workload, ZipfWorkload};
@@ -356,18 +356,6 @@ mod tests {
                 })
                 .collect()
         });
-    }
-
-    #[test]
-    #[should_panic(expected = "raise Sweep::cluster_size")]
-    fn parallel_sweeps_fail_with_the_trials_own_message() {
-        let _ = Sweep::scenario(AlgorithmSpec::Gathering, Scenario::ObliviousTrap)
-            .n(20)
-            .tier(ExecutionTier::Hierarchical)
-            .cluster_size(2)
-            .trials(4)
-            .parallel(true)
-            .run();
     }
 
     #[test]

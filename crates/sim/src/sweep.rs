@@ -30,26 +30,18 @@
 //! | materialised scalar | against a committed schedule: [`TrialRunner::run_lookahead`] for `meetTime` specs, [`TrialRunner::run`] over a per-worker scratch sequence for the rest | the spec's oracles need the future |
 //! | streamed scalar | [`TrialRunner::run_streamed`], `O(n)` memory | a fault or Byzantine plan is present (both are scalar-path features), or no faster tier applies |
 //! | **lanes** | [`TrialRunner::run_lane_batch`]: up to 64 trials in lockstep through bit-lane state | the spec has a lane kernel ([`AlgorithmSpec::lane_algorithm`]), the trials are fault-free and honest, and the aggregate is the default |
-//! | **hierarchical** | [`TrialRunner::run_hierarchical`]: cluster election, intra-cluster aggregation, then an aggregator-only phase | never — opt in with [`Sweep::tier`] |
 //!
 //! Round scenarios have no tier of their own: every tier runs their
 //! flattened stream ([`Scenario::source`]), pulled in bursts when the
 //! round source is oblivious, like any pairwise stream.
 //!
-//! Every flat tier is byte-identical per trial to the scalar reference on
-//! the same seeds — pinned by `tests/lane_equivalence.rs` — so
+//! Every tier is byte-identical per trial to the scalar reference on the
+//! same seeds — pinned by `tests/lane_equivalence.rs` — so
 //! [`ExecutionTier::Auto`] (the default) is purely a performance decision,
 //! never a semantic one. Trial
 //! `i` always draws sub-seed `i` of the sweep seed regardless of worker
 //! count or lane grouping, so serial and parallel runs of any tier are
 //! byte-identical too.
-//!
-//! The hierarchical tier is the exception: it runs a genuinely different
-//! interaction process (clusters aggregate locally before aggregators
-//! aggregate globally, `O(n^{3/2})` interactions instead of `Θ(n²)`), so
-//! it is **never** auto-selected and is equivalent to flat aggregation
-//! only on count-style outcomes — completion classification and the
-//! conserved origin set — pinned by `tests/hierarchical_equivalence.rs`.
 
 use doda_core::byzantine::ByzantineProfile;
 use doda_core::lane::MAX_LANES;
@@ -64,11 +56,11 @@ use crate::datum::{
 use crate::runner::{shard, summarize, BatchConfig, BatchResult};
 use crate::scenario::{FaultedScenario, Scenario};
 use crate::spec::{AlgorithmSpec, KnowledgeRequirement};
-use crate::trial::{assert_cluster_shape, TrialConfig, TrialResult, TrialRunner};
+use crate::trial::{TrialConfig, TrialResult, TrialRunner};
 
 /// The execution tier of a sweep: which engine path runs the trials.
 ///
-/// All tiers produce byte-identical per-trial results where they overlap;
+/// All tiers produce byte-identical per-trial results;
 /// explicit tiers exist for benchmarking (pinning a path to measure it)
 /// and testing (running the scalar reference against the fast tiers).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -88,22 +80,6 @@ pub enum ExecutionTier {
     /// Sweeps panic if the spec has no lane kernel or a fault plan is
     /// present.
     Lanes,
-    /// Force hierarchical aggregation: a seeded
-    /// [`doda_core::hierarchy::ClusterPlan`] election partitions the
-    /// non-sink nodes into clusters of [`Sweep::cluster_size`] (default
-    /// `⌈√n⌉`), each cluster aggregates toward its aggregator on the
-    /// streamed path, then the aggregators aggregate toward the sink —
-    /// `O(n^{3/2})` interactions at the default cluster size, which is
-    /// what makes aggregation *complete* feasible at `n = 10^5` and
-    /// beyond.
-    ///
-    /// Never auto-selected: the tier changes the interaction process, so
-    /// it matches flat aggregation on completion classification and
-    /// conserved origins but not interaction-level traces. Sweeps panic
-    /// for knowledge-based specs, fault plans, and workload families
-    /// (workloads fix one node count; the tier re-instantiates the
-    /// scenario family at cluster size).
-    Hierarchical,
 }
 
 /// The interaction family a sweep draws its per-trial streams from.
@@ -130,7 +106,6 @@ enum Path {
     Materialized,
     Streamed,
     Lanes,
-    Hierarchical,
 }
 
 /// A sweep resolved for running ([`Sweep::plan`]): the node count, the
@@ -140,11 +115,6 @@ struct Plan<'s> {
     n: usize,
     horizon: usize,
     path: Path,
-    /// The scenario behind the sweep: the hierarchical tier builds its
-    /// streams from it (`None` for a workload).
-    scenario: Option<Scenario>,
-    /// The hierarchical tier's target cluster size.
-    cluster_size: usize,
     /// The trial's pairwise base stream, from its trial seed.
     source: Box<dyn Fn(u64) -> Box<dyn InteractionSource + Send> + Sync + 's>,
     /// The fault and Byzantine plans, seeded per trial.
@@ -166,7 +136,6 @@ pub struct Sweep<'a> {
     parallel: bool,
     tier: ExecutionTier,
     lane_width: usize,
-    cluster_size: Option<usize>,
     aggregate: AggregateKind,
     byzantine: Option<ByzantineProfile>,
 }
@@ -197,7 +166,6 @@ impl<'a> Sweep<'a> {
             parallel: false,
             tier: ExecutionTier::Auto,
             lane_width: MAX_LANES,
-            cluster_size: None,
             aggregate: AggregateKind::IdSet,
             byzantine: None,
         }
@@ -264,21 +232,6 @@ impl<'a> Sweep<'a> {
         self
     }
 
-    /// Sets the target cluster size `k` of the hierarchical tier: the
-    /// non-sink nodes are partitioned into `⌊(n − 1)/k⌋` near-equal
-    /// clusters. Defaults to `⌈√n⌉`, which balances the intra-cluster and
-    /// aggregator phases at `O(n^{3/2})` total interactions. Ignored by
-    /// every other tier.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0`.
-    pub fn cluster_size(mut self, k: usize) -> Self {
-        assert!(k >= 1, "cluster size must be at least 1, got {k}");
-        self.cluster_size = Some(k);
-        self
-    }
-
     /// Selects the aggregate the trials carry (default
     /// [`AggregateKind::IdSet`], the exact-conservation datum — selecting
     /// nothing keeps every sweep byte-identical to the pre-algebra
@@ -306,8 +259,7 @@ impl<'a> Sweep<'a> {
     ///
     /// The audited path is scalar: [`ExecutionTier::Auto`] resolves
     /// byzantine sweeps to the streamed (or materialised) tier, and
-    /// forcing [`ExecutionTier::Lanes`] or [`ExecutionTier::Hierarchical`]
-    /// panics at [`Sweep::run`].
+    /// forcing [`ExecutionTier::Lanes`] panics at [`Sweep::run`].
     pub fn byzantine(mut self, profile: ByzantineProfile) -> Self {
         self.byzantine = Some(profile);
         self
@@ -324,7 +276,7 @@ impl<'a> Sweep<'a> {
     }
 
     /// The label of the execution path this sweep will actually run —
-    /// `"materialized"`, `"streamed"`, `"lanes"` or `"hierarchical"` —
+    /// `"materialized"`, `"streamed"` or `"lanes"` —
     /// resolved from the tier, the spec and the
     /// interaction family exactly as [`Sweep::run`] resolves it.
     /// `doda-bench` stamps this into each grid cell's `mode` column.
@@ -345,7 +297,6 @@ impl<'a> Sweep<'a> {
             Path::Materialized => "materialized",
             Path::Streamed => "streamed",
             Path::Lanes => "lanes",
-            Path::Hierarchical => "hierarchical",
         }
     }
 
@@ -469,19 +420,6 @@ impl<'a> Sweep<'a> {
         }
 
         let materialize = spec.requires_materialization();
-        // Fault and Byzantine plans run on the scalar tiers only.
-        let scalar_only = |tier: &str| {
-            assert!(
-                faults.is_none(),
-                "the {tier} tier is fault-free by contract; {subject} carries a \
-                 fault plan, which the scalar tier runs"
-            );
-            assert!(
-                byzantine.is_none(),
-                "the {tier} tier is honest by contract; {subject} carries a \
-                 byzantine plan, which the audited scalar tier runs"
-            );
-        };
         let mut path = match self.tier {
             ExecutionTier::Auto if materialize => Path::Materialized,
             // Both planes are scalar-path features: faults perturb the
@@ -497,25 +435,18 @@ impl<'a> Sweep<'a> {
                     "{spec} requires {} knowledge and has no lane kernel",
                     spec.knowledge()
                 );
-                scalar_only("lane");
+                // Fault and Byzantine plans run on the scalar tiers only.
+                assert!(
+                    faults.is_none(),
+                    "the lane tier is fault-free by contract; {subject} carries a \
+                     fault plan, which the scalar tier runs"
+                );
+                assert!(
+                    byzantine.is_none(),
+                    "the lane tier is honest by contract; {subject} carries a \
+                     byzantine plan, which the audited scalar tier runs"
+                );
                 Path::Lanes
-            }
-            ExecutionTier::Hierarchical => {
-                assert!(
-                    scenario.is_some(),
-                    "{subject} fixes one node count; the hierarchical tier \
-                     re-instantiates the scenario family at cluster size — \
-                     use Sweep::scenario"
-                );
-                assert!(
-                    !materialize,
-                    "{spec} requires {} knowledge and cannot run hierarchically: \
-                     its oracles describe one flat committed schedule, not \
-                     per-cluster sub-streams",
-                    spec.knowledge()
-                );
-                scalar_only("hierarchical");
-                Path::Hierarchical
             }
         };
         // The lane tier steps ownership bits only — no aggregate state
@@ -531,15 +462,6 @@ impl<'a> Sweep<'a> {
             path = Path::Streamed;
         }
 
-        let cluster_size = self
-            .cluster_size
-            .unwrap_or_else(|| (n as f64).sqrt().ceil() as usize)
-            .max(1);
-        if path == Path::Hierarchical {
-            let base = scenario.expect("the hierarchical path only resolves for scenarios");
-            assert_cluster_shape(&base, n, cluster_size);
-        }
-
         let source: Box<dyn Fn(u64) -> Box<dyn InteractionSource + Send> + Sync> = match self.family
         {
             Family::Scenario(_) => Box::new(move |seed| planes.base.source(n, seed)),
@@ -551,8 +473,6 @@ impl<'a> Sweep<'a> {
                 .horizon
                 .unwrap_or_else(|| doda_adversary::RandomizedAdversary::default_horizon(n)),
             path,
-            scenario,
-            cluster_size,
             source,
             planes,
         }
@@ -623,17 +543,6 @@ impl<'a> Sweep<'a> {
                                     family,
                                 )
                             }
-                            Path::Hierarchical => runner.run_hierarchical(
-                                spec,
-                                plan.scenario
-                                    .as_ref()
-                                    .expect("the hierarchical path only resolves for scenarios"),
-                                plan.n,
-                                plan.cluster_size,
-                                seed,
-                                &config(seed, budget),
-                                family,
-                            ),
                             Path::Lanes => unreachable!("lane trials run in batches above"),
                         }
                     })
@@ -685,14 +594,11 @@ mod tests {
                 AlgorithmSpec::Waiting,
                 Scenario::Vehicular.with_faults(FaultProfile::crash(0.002)),
             ),
-            "hierarchical" => Sweep::scenario(AlgorithmSpec::Gathering, Scenario::Uniform)
-                .tier(ExecutionTier::Hierarchical),
             _ => Sweep::scenario(AlgorithmSpec::Waiting, Scenario::Uniform),
         };
         let paths = [
             ("materialized", MAX_LANES),
             ("streamed", MAX_LANES),
-            ("hierarchical", MAX_LANES),
             ("lanes", 1),
             ("lanes", 7),
             ("lanes", 64),
@@ -893,28 +799,6 @@ mod tests {
         let _ = Sweep::scenario(AlgorithmSpec::Gathering, Scenario::ObliviousTrap)
             .n(3)
             .path_label();
-    }
-
-    #[test]
-    #[should_panic(expected = "hierarchy elected a cluster of 2 — raise Sweep::cluster_size")]
-    fn hierarchical_path_labels_check_the_cluster_size() {
-        let _ = Sweep::scenario(AlgorithmSpec::Gathering, Scenario::ObliviousTrap)
-            .n(20)
-            .tier(ExecutionTier::Hierarchical)
-            .cluster_size(2)
-            .path_label();
-    }
-
-    #[test]
-    #[should_panic(expected = "final aggregator phase has only 2 — lower Sweep::cluster_size")]
-    fn hierarchical_runs_check_the_cluster_size_before_any_trial() {
-        // No trial runs, so only the plan can refuse the sweep.
-        let _ = Sweep::scenario(AlgorithmSpec::Gathering, Scenario::ObliviousTrap)
-            .n(20)
-            .trials(0)
-            .tier(ExecutionTier::Hierarchical)
-            .cluster_size(19)
-            .run();
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! algorithm and whether they price the cost: all run one execution,
 //! where a fault plan wraps the source and a Byzantine plan selects the
 //! audited data plane. Round streams run flattened on every path. The
-//! lane and hierarchical tiers are fault-free and honest.
+//! lane tier is fault-free and honest.
 
 use doda_core::algebra::AggregateSummary;
 use doda_core::byzantine::{ByzantineInjector, ByzantineProfile, Tally, Verdict};
@@ -19,28 +19,13 @@ use doda_core::cost::{cost_of_duration, Cost};
 use doda_core::data::{Aggregate, IdSet};
 use doda_core::engine::{DiscardTransmissions, Engine, EngineConfig, RunStats};
 use doda_core::fault::{FaultProfile, FaultedSource};
-use doda_core::hierarchy::ClusterPlan;
 use doda_core::lane::{LaneEngine, LaneRunStats};
 use doda_core::outcome::{Completion, FaultTally};
 use doda_core::{CommittedStream, DodaAlgorithm, InteractionSequence, InteractionSource, Time};
 use doda_graph::NodeId;
-use doda_stats::rng::SeedSequence;
 
 use crate::datum::{DatumFamily, ExactOrigins};
-use crate::scenario::Scenario;
 use crate::spec::AlgorithmSpec;
-
-/// Label of the aggregator-election seed stream within a hierarchical
-/// trial (see [`TrialRunner::run_hierarchical`]): the election, each
-/// cluster's interaction stream and the final aggregator phase all derive
-/// independent sub-seeds from the trial seed, the same scheme
-/// [`crate::scenario::FaultedScenario::fault_injection`] uses for fault
-/// streams.
-const HIER_ELECT_LABEL: u64 = 0xE1;
-/// Label of the per-cluster interaction-stream seed sequence.
-const HIER_CLUSTER_LABEL: u64 = 0xC1;
-/// Label of the final aggregator-phase stream seed.
-const HIER_FINAL_LABEL: u64 = 0xC2;
 
 /// A fully resolved per-trial fault plan: the profile plus the seed of
 /// the dedicated fault stream. Built by
@@ -114,23 +99,23 @@ impl TrialConfig {
             .unwrap_or(EngineConfig::default().max_interactions)
     }
 
-    /// Asserts what the fault-free, honest tiers (`tier` trials) require:
-    /// no cost, no fault plan and no Byzantine plan. Faulted and audited
-    /// trials run on the scalar paths.
-    fn assert_plain(&self, tier: &str) {
+    /// Asserts what the fault-free, honest lane tier requires: no cost, no
+    /// fault plan and no Byzantine plan. Faulted and audited trials run on
+    /// the scalar paths.
+    fn assert_plain(&self) {
         assert!(
             !self.compute_cost,
             "the paper's cost function needs the materialised sequence; \
-             {tier} trials cannot compute it"
+             lane trials cannot compute it"
         );
         assert!(
             self.fault.is_none(),
-            "fault plans run on the scalar path; the {tier} tier is \
+            "fault plans run on the scalar path; the lane tier is \
              fault-free by contract"
         );
         assert!(
             self.byzantine.is_none(),
-            "byzantine plans run on the audited scalar path; the {tier} \
+            "byzantine plans run on the audited scalar path; the lane \
              tier is honest by contract"
         );
     }
@@ -559,7 +544,7 @@ impl<A: Aggregate> TrialRunner<A> {
         S: InteractionSource,
         D: DatumFamily<Agg = A>,
     {
-        config.assert_plain("lane");
+        config.assert_plain();
         assert!(
             family.summary(&family.initial(config.sink)).is_none(),
             "the lane tier tracks no aggregates; families with a summary \
@@ -579,181 +564,6 @@ impl<A: Aggregate> TrialRunner<A> {
             .map(|stats| finish_lane(spec, stats))
             .collect()
     }
-
-    /// Runs one **hierarchical** trial: a seeded [`ClusterPlan`] election
-    /// partitions the non-sink nodes into clusters of
-    /// `target_cluster_size`, each cluster aggregates toward its elected
-    /// aggregator on the ordinary streamed path (the scenario family
-    /// re-instantiated at cluster size, with an independent sub-seed per
-    /// cluster), and a final phase aggregates the aggregators toward the
-    /// sink. With `k ≈ √n` the interaction work drops from the flat
-    /// `Θ(n²)` to `O(n^{3/2})` while memory stays `O(n)` — the regime the
-    /// `--scale-guard` bench gate exercises at `n = 10^5`.
-    ///
-    /// Each phase is a complete engine execution obeying every model rule
-    /// (one transmission per node, the phase's local sink never
-    /// transmits). Across phases, an aggregator re-enters the final phase
-    /// carrying its cluster's aggregate — the hierarchical protocol's
-    /// overlay relaxation: like a churn re-arrival, the new phase grants
-    /// a fresh single-transmission allowance. All phases share one
-    /// interaction budget ([`TrialConfig::max_interactions`]); the trial
-    /// terminates iff every phase terminated within it, and
-    /// `data_conserved` checks the family's conservation criterion on the
-    /// sink's final aggregate (the exact origin cover for [`IdSet`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `spec` is not knowledge-free, if the config carries a
-    /// fault plan or requests the cost function, or if
-    /// `target_cluster_size` (or the aggregator count) is below the
-    /// scenario's minimum node count.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_hierarchical<D>(
-        &mut self,
-        spec: AlgorithmSpec,
-        scenario: &Scenario,
-        n: usize,
-        target_cluster_size: usize,
-        trial_seed: u64,
-        config: &TrialConfig,
-        family: &D,
-    ) -> TrialResult
-    where
-        D: DatumFamily<Agg = A>,
-    {
-        config.assert_plain("hierarchical");
-        online(spec, "hierarchically");
-        assert_cluster_shape(scenario, n, target_cluster_size);
-        let sink = config.sink;
-        let seeds = SeedSequence::new(trial_seed);
-        let plan = ClusterPlan::elect(n, sink, target_cluster_size, seeds.seed(HIER_ELECT_LABEL));
-
-        let mut remaining = config.stream_budget();
-        let mut interactions = 0u64;
-        let mut transmissions = 0u64;
-        let mut ignored = 0u64;
-        let mut all_terminated = true;
-        let cluster_seeds = seeds.child(HIER_CLUSTER_LABEL);
-        let mut aggregates: Vec<A> = Vec::with_capacity(plan.cluster_count());
-        for c in 0..plan.cluster_count() {
-            let members = plan.cluster(c);
-            if members.len() == 1 {
-                // A lone aggregator has nothing to gather locally.
-                aggregates.push(family.initial(members[0]));
-                continue;
-            }
-            let mut source = scenario.source(members.len(), cluster_seeds.seed(c as u64));
-            let stats = self.run_phase(spec, source.as_mut(), members.len(), remaining, |v| {
-                family.initial(members[v.index()])
-            });
-            remaining = remaining.saturating_sub(stats.interactions_processed);
-            interactions += stats.interactions_processed;
-            transmissions += stats.transmissions;
-            ignored += stats.ignored_decisions;
-            all_terminated &= stats.terminated();
-            aggregates.push(
-                self.engine
-                    .state()
-                    .data_of(NodeId(0))
-                    .cloned()
-                    .expect("the local sink of a fault-free phase always owns data"),
-            );
-        }
-
-        // Final phase: local 0 is the global sink, local j + 1 carries
-        // cluster j's aggregate.
-        let final_n = plan.cluster_count() + 1;
-        let mut source = scenario.source(final_n, seeds.seed(HIER_FINAL_LABEL));
-        let stats = self.run_phase(spec, source.as_mut(), final_n, remaining, |v| {
-            if v.index() == 0 {
-                family.initial(sink)
-            } else {
-                aggregates[v.index() - 1].clone()
-            }
-        });
-        interactions += stats.interactions_processed;
-        transmissions += stats.transmissions;
-        ignored += stats.ignored_decisions;
-        all_terminated &= stats.terminated();
-
-        let sink_data = self.engine.state().data_of(NodeId(0));
-        let data_conserved =
-            all_terminated && sink_data.is_some_and(|data| family.conserved(data, n));
-        let aggregate = sink_data.and_then(|data| family.summary(data));
-        TrialResult {
-            algorithm: spec.label().to_string(),
-            n,
-            // Phases run back to back on one interaction clock: the
-            // trial's termination index is the last interaction of the
-            // final phase.
-            termination_time: (all_terminated && interactions > 0)
-                .then(|| interactions - 1)
-                .or_else(|| all_terminated.then_some(0)),
-            interactions_processed: interactions,
-            transmissions: transmissions as usize,
-            ignored_decisions: ignored,
-            data_conserved,
-            completion: if data_conserved {
-                Completion::Aggregated
-            } else {
-                Completion::Starved
-            },
-            faults: FaultTally::default(),
-            cost: None,
-            aggregate,
-            verdict: None,
-        }
-    }
-
-    /// One phase of a hierarchical trial: a complete fault-free streamed
-    /// execution over `local_n` nodes (local sink 0) with at most `budget`
-    /// interactions, seeding each local node's datum via `initial_data`.
-    fn run_phase<S, F>(
-        &mut self,
-        spec: AlgorithmSpec,
-        source: &mut S,
-        local_n: usize,
-        budget: u64,
-        initial_data: F,
-    ) -> RunStats
-    where
-        S: InteractionSource + ?Sized,
-        F: FnMut(NodeId) -> A,
-    {
-        debug_assert!(local_n >= 2);
-        let mut algorithm = online(spec, "hierarchically");
-        self.engine
-            .run(
-                algorithm.as_mut(),
-                source,
-                NodeId(0),
-                initial_data,
-                EngineConfig::sweep(budget),
-                &mut DiscardTransmissions,
-            )
-            .expect("the provided algorithms never emit structurally invalid decisions")
-    }
-}
-
-/// Panics unless every phase of a hierarchical trial of `scenario` over
-/// `n` nodes at `target_cluster_size` has the scenario's minimum node
-/// count: each cluster (a lone aggregator runs no phase) and the final
-/// aggregator phase. The shape depends on `(n, k)` alone
-/// ([`ClusterPlan::shape`]), so a sweep checks it once before any trial.
-pub(crate) fn assert_cluster_shape(scenario: &Scenario, n: usize, target_cluster_size: usize) {
-    let (clusters, smallest) = ClusterPlan::shape(n, target_cluster_size);
-    let need = scenario.min_nodes();
-    assert!(
-        smallest == 1 || smallest >= need,
-        "scenario '{scenario}' needs at least {need} nodes per phase, but the \
-         hierarchy elected a cluster of {smallest} — raise Sweep::cluster_size"
-    );
-    assert!(
-        clusters + 1 >= need,
-        "scenario '{scenario}' needs at least {need} nodes per phase, but the \
-         final aggregator phase has only {} — lower Sweep::cluster_size",
-        clusters + 1
-    );
 }
 
 /// Instantiates knowledge-free `spec` for a trial that never materialises

@@ -10,9 +10,7 @@
 //! `--large` skips the curve fits and instead demonstrates the large-n
 //! regime directly: streamed Gathering trials at n = 10^5 and 10^6 under a
 //! fixed interaction budget (peak state is O(n), so both fit comfortably in
-//! memory), then a hierarchical sweep at n = 10^5 that *completes* — its
-//! O(n^{3/2}) interaction count makes full aggregation feasible at node
-//! counts where the flat O(n²) tiers starve on any practical budget.
+//! memory).
 //!
 //! ```text
 //! cargo run --release --example scaling_study [-- --full | -- --large]
@@ -45,12 +43,9 @@ fn streamed_point(n: usize, budget: usize) -> u64 {
     processed
 }
 
-/// The `--large` mode: the million-node streamed regime plus hierarchical
-/// completion at a node count where flat aggregation starves.
+/// The `--large` mode: the million-node streamed regime.
 fn large_regime() {
     const BUDGET: usize = 2_000_000;
-    const HIER_N: usize = 100_000;
-    const HIER_BUDGET: usize = 80_000_000;
 
     println!("Large-n regime: streamed Gathering vs the uniform adversary, budget = {BUDGET}\n");
     for n in [100_000, 1_000_000] {
@@ -59,27 +54,7 @@ fn large_regime() {
     println!(
         "\nFlat completion at these n needs ~(n-1)^2 interactions \
          (10^10 at n = 10^5), so both runs starve: the point is that the \
-         streamed engine sustains them in O(n) memory.\n"
-    );
-
-    println!("Hierarchical tier at n = {HIER_N} (clusters of ~√n, budget = {HIER_BUDGET}):");
-    let t0 = std::time::Instant::now();
-    let trials = Sweep::scenario(AlgorithmSpec::Gathering, Scenario::Uniform)
-        .n(HIER_N)
-        .trials(1)
-        .seed(0xD0DA)
-        .horizon(Some(HIER_BUDGET))
-        .parallel(false)
-        .tier(ExecutionTier::Hierarchical)
-        .run();
-    let secs = t0.elapsed().as_secs_f64();
-    let trial = &trials[0];
-    println!(
-        "  fully aggregated: {} after {} interactions in {secs:.2} s \
-         — O(n^{{3/2}}) beats the flat tiers' O(n^2) by ~{:.0}x here",
-        trial.fully_aggregated(),
-        trial.interactions_processed,
-        (HIER_N as f64 - 1.0).powi(2) / trial.interactions_processed.max(1) as f64,
+         streamed engine sustains them in O(n) memory."
     );
 }
 
