@@ -276,7 +276,7 @@ impl ObliviousTrap {
     }
 
     /// The star prefix `I^{l0}`: interaction `i` is `{u_{i mod (n−1)}, s}`.
-    pub fn star_prefix(&self) -> InteractionSequence {
+    fn star_prefix(&self) -> InteractionSequence {
         let mut seq = InteractionSequence::new(self.n);
         for i in 0..self.l0 {
             seq.push(Interaction::new(self.ring_node(i), Self::SINK));
@@ -285,7 +285,7 @@ impl ObliviousTrap {
     }
 
     /// The repeated pattern `I'` of length `n − 1`.
-    pub fn ring_pattern(&self) -> InteractionSequence {
+    fn ring_pattern(&self) -> InteractionSequence {
         let mut seq = InteractionSequence::new(self.n);
         for i in 0..(self.n - 1) {
             if i == (self.d + self.n - 2) % (self.n - 1) {

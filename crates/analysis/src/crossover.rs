@@ -1,68 +1,21 @@
-//! Pairwise algorithm comparison across node counts.
+//! Pairwise ordering of algorithms across node counts.
 
 use crate::scaling::ScalingResult;
 
-/// Pairwise comparison of two scaling results at each measured `n`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Comparison {
-    /// Label of the first algorithm.
-    pub a: String,
-    /// Label of the second algorithm.
-    pub b: String,
-    /// `(n, mean_a / mean_b)` per node count common to both results.
-    pub ratios: Vec<(usize, f64)>,
-}
-
-impl Comparison {
-    /// Builds the comparison from two scaling results.
-    pub fn between(a: &ScalingResult, b: &ScalingResult) -> Self {
-        let ratios = a
-            .points
-            .iter()
-            .filter_map(|pa| {
-                b.points
-                    .iter()
-                    .find(|pb| pb.n == pa.n)
-                    .map(|pb| (pa.n, pa.mean_interactions / pb.mean_interactions))
-            })
-            .collect();
-        Comparison {
-            a: a.algorithm.clone(),
-            b: b.algorithm.clone(),
-            ratios,
-        }
-    }
-
-    /// Returns `true` if `a` is strictly faster (fewer interactions) than
-    /// `b` at every measured `n`.
-    pub fn a_always_wins(&self) -> bool {
-        !self.ratios.is_empty() && self.ratios.iter().all(|&(_, r)| r < 1.0)
-    }
-
-    /// Returns `true` if the ratio `mean_a / mean_b` decreases as `n` grows
-    /// (i.e. `a`'s advantage widens with scale).
-    pub fn advantage_grows_with_n(&self) -> bool {
-        self.ratios.windows(2).all(|w| w[1].1 <= w[0].1 + 1e-9)
-    }
-
-    /// The node count at which the winner changes, if any (the first `n`
-    /// where the ratio crosses 1 relative to the previous point).
-    pub fn crossover_n(&self) -> Option<usize> {
-        self.ratios
-            .windows(2)
-            .find(|w| (w[0].1 < 1.0) != (w[1].1 < 1.0))
-            .map(|w| w[1].0)
-    }
-}
-
 /// Checks that the measured mean interaction counts respect a total order
-/// of algorithms at every `n`: `results[0] ≤ results[1] ≤ …`.
+/// of algorithms at every `n`: `results[0] ≤ results[1] ≤ …`. A node count
+/// that only one result of a neighbouring pair measured is skipped.
 pub fn ordering_holds_everywhere(results: &[ScalingResult]) -> bool {
     results.windows(2).all(|pair| {
-        Comparison::between(&pair[0], &pair[1])
-            .ratios
-            .iter()
-            .all(|&(_, r)| r <= 1.0 + 1e-9)
+        pair[0].points.iter().all(|pa| {
+            pair[1]
+                .points
+                .iter()
+                .find(|pb| pb.n == pa.n)
+                .map_or(true, |pb| {
+                    pa.mean_interactions / pb.mean_interactions <= 1.0 + 1e-9
+                })
+        })
     })
 }
 
@@ -88,26 +41,6 @@ mod tests {
     }
 
     #[test]
-    fn ratios_and_winner() {
-        let fast = result("fast", &[(8, 10.0), (16, 20.0), (32, 40.0)]);
-        let slow = result("slow", &[(8, 20.0), (16, 80.0), (32, 320.0)]);
-        let cmp = Comparison::between(&fast, &slow);
-        assert_eq!(cmp.ratios.len(), 3);
-        assert!(cmp.a_always_wins());
-        assert!(cmp.advantage_grows_with_n());
-        assert_eq!(cmp.crossover_n(), None);
-    }
-
-    #[test]
-    fn crossover_detection() {
-        let a = result("a", &[(8, 10.0), (16, 30.0), (32, 100.0)]);
-        let b = result("b", &[(8, 20.0), (16, 25.0), (32, 30.0)]);
-        let cmp = Comparison::between(&a, &b);
-        assert!(!cmp.a_always_wins());
-        assert_eq!(cmp.crossover_n(), Some(16));
-    }
-
-    #[test]
     fn ordering_check() {
         let a = result("a", &[(8, 10.0), (16, 20.0)]);
         let b = result("b", &[(8, 15.0), (16, 40.0)]);
@@ -119,9 +52,10 @@ mod tests {
 
     #[test]
     fn mismatched_ns_are_skipped() {
+        // a's n = 64 point is above every point of b, but b never measured
+        // n = 64, so only n = 8 is compared.
         let a = result("a", &[(8, 10.0), (64, 100.0)]);
         let b = result("b", &[(8, 20.0), (32, 50.0)]);
-        let cmp = Comparison::between(&a, &b);
-        assert_eq!(cmp.ratios, vec![(8, 0.5)]);
+        assert!(ordering_holds_everywhere(&[a, b]));
     }
 }

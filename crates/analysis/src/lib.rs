@@ -9,7 +9,8 @@
 //!   statement about a fitted exponent;
 //! * [`whp`] — measures the fraction of trials that finish within a bound,
 //!   the empirical counterpart of "with high probability";
-//! * [`crossover`] — compares algorithms pairwise across `n`;
+//! * [`crossover`] — checks that algorithms keep one order of mean
+//!   interaction counts at every `n` measured by both;
 //! * [`experiments`] — one self-contained function per theorem (E1–E15),
 //!   each returning an [`experiments::ExperimentReport`];
 //! * [`report`] — renders the collected reports as the Markdown used in

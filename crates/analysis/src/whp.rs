@@ -4,10 +4,9 @@
 //! probability `> 1 − o(1/log n)`. On finite `n` we measure the fraction of
 //! independent trials in which the event holds and compare it against
 //! `1 − 1/log n` (the budget from the paper's definition, see
-//! `doda_stats::bounds::whp_failure_budget`).
+//! `whp_failure_budget`).
 
 use doda_sim::{AlgorithmSpec, BatchConfig, Scenario, Sweep};
-use doda_stats::bounds::whp_failure_budget;
 
 /// Result of a w.h.p. check for one node count.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -28,6 +27,18 @@ impl WhpPoint {
     pub fn holds(&self) -> bool {
         1.0 - self.fraction_within <= self.allowed_failure + 1e-9
     }
+}
+
+/// The paper's notion of "with high probability": an event `A_n` holds
+/// w.h.p. if `P(A_n) > 1 − o(1/log n)` as `n → ∞` (footnote 1 of the
+/// paper). This returns the failure-probability budget `1/log n` that
+/// empirical failure rates are compared against, and 1.0 for `n ≤ 2`
+/// where the budget is vacuous.
+fn whp_failure_budget(n: usize) -> f64 {
+    if n <= 2 {
+        return 1.0;
+    }
+    1.0 / (n as f64).ln()
 }
 
 /// Measures, for each `n`, the fraction of trials in which `spec`
@@ -113,6 +124,15 @@ mod tests {
         });
         assert!(points[0].fraction_within <= 0.2);
         assert!(points[0].allowed_failure > 0.0);
+    }
+
+    #[test]
+    fn whp_budget_decreases() {
+        assert_eq!(whp_failure_budget(2), 1.0);
+        let b10 = whp_failure_budget(10);
+        let b1000 = whp_failure_budget(1000);
+        assert!(b1000 < b10);
+        assert!((b1000 - 1.0 / 1000f64.ln()).abs() < 1e-12);
     }
 
     #[test]

@@ -24,7 +24,6 @@
 //! doda-bench --validate FILE.json    # schema-check an artifact
 //! doda-bench --compare RUN BASE --tolerance 40
 //!                                    # perf-regression gate (CI)
-//! doda-bench --compare-runners       # lanes, scalar and per-event loop speedups
 //! doda-bench --lane-guard            # lanes >= 1.5x, scalar >= 1.25x over per-event (CI)
 //! doda-bench --stream-guard          # 10^7-interaction streamed sweeps, 8n² Waiting Greedy
 //! doda-bench --fault-guard           # 10^6-interaction faulted sweeps
@@ -121,15 +120,8 @@ struct Args {
     validate: Vec<PathBuf>,
     compare: Option<(PathBuf, PathBuf)>,
     tolerance: Option<f64>,
-    compare_runners: bool,
-    lane_guard: bool,
-    stream_guard: bool,
-    fault_guard: bool,
-    round_guard: bool,
-    service_guard: bool,
-    scale_guard: bool,
-    algebra_guard: bool,
-    byzantine_guard: bool,
+    /// Index into [`GUARDS`] of the requested `--<name>-guard`.
+    guard: Option<usize>,
     guard_summary: Option<PathBuf>,
 }
 
@@ -137,7 +129,8 @@ struct Args {
 /// shared-runner noise while still failing a 2x slowdown loudly.
 const DEFAULT_TOLERANCE_PCT: f64 = 40.0;
 
-fn parse_args() -> Result<Args, String> {
+/// Parses the command line without the program name.
+fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         experiments: false,
         grid: PerfGrid::baseline(),
@@ -145,19 +138,11 @@ fn parse_args() -> Result<Args, String> {
         validate: Vec::new(),
         compare: None,
         tolerance: None,
-        compare_runners: false,
-        lane_guard: false,
-        stream_guard: false,
-        fault_guard: false,
-        round_guard: false,
-        service_guard: false,
-        scale_guard: false,
-        algebra_guard: false,
-        byzantine_guard: false,
+        guard: None,
         guard_summary: None,
     };
     let mut grid_requested = false;
-    let mut argv = std::env::args().skip(1);
+    let mut guards_requested = [false; GUARDS.len()];
     while let Some(arg) = argv.next() {
         match arg.as_str() {
             "--experiments" => args.experiments = true,
@@ -191,15 +176,6 @@ fn parse_args() -> Result<Args, String> {
                         .map_err(|e| format!("--tolerance {pct}: {e}"))?,
                 );
             }
-            "--compare-runners" => args.compare_runners = true,
-            "--lane-guard" => args.lane_guard = true,
-            "--stream-guard" => args.stream_guard = true,
-            "--fault-guard" => args.fault_guard = true,
-            "--round-guard" => args.round_guard = true,
-            "--service-guard" => args.service_guard = true,
-            "--scale-guard" => args.scale_guard = true,
-            "--algebra-guard" => args.algebra_guard = true,
-            "--byzantine-guard" => args.byzantine_guard = true,
             "--guard-summary" => {
                 let dir = argv.next().ok_or("--guard-summary needs a directory")?;
                 args.guard_summary = Some(PathBuf::from(dir));
@@ -208,39 +184,38 @@ fn parse_args() -> Result<Args, String> {
                 println!(
                     "doda-bench --experiments | [--smoke | --baseline] [--out-dir DIR] \
                      | --validate FILE... | --compare RUN BASELINE [--tolerance PCT] \
-                     | --compare-runners | [--out-dir DIR] --lane-guard | --stream-guard \
-                     | --fault-guard | --round-guard | --service-guard | --scale-guard \
-                     | --algebra-guard | --byzantine-guard | --guard-summary DIR"
+                     | [--out-dir DIR] {} | --guard-summary DIR",
+                    guard_flags_list().join(" | ")
                 );
                 std::process::exit(0);
             }
-            other => return Err(format!("unknown argument: {other}")),
+            other => {
+                let name = other
+                    .strip_prefix("--")
+                    .and_then(|flag| flag.strip_suffix("-guard"));
+                let index = GUARDS.iter().position(|(guard, _)| Some(*guard) == name);
+                guards_requested[index.ok_or_else(|| format!("unknown argument: {other}"))?] = true;
+            }
         }
     }
+    args.guard = guards_requested.iter().position(|&requested| requested);
     // The modes are mutually exclusive; combining them would silently skip
     // a requested grid run.
     let modes = usize::from(args.experiments)
         + usize::from(grid_requested)
         + usize::from(!args.validate.is_empty())
         + usize::from(args.compare.is_some())
-        + usize::from(args.compare_runners)
-        + usize::from(args.lane_guard)
-        + usize::from(args.stream_guard)
-        + usize::from(args.fault_guard)
-        + usize::from(args.round_guard)
-        + usize::from(args.service_guard)
-        + usize::from(args.scale_guard)
-        + usize::from(args.algebra_guard)
-        + usize::from(args.byzantine_guard)
+        + guards_requested
+            .iter()
+            .filter(|&&requested| requested)
+            .count()
         + usize::from(args.guard_summary.is_some());
     if modes > 1 {
-        return Err(
-            "--experiments, --smoke/--baseline, --validate, --compare, --compare-runners, \
-             --lane-guard, --stream-guard, --fault-guard, --round-guard, --service-guard, \
-             --scale-guard, --algebra-guard, --byzantine-guard and --guard-summary are \
-             mutually exclusive"
-                .to_string(),
-        );
+        return Err(format!(
+            "--experiments, --smoke/--baseline, --validate, --compare, {} and --guard-summary \
+             are mutually exclusive",
+            guard_flags_list().join(", ")
+        ));
     }
     if args.tolerance.is_some() && args.compare.is_none() {
         return Err("--tolerance only applies to --compare".to_string());
@@ -486,45 +461,6 @@ fn speedups(timings: &[PathSecs]) -> (Spread, Spread, Spread) {
         Spread::of(timings, |t| t.per_event, |t| t.scalar),
         Spread::of(timings, |t| t.scalar, |t| t.lanes),
     )
-}
-
-/// Measures the lockstep lane tier, the scalar tier and the per-event
-/// loop on identical parallel batches, and cross-checks that all three
-/// produce byte-identical per-trial results.
-///
-/// Two batch shapes are timed: one dominated by per-trial overhead (many
-/// small trials — where lane batching amortises source setup and engine
-/// dispatch hardest) and one dominated by in-trial work (fewer large
-/// trials at the n = 512 scale the perf grids track).
-fn compare_runners() -> Result<(), String> {
-    const REPS: usize = 7;
-    let shapes = [
-        ("overhead-bound", 64usize, 1_024usize),
-        ("work-bound", 512, 64),
-    ];
-    let spec = AlgorithmSpec::Gathering;
-    for (label, n, trials) in shapes {
-        let (timings, interactions) = time_paths(spec, Scenario::Uniform, n, trials, REPS)?;
-        let best = min_secs(&timings);
-        let (lanes_x, scalar_x, lanes_over_scalar) = speedups(&timings);
-        println!("{label} batch ({spec} vs uniform, n = {n}, trials = {trials}, best of {REPS}):");
-        for (path, secs) in [
-            ("lane tier  ", best.lanes),
-            ("scalar tier", best.scalar),
-            ("per-event  ", best.per_event),
-        ] {
-            println!(
-                "  {path} : {secs:.3} s ({:.0} i/s)",
-                interactions as f64 / secs.max(1e-9)
-            );
-        }
-        println!(
-            "  speedup     : lanes {:.2}x and scalar {:.2}x over per-event, \
-             lanes {:.2}x over scalar (median per-rep)",
-            lanes_x.median, scalar_x.median, lanes_over_scalar.median
-        );
-    }
-    Ok(())
 }
 
 /// The CI gate on the lane tier's reason to exist and on the scalar
@@ -1409,6 +1345,26 @@ fn write_guard_artifact(
 /// the failure reason.
 type GuardFn = fn() -> Result<String, String>;
 
+/// Every guard, selected on the command line by `--<name>-guard`.
+const GUARDS: [(&str, GuardFn); 8] = [
+    ("lane", lane_guard),
+    ("stream", stream_guard),
+    ("fault", fault_guard),
+    ("round", round_guard),
+    ("service", service_guard),
+    ("scale", scale_guard),
+    ("algebra", algebra_guard),
+    ("byzantine", byzantine_guard),
+];
+
+/// The `--<name>-guard` flags, in [`GUARDS`] order.
+fn guard_flags_list() -> Vec<String> {
+    GUARDS
+        .iter()
+        .map(|(name, _)| format!("--{name}-guard"))
+        .collect()
+}
+
 /// Runs one guard to completion: detail lines stream as the guard runs,
 /// the one-line summary (pass or fail) prints last, and the
 /// `BENCH_guard_<name>.json` record lands in `out_dir`.
@@ -1495,7 +1451,7 @@ fn guard_summary_table(dir: &std::path::Path) -> Result<(), String> {
 
 fn main() -> ExitCode {
     doda_bench::memory::mark_installed();
-    let args = match parse_args() {
+    let args = match parse_args(std::env::args().skip(1)) {
         Ok(args) => args,
         Err(e) => {
             eprintln!("doda-bench: {e}");
@@ -1529,16 +1485,6 @@ fn main() -> ExitCode {
         };
     }
 
-    if args.compare_runners {
-        return match compare_runners() {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("doda-bench: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
     if let Some(dir) = &args.guard_summary {
         return match guard_summary_table(dir) {
             Ok(()) => ExitCode::SUCCESS,
@@ -1549,20 +1495,9 @@ fn main() -> ExitCode {
         };
     }
 
-    let guards: [(&str, bool, GuardFn); 8] = [
-        ("lane", args.lane_guard, lane_guard),
-        ("stream", args.stream_guard, stream_guard),
-        ("fault", args.fault_guard, fault_guard),
-        ("round", args.round_guard, round_guard),
-        ("service", args.service_guard, service_guard),
-        ("scale", args.scale_guard, scale_guard),
-        ("algebra", args.algebra_guard, algebra_guard),
-        ("byzantine", args.byzantine_guard, byzantine_guard),
-    ];
-    for (name, requested, guard) in guards {
-        if requested {
-            return run_guard(name, &args.out_dir, guard);
-        }
+    if let Some(index) = args.guard {
+        let (name, guard) = GUARDS[index];
+        return run_guard(name, &args.out_dir, guard);
     }
 
     println!(
@@ -1608,4 +1543,42 @@ fn main() -> ExitCode {
         report.git_rev,
     );
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(flags: &[&str]) -> Result<Args, String> {
+        parse_args(flags.iter().map(|flag| flag.to_string()))
+    }
+
+    #[test]
+    fn each_guard_flag_selects_its_guard() {
+        for (index, (name, _)) in GUARDS.iter().enumerate() {
+            let flag = format!("--{name}-guard");
+            let args = parse(&[&flag, "--out-dir", "perf-out"]).expect("a guard flag parses");
+            assert_eq!(args.guard, Some(index), "{flag}");
+            assert_eq!(args.out_dir, PathBuf::from("perf-out"));
+        }
+    }
+
+    #[test]
+    fn two_guard_flags_are_mutually_exclusive() {
+        let err = parse(&["--lane-guard", "--scale-guard"])
+            .err()
+            .expect("two guards must be rejected");
+        assert!(err.contains("mutually exclusive"), "{err}");
+        // Repeating the same guard still selects just that guard.
+        let args = parse(&["--lane-guard", "--lane-guard"]).expect("one guard, given twice");
+        assert_eq!(args.guard, Some(0));
+    }
+
+    #[test]
+    fn compare_runners_is_an_unknown_argument() {
+        let err = parse(&["--compare-runners"])
+            .err()
+            .expect("--compare-runners is not a flag");
+        assert_eq!(err, "unknown argument: --compare-runners");
+    }
 }

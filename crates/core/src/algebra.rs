@@ -190,12 +190,6 @@ impl DistinctSketch {
     pub fn seed(&self) -> u64 {
         self.seed
     }
-
-    /// `true` while the sketch still holds exactly one distinct item and
-    /// therefore no heap allocation.
-    pub fn is_sparse(&self) -> bool {
-        matches!(self.state, DistinctState::One(_))
-    }
 }
 
 /// Routes one item hash into a register file: register index from the top
@@ -338,12 +332,6 @@ impl QuantileSketch {
             QuantileState::One(v) => *v,
             QuantileState::Hist { max, .. } => *max,
         }
-    }
-
-    /// `true` while the sketch still holds exactly one reading and
-    /// therefore no heap allocation.
-    pub fn is_sparse(&self) -> bool {
-        matches!(self.state, QuantileState::One(_))
     }
 
     /// The estimated `q`-quantile (`q` clamped into `[0, 1]`) of the
@@ -529,19 +517,19 @@ mod tests {
     #[test]
     fn distinct_sketch_stays_sparse_until_a_real_merge() {
         let a = DistinctSketch::singleton(7, 1);
-        assert!(a.is_sparse());
+        assert!(matches!(a.state, DistinctState::One(_)));
         assert_eq!(a.estimate(), 1.0);
 
         // Merging the same item keeps the sparse state (idempotent).
         let mut same = a.clone();
         same.merge(DistinctSketch::singleton(7, 1));
-        assert!(same.is_sparse());
+        assert!(matches!(same.state, DistinctState::One(_)));
         assert_eq!(same, a);
 
         // A different item densifies.
         let mut two = a.clone();
         two.merge(DistinctSketch::singleton(7, 2));
-        assert!(!two.is_sparse());
+        assert!(!matches!(two.state, DistinctState::One(_)));
         assert!(two.estimate() > 1.0);
     }
 

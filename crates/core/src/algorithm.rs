@@ -91,11 +91,6 @@ impl InteractionContext {
     pub fn involves_sink(&self) -> bool {
         self.interaction.involves(self.sink)
     }
-
-    /// If the sink is part of the interaction, returns the other node.
-    pub fn non_sink_peer(&self) -> Option<NodeId> {
-        self.interaction.partner_of(self.sink)
-    }
 }
 
 /// A distributed online data aggregation algorithm.
@@ -173,13 +168,11 @@ mod tests {
         assert!(!ctx.owns_data(NodeId(4)));
         assert!(!ctx.owns_data(NodeId(9)));
         assert!(ctx.involves_sink());
-        assert_eq!(ctx.non_sink_peer(), Some(NodeId(1)));
 
         let ctx2 = InteractionContext {
             sink: NodeId(0),
             ..ctx
         };
         assert!(!ctx2.involves_sink());
-        assert_eq!(ctx2.non_sink_peer(), None);
     }
 }

@@ -109,11 +109,6 @@ impl FutureBroadcast {
         None
     }
 
-    /// The time `t*` by which every node has full knowledge, if reached.
-    pub fn full_knowledge_time(&self) -> Option<Time> {
-        self.full_knowledge_time
-    }
-
     /// The common convergecast schedule, if one exists after `t*`.
     pub fn schedule(&self) -> Option<&ConvergecastSchedule> {
         self.schedule.as_ref()
@@ -160,7 +155,7 @@ mod tests {
     fn gossip_reaches_full_knowledge() {
         let seq = round_robin(2);
         let algo = FutureBroadcast::new(&seq, NodeId(0));
-        let t_star = algo.full_knowledge_time().unwrap();
+        let t_star = algo.full_knowledge_time.unwrap();
         assert!(t_star < seq.len() as Time);
         assert!(algo.schedule().is_some());
     }
@@ -171,7 +166,7 @@ mod tests {
         // futures of 0 and 1.
         let seq = InteractionSequence::from_pairs(4, vec![(0, 1), (2, 3), (0, 1), (2, 3)]);
         let algo = FutureBroadcast::new(&seq, NodeId(0));
-        assert_eq!(algo.full_knowledge_time(), None);
+        assert_eq!(algo.full_knowledge_time, None);
         assert!(algo.schedule().is_none());
     }
 
@@ -200,7 +195,7 @@ mod tests {
     fn waits_during_dissemination_phase() {
         let seq = round_robin(8);
         let mut algo = FutureBroadcast::new(&seq, NodeId(0));
-        let t_star = algo.full_knowledge_time().unwrap();
+        let t_star = algo.full_knowledge_time.unwrap();
         let outcome = run_with_id_sets(
             &mut algo,
             &mut seq.source(false),
@@ -223,6 +218,6 @@ mod tests {
     fn single_node_graph_trivially_complete() {
         let seq = InteractionSequence::new(1);
         let algo = FutureBroadcast::new(&seq, NodeId(0));
-        assert_eq!(algo.full_knowledge_time(), Some(0));
+        assert_eq!(algo.full_knowledge_time, Some(0));
     }
 }

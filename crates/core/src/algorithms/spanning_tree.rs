@@ -52,7 +52,7 @@ impl SpanningTreeAggregation {
 
     /// Returns `true` if `v` has received data from all of its children and
     /// is therefore ready to forward to its parent.
-    pub fn is_ready(&self, v: NodeId) -> bool {
+    fn is_ready(&self, v: NodeId) -> bool {
         self.received
             .get(v.index())
             .is_some_and(|&r| r == self.tree.children(v).len())

@@ -414,11 +414,6 @@ impl Tally {
         self.delivered_units
     }
 
-    /// The first corrupted transfer, if any.
-    pub fn first_evidence(&self) -> Option<Evidence> {
-        self.first_evidence
-    }
-
     /// `true` when no corrupted transfer was recorded.
     pub fn is_clean(&self) -> bool {
         self.corrupted == 0
@@ -587,7 +582,7 @@ mod tests {
         assert_eq!(tally.corrupted(), 2);
         assert_eq!(tally.carried_units(), 6);
         assert_eq!(tally.delivered_units(), 8);
-        let evidence = tally.first_evidence().unwrap();
+        let evidence = tally.first_evidence.unwrap();
         assert_eq!(evidence.time, 5);
         assert_eq!(evidence.liar, NodeId(2));
         assert_eq!(evidence.strategy, ByzantineStrategy::Forge);

@@ -335,11 +335,6 @@ impl<S: InteractionSource> FaultedSource<S> {
         &self.profile
     }
 
-    /// Number of currently live nodes (initially all of them).
-    pub fn live_count(&self) -> usize {
-        self.live_count
-    }
-
     fn reset_run(&mut self) {
         self.rng = seeded_rng(self.seed);
         self.live.iter_mut().for_each(|l| *l = true);
@@ -542,7 +537,7 @@ mod tests {
                 assert_ne!(*node, NodeId(0), "the sink must never be removed");
             }
         }
-        assert!(faulted.live_count() >= 3, "floor violated");
+        assert!(faulted.live_count >= 3, "floor violated");
         assert!(
             events
                 .iter()

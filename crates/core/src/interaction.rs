@@ -92,7 +92,7 @@ impl Interaction {
     }
 
     /// Converts to the canonical undirected edge of the underlying graph.
-    pub fn to_edge(self) -> Edge {
+    fn to_edge(self) -> Edge {
         Edge::new(self.min, self.max)
     }
 }

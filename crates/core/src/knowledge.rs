@@ -6,15 +6,13 @@
 //!
 //! * [`MeetTimeOracle`] — `u.meetTime(t)`: the time of `u`'s next
 //!   interaction with the sink after `t` (Waiting Greedy, Theorem 10/11);
-//! * [`OwnFuture`] — `u.future`: the sequence of `u`'s own future
-//!   interactions (Theorem 6);
 //! * [`FullKnowledge`] — the entire interaction sequence (Theorem 8);
 //! * the underlying graph `G̅` (Theorems 3–5) is simply
 //!   [`crate::InteractionSequence::underlying_graph`].
 //!
 //! Every oracle describes a future the adversary has committed to (or
 //! generated), and exposes only the slice of it that the corresponding
-//! knowledge model grants to nodes. [`MeetTimeOracle`], [`OwnFuture`] and
+//! knowledge model grants to nodes. [`MeetTimeOracle`] and
 //! [`FullKnowledge`] read a finite [`InteractionSequence`];
 //! [`MeetTimeLookahead`] answers the Waiting Greedy rule's `meetTime`
 //! questions on demand from a second copy of the committed stream,
@@ -40,7 +38,7 @@ pub enum MeetTime {
 
 impl MeetTime {
     /// Returns the meeting time as a number, mapping `Never` to `u64::MAX`.
-    pub fn as_u64(self) -> u64 {
+    fn as_u64(self) -> u64 {
         match self {
             MeetTime::At(t) => t,
             MeetTime::Never => u64::MAX,
@@ -150,7 +148,7 @@ impl MeetTimeOracle {
     }
 
     /// All meeting times of `u` with the sink (sorted, full horizon).
-    pub fn all_meetings(&self, u: NodeId) -> &[Time] {
+    fn all_meetings(&self, u: NodeId) -> &[Time] {
         match self.offsets.get(u.index()..) {
             Some(&[start, end, ..]) => &self.times[start..end],
             _ => &[],
@@ -348,36 +346,6 @@ impl std::fmt::Debug for MeetTimeLookahead {
     }
 }
 
-/// A node's own future: its interactions (time and partner), in order.
-///
-/// This is the knowledge `u.future` of Theorem 6; the union of all nodes'
-/// futures is the entire sequence.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OwnFuture {
-    /// The node this future belongs to.
-    pub node: NodeId,
-    /// `(time, partner)` pairs in increasing time order.
-    pub interactions: Vec<(Time, NodeId)>,
-}
-
-impl OwnFuture {
-    /// Extracts the future of `node` from the full sequence.
-    pub fn of(seq: &InteractionSequence, node: NodeId) -> Self {
-        OwnFuture {
-            node,
-            interactions: seq.future_of(node),
-        }
-    }
-
-    /// The partner of this node's interaction at exactly time `t`, if any.
-    pub fn partner_at(&self, t: Time) -> Option<NodeId> {
-        self.interactions
-            .binary_search_by_key(&t, |&(time, _)| time)
-            .ok()
-            .map(|idx| self.interactions[idx].1)
-    }
-}
-
 /// Full knowledge of the sequence of interactions (Theorem 8 / Corollary 1).
 ///
 /// A thin wrapper that exists mostly for type-level clarity in algorithm
@@ -471,17 +439,6 @@ mod tests {
         assert!(MeetTime::Never.exceeds(u64::MAX - 1));
         assert!(MeetTime::At(10).exceeds(9));
         assert!(!MeetTime::At(10).exceeds(10));
-    }
-
-    #[test]
-    fn own_future_extraction() {
-        let f = OwnFuture::of(&seq(), NodeId(2));
-        assert_eq!(
-            f.interactions,
-            vec![(0, NodeId(1)), (1, NodeId(0)), (3, NodeId(0))]
-        );
-        assert_eq!(f.partner_at(1), Some(NodeId(0)));
-        assert_eq!(f.partner_at(2), None);
     }
 
     #[test]

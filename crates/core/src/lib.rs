@@ -22,8 +22,7 @@
 //!   view;
 //! * data and aggregation functions ([`data`]);
 //! * the strict one-transmission state machine ([`state::NetworkState`]);
-//! * knowledge oracles ([`knowledge`]): `meetTime`, own future, full
-//!   knowledge;
+//! * knowledge oracles ([`knowledge`]): `meetTime` and full knowledge;
 //! * the execution engine ([`engine`]);
 //! * the paper's algorithms ([`algorithms`]): `Waiting`, `Gathering`,
 //!   `WaitingGreedy(τ)`, spanning-tree aggregation, future-broadcast and
@@ -275,9 +274,7 @@ pub mod prelude {
     };
     pub use crate::fault::{CrashPolicy, FaultConfigError, FaultProfile, FaultedSource};
     pub use crate::interaction::{Interaction, Time, TimedInteraction};
-    pub use crate::knowledge::{
-        FullKnowledge, MeetTime, MeetTimeLookahead, MeetTimeOracle, OwnFuture,
-    };
+    pub use crate::knowledge::{FullKnowledge, MeetTime, MeetTimeLookahead, MeetTimeOracle};
     pub use crate::lane::{LaneAlgorithm, LaneEngine, LaneRunStats, MAX_LANES};
     pub use crate::outcome::{Completion, ExecutionOutcome, FaultTally, Transmission};
     pub use crate::round::{FlattenedRounds, Matching, RoundSource};

@@ -600,14 +600,6 @@ impl InteractionSequence {
             .collect()
     }
 
-    /// All times at which node `u` is involved in an interaction, with the
-    /// corresponding partner.
-    pub fn future_of(&self, u: NodeId) -> Vec<(Time, NodeId)> {
-        self.iter()
-            .filter_map(|ti| ti.interaction.partner_of(u).map(|p| (ti.time, p)))
-            .collect()
-    }
-
     /// Returns the sub-sequence covering times `[from, to)` (clamped),
     /// re-indexed to start at time 0.
     pub fn slice(&self, from: Time, to: Time) -> InteractionSequence {
@@ -816,10 +808,6 @@ mod tests {
         assert_eq!(seq.meeting_times(NodeId(1), NodeId(0)), vec![0, 3]);
         assert_eq!(seq.meeting_times(NodeId(0), NodeId(3)), Vec::<Time>::new());
         assert_eq!(seq.meeting_times(NodeId(0), NodeId(0)), Vec::<Time>::new());
-        assert_eq!(
-            seq.future_of(NodeId(1)),
-            vec![(0, NodeId(0)), (1, NodeId(2)), (3, NodeId(0))]
-        );
     }
 
     #[test]

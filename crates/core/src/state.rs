@@ -111,11 +111,6 @@ impl<A: Aggregate> NetworkState<A> {
         self.nodes.get(v.index()).is_some_and(|s| s.data.is_some())
     }
 
-    /// Returns `true` if node `v` has already transmitted.
-    pub fn has_transmitted(&self, v: NodeId) -> bool {
-        self.nodes.get(v.index()).is_some_and(|s| s.has_transmitted)
-    }
-
     /// A reference to the data currently owned by `v`, if any.
     pub fn data_of(&self, v: NodeId) -> Option<&A> {
         self.nodes.get(v.index()).and_then(|s| s.data.as_ref())
@@ -402,7 +397,7 @@ mod tests {
         assert_eq!(st.owner_count(), 4);
         assert!(!st.is_complete());
         assert!(st.owns_data(NodeId(3)));
-        assert!(!st.has_transmitted(NodeId(3)));
+        assert!(!st.nodes[3].has_transmitted);
         assert_eq!(
             st.owners(),
             vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3)]
@@ -420,7 +415,7 @@ mod tests {
         let mut st = fresh(3);
         st.transmit(NodeId(1), NodeId(0)).unwrap();
         assert!(!st.owns_data(NodeId(1)));
-        assert!(st.has_transmitted(NodeId(1)));
+        assert!(st.nodes[1].has_transmitted);
         assert_eq!(st.data_of(NodeId(0)).unwrap().len(), 2);
         assert_eq!(st.owner_count(), 2);
         st.transmit(NodeId(2), NodeId(0)).unwrap();
@@ -457,7 +452,7 @@ mod tests {
         assert_eq!(err, TransmissionError::NoData { node: NodeId(1) });
         // State unchanged: node 2 still owns data.
         assert!(st.owns_data(NodeId(2)));
-        assert!(!st.has_transmitted(NodeId(2)));
+        assert!(!st.nodes[2].has_transmitted);
     }
 
     #[test]
@@ -494,7 +489,7 @@ mod tests {
         assert_eq!(st.node_count(), 3);
         assert_eq!(st.sink(), NodeId(2));
         assert_eq!(st.owner_count(), 3);
-        assert!(!st.has_transmitted(NodeId(1)));
+        assert!(!st.nodes[1].has_transmitted);
         // The reset state enforces the model exactly like a new one.
         assert_eq!(
             st.transmit(NodeId(2), NodeId(1)).unwrap_err(),
@@ -545,11 +540,11 @@ mod tests {
     fn revive_reseats_a_fresh_incarnation() {
         let mut st = fresh(3);
         st.transmit(NodeId(1), NodeId(0)).unwrap();
-        assert!(st.has_transmitted(NodeId(1)));
+        assert!(st.nodes[1].has_transmitted);
         st.revive(NodeId(1), IdSet::singleton(NodeId(1)));
         assert!(st.owns_data(NodeId(1)));
         // The new incarnation may transmit again.
-        assert!(!st.has_transmitted(NodeId(1)));
+        assert!(!st.nodes[1].has_transmitted);
         st.transmit(NodeId(1), NodeId(0)).unwrap();
     }
 
@@ -573,7 +568,7 @@ mod tests {
         let mut st = fresh(4);
         st.transmit_forged(NodeId(1), NodeId(0), IdSet::singleton(NodeId(3)))
             .unwrap();
-        assert!(st.has_transmitted(NodeId(1)));
+        assert!(st.nodes[1].has_transmitted);
         assert_eq!(st.data_of(NodeId(0)).unwrap().len(), 3);
         assert!(st.voided_data().is_none());
     }
@@ -595,7 +590,7 @@ mod tests {
     fn voided_transfer_withholds_the_payload() {
         let mut st = fresh(3);
         st.transmit_voided(NodeId(1), NodeId(0)).unwrap();
-        assert!(st.has_transmitted(NodeId(1)));
+        assert!(st.nodes[1].has_transmitted);
         assert!(!st.owns_data(NodeId(1)));
         assert_eq!(st.data_of(NodeId(0)).unwrap().len(), 1, "nothing arrived");
         assert_eq!(st.voided_data().unwrap(), &IdSet::singleton(NodeId(1)));

@@ -95,19 +95,6 @@ impl AdjacencyGraph {
         inserted
     }
 
-    /// Removes the undirected edge `{u, v}`. Returns `true` if it was present.
-    pub fn remove_edge(&mut self, u: NodeId, v: NodeId) -> bool {
-        if u.index() >= self.node_count() || v.index() >= self.node_count() {
-            return false;
-        }
-        let removed = self.neighbors[u.index()].remove(&v);
-        if removed {
-            self.neighbors[v.index()].remove(&u);
-            self.edge_count -= 1;
-        }
-        removed
-    }
-
     /// Returns `true` if the edge `{u, v}` is present.
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
         self.neighbors
@@ -149,11 +136,6 @@ impl AdjacencyGraph {
         })
     }
 
-    /// Returns the maximum degree of the graph, or 0 for an empty node set.
-    pub fn max_degree(&self) -> usize {
-        self.neighbors.iter().map(|s| s.len()).max().unwrap_or(0)
-    }
-
     /// Returns `true` if every pair of distinct nodes is joined by an edge.
     pub fn is_complete(&self) -> bool {
         let n = self.node_count();
@@ -190,23 +172,11 @@ mod tests {
     }
 
     #[test]
-    fn remove_edge_updates_both_sides() {
-        let mut g = path3();
-        assert!(g.remove_edge(NodeId(1), NodeId(0)));
-        assert!(!g.has_edge(NodeId(0), NodeId(1)));
-        assert_eq!(g.degree(NodeId(0)), 0);
-        assert_eq!(g.degree(NodeId(1)), 1);
-        assert_eq!(g.edge_count(), 1);
-        assert!(!g.remove_edge(NodeId(1), NodeId(0)));
-    }
-
-    #[test]
     fn degrees_and_neighbors() {
         let g = path3();
         assert_eq!(g.degree(NodeId(1)), 2);
         let nbrs: Vec<_> = g.neighbors(NodeId(1)).collect();
         assert_eq!(nbrs, vec![NodeId(0), NodeId(2)]);
-        assert_eq!(g.max_degree(), 2);
     }
 
     #[test]
@@ -266,7 +236,6 @@ mod tests {
         let g = AdjacencyGraph::new(0);
         assert_eq!(g.node_count(), 0);
         assert!(g.is_empty());
-        assert_eq!(g.max_degree(), 0);
         assert_eq!(g.edges().count(), 0);
     }
 }

@@ -9,26 +9,14 @@
 
 use crate::{AdjacencyGraph, Edge, NodeId};
 
-/// A finite evolving graph: `n` nodes plus one (optional) edge per time step.
-///
-/// A `None` snapshot models a time step where the adversary schedules no
-/// interaction — the paper's sequences always have an edge at every index,
-/// but the generality is convenient for trimming and splicing in tests.
+/// A finite evolving graph: `n` nodes plus one edge per time step.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EvolvingGraph {
     n: usize,
-    snapshots: Vec<Option<Edge>>,
+    snapshots: Vec<Edge>,
 }
 
 impl EvolvingGraph {
-    /// Creates an evolving graph over `n` nodes with no snapshots.
-    pub fn new(n: usize) -> Self {
-        EvolvingGraph {
-            n,
-            snapshots: Vec::new(),
-        }
-    }
-
     /// Builds an evolving graph from a sequence of interaction pairs, one
     /// per time step starting at time 0.
     ///
@@ -46,7 +34,7 @@ impl EvolvingGraph {
                     u.index() < n && v.index() < n,
                     "interaction {u}-{v} out of range for {n} nodes"
                 );
-                Some(Edge::new(u, v))
+                Edge::new(u, v)
             })
             .collect();
         EvolvingGraph { n, snapshots }
@@ -57,7 +45,7 @@ impl EvolvingGraph {
         self.n
     }
 
-    /// Number of time steps (snapshots), including empty ones.
+    /// Number of time steps (snapshots).
     pub fn len(&self) -> usize {
         self.snapshots.len()
     }
@@ -67,32 +55,9 @@ impl EvolvingGraph {
         self.snapshots.is_empty()
     }
 
-    /// Appends a snapshot containing the single edge `{u, v}`.
-    pub fn push_edge(&mut self, u: NodeId, v: NodeId) {
-        assert!(
-            u.index() < self.n && v.index() < self.n,
-            "interaction {u}-{v} out of range for {} nodes",
-            self.n
-        );
-        self.snapshots.push(Some(Edge::new(u, v)));
-    }
-
-    /// Appends an empty snapshot (no interaction at this time step).
-    pub fn push_empty(&mut self) {
-        self.snapshots.push(None);
-    }
-
-    /// The edge present at time `t`, if any (and if `t` is within range).
-    pub fn edge_at(&self, t: usize) -> Option<Edge> {
-        self.snapshots.get(t).copied().flatten()
-    }
-
-    /// Iterates over `(time, edge)` for the non-empty snapshots.
+    /// Iterates over `(time, edge)` for every snapshot.
     pub fn iter(&self) -> impl Iterator<Item = (usize, Edge)> + '_ {
-        self.snapshots
-            .iter()
-            .enumerate()
-            .filter_map(|(t, e)| e.map(|e| (t, e)))
+        self.snapshots.iter().copied().enumerate()
     }
 
     /// The static graph formed by all interactions in the half-open time
@@ -103,7 +68,7 @@ impl EvolvingGraph {
         if from >= to {
             return g;
         }
-        for e in self.snapshots[from..to].iter().flatten() {
+        for e in &self.snapshots[from..to] {
             g.add_edge(e.a, e.b);
         }
         g
@@ -112,14 +77,6 @@ impl EvolvingGraph {
     /// The underlying graph `G̅` (union of all snapshots).
     pub fn underlying(&self) -> AdjacencyGraph {
         self.window_graph(0, self.snapshots.len())
-    }
-
-    /// Times at which node `u` is involved in an interaction, in order.
-    pub fn times_involving(&self, u: NodeId) -> Vec<usize> {
-        self.iter()
-            .filter(|(_, e)| e.contains(u))
-            .map(|(t, _)| t)
-            .collect()
     }
 }
 
@@ -144,20 +101,8 @@ mod tests {
         let eg = sample();
         assert_eq!(eg.len(), 4);
         assert_eq!(eg.node_count(), 4);
-        assert_eq!(eg.edge_at(1), Some(Edge::new(NodeId(1), NodeId(2))));
-        assert_eq!(eg.edge_at(10), None);
-    }
-
-    #[test]
-    fn empty_snapshots_are_skipped_by_iter() {
-        let mut eg = EvolvingGraph::new(3);
-        eg.push_edge(NodeId(0), NodeId(1));
-        eg.push_empty();
-        eg.push_edge(NodeId(1), NodeId(2));
-        assert_eq!(eg.len(), 3);
-        let times: Vec<_> = eg.iter().map(|(t, _)| t).collect();
-        assert_eq!(times, vec![0, 2]);
-        assert_eq!(eg.edge_at(1), None);
+        assert_eq!(eg.iter().nth(1), Some((1, Edge::new(NodeId(1), NodeId(2)))));
+        assert_eq!(eg.iter().count(), 4);
     }
 
     #[test]
@@ -179,13 +124,6 @@ mod tests {
         let eg = sample();
         let g = eg.underlying();
         assert_eq!(g.edge_count(), 3);
-    }
-
-    #[test]
-    fn times_involving_a_node() {
-        let eg = sample();
-        assert_eq!(eg.times_involving(NodeId(1)), vec![0, 1, 3]);
-        assert_eq!(eg.times_involving(NodeId(3)), vec![2]);
     }
 
     #[test]

@@ -47,37 +47,6 @@ pub fn complete_graph(n: usize) -> AdjacencyGraph {
     g
 }
 
-/// 2-D grid graph of `rows × cols` nodes; node `(r, c)` has id `r * cols + c`.
-pub fn grid_graph(rows: usize, cols: usize) -> AdjacencyGraph {
-    let mut g = AdjacencyGraph::new(rows * cols);
-    for r in 0..rows {
-        for c in 0..cols {
-            let id = NodeId(r * cols + c);
-            if c + 1 < cols {
-                g.add_edge(id, NodeId(r * cols + c + 1));
-            }
-            if r + 1 < rows {
-                g.add_edge(id, NodeId((r + 1) * cols + c));
-            }
-        }
-    }
-    g
-}
-
-/// Balanced binary tree over `n` nodes, rooted at node `0` (node `i` has
-/// children `2i + 1` and `2i + 2` when they exist).
-pub fn binary_tree_graph(n: usize) -> AdjacencyGraph {
-    let mut g = AdjacencyGraph::new(n);
-    for i in 0..n {
-        for child in [2 * i + 1, 2 * i + 2] {
-            if child < n {
-                g.add_edge(NodeId(i), NodeId(child));
-            }
-        }
-    }
-    g
-}
-
 /// Random tree over `n` nodes built with a random-attachment process: node
 /// `i` attaches to a uniformly chosen earlier node. Deterministic given the
 /// caller's RNG.
@@ -157,27 +126,6 @@ mod tests {
         let g = complete_graph(5);
         assert_eq!(g.edge_count(), 10);
         assert!(g.is_complete());
-    }
-
-    #[test]
-    fn grid_counts() {
-        let g = grid_graph(3, 4);
-        assert_eq!(g.node_count(), 12);
-        // 3 rows × 3 horizontal edges + 2 × 4 vertical edges = 9 + 8 = 17.
-        assert_eq!(g.edge_count(), 17);
-        assert!(is_connected(&g));
-        assert!(g.has_edge(NodeId(0), NodeId(1)));
-        assert!(g.has_edge(NodeId(0), NodeId(4)));
-        assert!(!g.has_edge(NodeId(3), NodeId(4)));
-    }
-
-    #[test]
-    fn binary_tree_counts() {
-        let g = binary_tree_graph(7);
-        assert_eq!(g.edge_count(), 6);
-        assert_eq!(g.degree(NodeId(0)), 2);
-        assert_eq!(g.degree(NodeId(3)), 1);
-        assert!(is_connected(&g));
     }
 
     #[test]

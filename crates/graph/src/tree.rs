@@ -4,7 +4,7 @@
 //! every node wait for the data of its children in a rooted spanning tree
 //! of the underlying graph and then forward towards the root (the sink).
 //! [`RootedTree`] stores the parent/children structure needed by that
-//! algorithm, plus utilities (depth, leaves, subtree sizes) used by tests
+//! algorithm, plus utilities (depth, leaves, post-order) used by tests
 //! and by the offline convergecast schedule validation.
 
 use crate::{Edge, NodeId};
@@ -99,11 +99,6 @@ impl RootedTree {
         self.size == 1
     }
 
-    /// Size of the id space the tree was created over.
-    pub fn id_space(&self) -> usize {
-        self.parent.len()
-    }
-
     /// Returns `true` if `v` is part of the tree.
     pub fn contains(&self, v: NodeId) -> bool {
         self.member.get(v.index()).copied().unwrap_or(false)
@@ -186,33 +181,6 @@ impl RootedTree {
         self.parent_edges().map(|(c, p)| Edge::new(c, p)).collect()
     }
 
-    /// Number of nodes in the subtree rooted at `v` (including `v`), or 0
-    /// for non-members.
-    pub fn subtree_size(&self, v: NodeId) -> usize {
-        if !self.contains(v) {
-            return 0;
-        }
-        1 + self
-            .children(v)
-            .iter()
-            .map(|&c| self.subtree_size(c))
-            .sum::<usize>()
-    }
-
-    /// The path from `v` up to the root (inclusive), or `None` for non-members.
-    pub fn path_to_root(&self, v: NodeId) -> Option<Vec<NodeId>> {
-        if !self.contains(v) {
-            return None;
-        }
-        let mut path = vec![v];
-        let mut cur = v;
-        while let Some(p) = self.parent(cur) {
-            path.push(p);
-            cur = p;
-        }
-        Some(path)
-    }
-
     /// Members in post-order (children before parents); the root is last.
     ///
     /// This is exactly the order in which the spanning-tree DODA algorithm
@@ -274,20 +242,13 @@ mod tests {
         assert_eq!(t.depth(NodeId(0)), Some(0));
         assert_eq!(t.depth(NodeId(4)), Some(2));
         assert_eq!(t.height(), 2);
-        assert_eq!(
-            t.path_to_root(NodeId(3)),
-            Some(vec![NodeId(3), NodeId(1), NodeId(0)])
-        );
     }
 
     #[test]
-    fn leaves_and_subtree_sizes() {
+    fn leaves_are_childless_members() {
         let t = sample_tree();
         let leaves: Vec<_> = t.leaves().collect();
         assert_eq!(leaves, vec![NodeId(2), NodeId(3), NodeId(4)]);
-        assert_eq!(t.subtree_size(NodeId(0)), 5);
-        assert_eq!(t.subtree_size(NodeId(1)), 3);
-        assert_eq!(t.subtree_size(NodeId(2)), 1);
     }
 
     #[test]
@@ -308,8 +269,6 @@ mod tests {
         t.attach(NodeId(1), NodeId(0));
         assert!(!t.contains(NodeId(5)));
         assert_eq!(t.depth(NodeId(5)), None);
-        assert_eq!(t.subtree_size(NodeId(5)), 0);
-        assert_eq!(t.path_to_root(NodeId(5)), None);
         assert_eq!(t.children(NodeId(5)), &[] as &[NodeId]);
     }
 

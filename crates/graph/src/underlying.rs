@@ -8,7 +8,7 @@
 //! graph substrate stays independent of the interaction model defined in
 //! `doda-core` (which depends on this crate).
 
-use crate::{AdjacencyGraph, NodeId, UnionFind};
+use crate::{AdjacencyGraph, NodeId};
 
 /// Builds the underlying graph `G̅` over `n` nodes from an iterator of
 /// interaction pairs.
@@ -29,50 +29,6 @@ where
     g
 }
 
-/// Returns the length of the shortest prefix of `interactions` whose
-/// underlying graph is connected over all `n` nodes, or `None` if the whole
-/// sequence never connects them.
-///
-/// This is the earliest time at which *any* aggregation schedule touching
-/// all nodes could conceivably exist, and is used as a sanity lower bound
-/// in the experiment harness.
-pub fn connectivity_prefix_len<I>(n: usize, interactions: I) -> Option<usize>
-where
-    I: IntoIterator<Item = (NodeId, NodeId)>,
-{
-    if n <= 1 {
-        return Some(0);
-    }
-    let mut uf = UnionFind::new(n);
-    for (idx, (u, v)) in interactions.into_iter().enumerate() {
-        uf.union(u, v);
-        if uf.all_connected() {
-            return Some(idx + 1);
-        }
-    }
-    None
-}
-
-/// Counts how many times each canonical pair appears in the sequence and
-/// returns `true` if every edge of the underlying graph appears at least
-/// `k` times.
-///
-/// Theorem 4 of the paper assumes that every interaction that occurs at
-/// least once occurs infinitely often; for finite prefixes the harness
-/// checks "at least `k` times" instead.
-pub fn every_edge_repeats_at_least<I>(n: usize, interactions: I, k: usize) -> bool
-where
-    I: IntoIterator<Item = (NodeId, NodeId)>,
-{
-    let mut counts = std::collections::HashMap::new();
-    for (u, v) in interactions {
-        let key = crate::Edge::new(u, v);
-        *counts.entry(key).or_insert(0usize) += 1;
-    }
-    let _ = n;
-    counts.values().all(|&c| c >= k)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,41 +44,5 @@ mod tests {
         assert_eq!(g.edge_count(), 2);
         assert!(g.has_edge(NodeId(0), NodeId(1)));
         assert!(g.has_edge(NodeId(1), NodeId(2)));
-    }
-
-    #[test]
-    fn connectivity_prefix_found() {
-        let pairs = vec![
-            (NodeId(0), NodeId(1)),
-            (NodeId(0), NodeId(1)), // duplicate, no progress
-            (NodeId(2), NodeId(3)),
-            (NodeId(1), NodeId(2)),
-            (NodeId(3), NodeId(0)),
-        ];
-        assert_eq!(connectivity_prefix_len(4, pairs), Some(4));
-    }
-
-    #[test]
-    fn connectivity_prefix_missing() {
-        let pairs = vec![(NodeId(0), NodeId(1)), (NodeId(0), NodeId(1))];
-        assert_eq!(connectivity_prefix_len(3, pairs), None);
-    }
-
-    #[test]
-    fn connectivity_trivial_for_tiny_graphs() {
-        assert_eq!(connectivity_prefix_len(0, Vec::new()), Some(0));
-        assert_eq!(connectivity_prefix_len(1, Vec::new()), Some(0));
-    }
-
-    #[test]
-    fn edge_repetition_check() {
-        let pairs = vec![
-            (NodeId(0), NodeId(1)),
-            (NodeId(1), NodeId(0)),
-            (NodeId(1), NodeId(2)),
-        ];
-        assert!(every_edge_repeats_at_least(3, pairs.clone(), 1));
-        assert!(!every_edge_repeats_at_least(3, pairs, 2));
-        assert!(every_edge_repeats_at_least(3, Vec::new(), 5));
     }
 }

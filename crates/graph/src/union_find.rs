@@ -1,9 +1,7 @@
 //! Disjoint-set forest (union–find).
 //!
-//! Used to detect connectivity incrementally while scanning an interaction
-//! sequence — e.g. to find the shortest prefix of a sequence whose
-//! underlying graph is connected, or to build spanning trees Kruskal-style
-//! in interaction-time order.
+//! Used to build spanning trees Kruskal-style in interaction-time order,
+//! detecting connectivity incrementally while scanning the edges.
 
 use crate::NodeId;
 
@@ -18,9 +16,9 @@ use crate::NodeId;
 /// let mut uf = UnionFind::new(4);
 /// assert!(uf.union(NodeId(0), NodeId(1)));
 /// assert!(uf.union(NodeId(2), NodeId(3)));
-/// assert!(!uf.same_set(NodeId(0), NodeId(3)));
+/// assert_ne!(uf.find(NodeId(0)), uf.find(NodeId(3)));
 /// assert!(uf.union(NodeId(1), NodeId(3)));
-/// assert!(uf.same_set(NodeId(0), NodeId(2)));
+/// assert_eq!(uf.find(NodeId(0)), uf.find(NodeId(2)));
 /// assert_eq!(uf.set_count(), 1);
 /// ```
 #[derive(Debug, Clone)]
@@ -99,11 +97,6 @@ impl UnionFind {
         true
     }
 
-    /// Returns `true` if `a` and `b` are in the same set.
-    pub fn same_set(&mut self, a: NodeId, b: NodeId) -> bool {
-        self.find(a) == self.find(b)
-    }
-
     /// Returns `true` if all elements are in a single set (vacuously true
     /// for 0 or 1 elements).
     pub fn all_connected(&self) -> bool {
@@ -121,7 +114,7 @@ mod tests {
         assert_eq!(uf.set_count(), 3);
         assert_eq!(uf.len(), 3);
         assert!(!uf.is_empty());
-        assert!(!uf.same_set(NodeId(0), NodeId(1)));
+        assert_ne!(uf.find(NodeId(0)), uf.find(NodeId(1)));
         assert_eq!(uf.find(NodeId(2)), NodeId(2));
     }
 
@@ -132,7 +125,7 @@ mod tests {
         assert!(uf.union(NodeId(1), NodeId(2)));
         assert!(!uf.union(NodeId(0), NodeId(2)));
         assert_eq!(uf.set_count(), 3);
-        assert!(uf.same_set(NodeId(0), NodeId(2)));
+        assert_eq!(uf.find(NodeId(0)), uf.find(NodeId(2)));
         assert!(!uf.all_connected());
     }
 
@@ -160,7 +153,7 @@ mod tests {
             uf.union(NodeId(i), NodeId(i + 1));
         }
         for i in 0..64 {
-            assert!(uf.same_set(NodeId(0), NodeId(i)));
+            assert_eq!(uf.find(NodeId(0)), uf.find(NodeId(i)));
         }
         assert_eq!(uf.set_count(), 1);
     }

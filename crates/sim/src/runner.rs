@@ -67,7 +67,7 @@ pub struct BatchConfig {
 
 impl BatchConfig {
     /// The sequence length used per trial.
-    pub fn horizon_len(&self) -> usize {
+    fn horizon_len(&self) -> usize {
         self.horizon
             .unwrap_or_else(|| doda_adversary::RandomizedAdversary::default_horizon(self.n))
     }

@@ -155,7 +155,7 @@ impl Scenario {
     /// `true` iff the scenario's stream depends on the execution (the
     /// online adaptive adversary) and therefore cannot be materialised
     /// faithfully.
-    pub fn is_adaptive(&self) -> bool {
+    fn is_adaptive(&self) -> bool {
         matches!(
             self,
             Scenario::AdaptiveIsolator | Scenario::CrashAwareIsolator
@@ -434,12 +434,6 @@ impl FaultedScenario {
     pub fn byzantine_label(&self) -> String {
         self.byzantine
             .map_or_else(|| "none".to_string(), |p| p.label())
-    }
-
-    /// Delegates to [`Scenario::is_adaptive`]: faults never change
-    /// whether the *base* stream depends on the execution.
-    pub fn is_adaptive(&self) -> bool {
-        self.base.is_adaptive()
     }
 
     /// Delegates to [`Scenario::supports`]: oracles are built from the

@@ -67,39 +67,27 @@ where
     })
 }
 
-/// Convenience wrapper: bootstrap CI of the sample mean.
-pub fn bootstrap_mean_ci(
-    sample: &[f64],
-    resamples: usize,
-    level: f64,
-    rng: &mut DodaRng,
-) -> Option<BootstrapCi> {
-    bootstrap_ci(
-        sample,
-        |s| s.iter().sum::<f64>() / s.len() as f64,
-        resamples,
-        level,
-        rng,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rng::seeded_rng;
 
+    fn mean(s: &[f64]) -> f64 {
+        s.iter().sum::<f64>() / s.len() as f64
+    }
+
     #[test]
     fn rejects_degenerate_inputs() {
         let mut rng = seeded_rng(1);
-        assert!(bootstrap_mean_ci(&[], 100, 0.95, &mut rng).is_none());
-        assert!(bootstrap_mean_ci(&[1.0], 0, 0.95, &mut rng).is_none());
-        assert!(bootstrap_mean_ci(&[1.0], 100, 1.5, &mut rng).is_none());
+        assert!(bootstrap_ci(&[], mean, 100, 0.95, &mut rng).is_none());
+        assert!(bootstrap_ci(&[1.0], mean, 0, 0.95, &mut rng).is_none());
+        assert!(bootstrap_ci(&[1.0], mean, 100, 1.5, &mut rng).is_none());
     }
 
     #[test]
     fn constant_sample_gives_degenerate_interval() {
         let mut rng = seeded_rng(2);
-        let ci = bootstrap_mean_ci(&[5.0; 20], 200, 0.95, &mut rng).unwrap();
+        let ci = bootstrap_ci(&[5.0; 20], mean, 200, 0.95, &mut rng).unwrap();
         assert_eq!(ci.estimate, 5.0);
         assert_eq!(ci.lower, 5.0);
         assert_eq!(ci.upper, 5.0);
@@ -109,7 +97,7 @@ mod tests {
     fn interval_brackets_the_estimate() {
         let mut rng = seeded_rng(3);
         let sample: Vec<f64> = (0..200).map(|i| (i % 13) as f64).collect();
-        let ci = bootstrap_mean_ci(&sample, 500, 0.95, &mut rng).unwrap();
+        let ci = bootstrap_ci(&sample, mean, 500, 0.95, &mut rng).unwrap();
         assert!(ci.lower <= ci.estimate && ci.estimate <= ci.upper);
         assert!(ci.upper - ci.lower < 2.0, "CI should be tight for n=200");
     }
@@ -117,8 +105,8 @@ mod tests {
     #[test]
     fn bootstrap_is_deterministic_given_seed() {
         let sample: Vec<f64> = (0..50).map(|i| i as f64).collect();
-        let a = bootstrap_mean_ci(&sample, 300, 0.9, &mut seeded_rng(9)).unwrap();
-        let b = bootstrap_mean_ci(&sample, 300, 0.9, &mut seeded_rng(9)).unwrap();
+        let a = bootstrap_ci(&sample, mean, 300, 0.9, &mut seeded_rng(9)).unwrap();
+        let b = bootstrap_ci(&sample, mean, 300, 0.9, &mut seeded_rng(9)).unwrap();
         assert_eq!(a, b);
     }
 

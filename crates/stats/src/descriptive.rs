@@ -75,11 +75,6 @@ impl Descriptive {
         self.variance.sqrt()
     }
 
-    /// Standard error of the mean.
-    pub fn std_error(&self) -> f64 {
-        self.std_dev() / (self.len() as f64).sqrt()
-    }
-
     /// Minimum observation.
     pub fn min(&self) -> f64 {
         self.sorted[0]
@@ -112,13 +107,6 @@ impl Descriptive {
         let hi = pos.ceil() as usize;
         let frac = pos - lo as f64;
         self.sorted[lo] * (1.0 - frac) + self.sorted[hi] * frac
-    }
-
-    /// A normal-approximation 95% confidence interval for the mean
-    /// (`mean ± 1.96 · stderr`).
-    pub fn ci95(&self) -> (f64, f64) {
-        let half = 1.96 * self.std_error();
-        (self.mean - half, self.mean + half)
     }
 
     /// Fraction of observations `<= bound`, used for "with high probability
@@ -174,13 +162,6 @@ mod tests {
     fn quantile_rejects_out_of_range() {
         let d = Descriptive::from_slice(&[1.0, 2.0]).unwrap();
         let _ = d.quantile(1.5);
-    }
-
-    #[test]
-    fn ci_contains_mean() {
-        let d = Descriptive::from_slice(&[10.0, 12.0, 9.0, 11.0, 10.5]).unwrap();
-        let (lo, hi) = d.ci95();
-        assert!(lo < d.mean() && d.mean() < hi);
     }
 
     #[test]

@@ -17,16 +17,6 @@ pub fn harmonic(n: usize) -> f64 {
     (1..=n).map(|i| 1.0 / i as f64).sum()
 }
 
-/// Partial harmonic sum `H(b) - H(a) = Σ_{i=a+1}^{b} 1/i` for `a <= b`.
-///
-/// # Panics
-///
-/// Panics if `a > b`.
-pub fn harmonic_range(a: usize, b: usize) -> f64 {
-    assert!(a <= b, "harmonic_range requires a <= b, got a={a}, b={b}");
-    ((a + 1)..=b).map(|i| 1.0 / i as f64).sum()
-}
-
 /// Expected number of uniformly random interactions for a full-knowledge
 /// broadcast/convergecast over `n` nodes (Theorem 8):
 /// `(n-1) · H(n-1)`.
@@ -57,13 +47,6 @@ pub fn expected_gathering_interactions(n: usize) -> f64 {
     (nf - 1.0) * (nf - 1.0)
 }
 
-/// Expected number of interactions before the *last* remaining node meets
-/// the sink (the lower-bound argument of Theorem 7): `n(n-1)/2`.
-pub fn expected_last_meeting_interactions(n: usize) -> f64 {
-    let nf = n as f64;
-    nf * (nf - 1.0) / 2.0
-}
-
 /// The recommended Waiting Greedy horizon `τ = n^{3/2} · sqrt(log n)`
 /// (Corollary 3). Returns at least 1 for small `n`.
 pub fn waiting_greedy_tau(n: usize) -> u64 {
@@ -91,20 +74,6 @@ mod tests {
         let h = harmonic(100_000);
         let approx = (100_000f64).ln() + 0.577_215_664_9;
         assert!((h - approx).abs() < 1e-4);
-    }
-
-    #[test]
-    fn harmonic_range_consistency() {
-        let a = 7;
-        let b = 23;
-        assert!((harmonic_range(a, b) - (harmonic(b) - harmonic(a))).abs() < 1e-12);
-        assert_eq!(harmonic_range(5, 5), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "a <= b")]
-    fn harmonic_range_rejects_reversed() {
-        let _ = harmonic_range(5, 3);
     }
 
     #[test]
@@ -165,6 +134,5 @@ mod tests {
             let wait = expected_waiting_interactions(n);
             assert!(offline < gath && gath < wait, "ordering violated for n={n}");
         }
-        assert!((expected_last_meeting_interactions(10) - 45.0).abs() < 1e-12);
     }
 }

@@ -9,12 +9,10 @@
 //! * **closed-form quantities** the proofs use — harmonic numbers and the
 //!   expectations of the coupon-collector-like processes ([`harmonic`]);
 //! * **descriptive statistics** over repeated trials ([`descriptive`],
-//!   [`accumulator`], [`histogram`]);
+//!   [`accumulator`]);
 //! * **scaling-law estimation** — fitting `T(n) ≈ c · n^α` on log–log axes
 //!   to check that Gathering grows like `n²`, Waiting Greedy like
 //!   `n^{3/2}`, the offline optimum like `n log n`, etc. ([`regression`]);
-//! * **tail bounds** used in the paper's proofs (Markov, Chebyshev,
-//!   Chernoff) to sanity-check high-probability claims ([`bounds`]);
 //! * **bootstrap confidence intervals** for reported ratios ([`bootstrap`]);
 //! * **weighted sampling** for non-uniform adversaries ([`weighted`]).
 //!
@@ -36,10 +34,8 @@
 
 pub mod accumulator;
 pub mod bootstrap;
-pub mod bounds;
 pub mod descriptive;
 pub mod harmonic;
-pub mod histogram;
 pub mod regression;
 pub mod rng;
 pub mod summary;
@@ -47,7 +43,7 @@ pub mod weighted;
 
 pub use accumulator::OnlineStats;
 pub use descriptive::Descriptive;
-pub use regression::{fit_power_law, LinearFit, PowerLawFit};
+pub use regression::{fit_power_law, PowerLawFit};
 pub use rng::{seeded_rng, SeedSequence};
 pub use summary::Summary;
 pub use weighted::WeightedSampler;

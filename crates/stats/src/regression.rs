@@ -8,13 +8,13 @@
 
 /// Result of an ordinary-least-squares fit of `y = a + b·x`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LinearFit {
+struct LinearFit {
     /// Intercept `a`.
-    pub intercept: f64,
+    intercept: f64,
     /// Slope `b`.
-    pub slope: f64,
+    slope: f64,
     /// Coefficient of determination.
-    pub r_squared: f64,
+    r_squared: f64,
 }
 
 /// Result of a power-law fit `y = c·x^α` (done in log–log space).
@@ -39,7 +39,7 @@ impl PowerLawFit {
 ///
 /// Returns `None` if fewer than two points are supplied, if the lengths
 /// differ, if any value is non-finite, or if all `x` are identical.
-pub fn linear_fit(xs: &[f64], ys: &[f64]) -> Option<LinearFit> {
+fn linear_fit(xs: &[f64], ys: &[f64]) -> Option<LinearFit> {
     if xs.len() != ys.len() || xs.len() < 2 {
         return None;
     }
@@ -80,8 +80,9 @@ pub fn linear_fit(xs: &[f64], ys: &[f64]) -> Option<LinearFit> {
 
 /// Fits `y = c·x^α` by OLS on `(ln x, ln y)`.
 ///
-/// Returns `None` under the same conditions as [`linear_fit`], or if any
-/// input is non-positive (logarithms would be undefined).
+/// Returns `None` if fewer than two points are supplied, if the lengths
+/// differ, if all `x` are identical, or if any value is non-finite or
+/// non-positive (logarithms would be undefined).
 pub fn fit_power_law(xs: &[f64], ys: &[f64]) -> Option<PowerLawFit> {
     if xs.len() != ys.len() || xs.len() < 2 {
         return None;

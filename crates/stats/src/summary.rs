@@ -41,16 +41,6 @@ impl Summary {
             max: d.max(),
         })
     }
-
-    /// Ratio of this summary's mean to another's (e.g. algorithm vs
-    /// baseline). Returns `None` if the other mean is zero.
-    pub fn mean_ratio_to(&self, other: &Summary) -> Option<f64> {
-        if other.mean == 0.0 {
-            None
-        } else {
-            Some(self.mean / other.mean)
-        }
-    }
 }
 
 impl std::fmt::Display for Summary {
@@ -81,15 +71,6 @@ mod tests {
     #[test]
     fn empty_sample_rejected() {
         assert!(Summary::from_values(&[]).is_none());
-    }
-
-    #[test]
-    fn ratio_between_summaries() {
-        let a = Summary::from_values(&[10.0, 10.0]).unwrap();
-        let b = Summary::from_values(&[2.0, 2.0]).unwrap();
-        assert_eq!(a.mean_ratio_to(&b), Some(5.0));
-        let zero = Summary::from_values(&[0.0, 0.0]).unwrap();
-        assert_eq!(a.mean_ratio_to(&zero), None);
     }
 
     #[test]

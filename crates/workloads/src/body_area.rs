@@ -40,7 +40,7 @@ impl BodyAreaWorkload {
     /// # Panics
     ///
     /// Panics if `n < 3` or the probability is outside `[0, 1]`.
-    pub fn with_peer_probability(n: usize, peer_contact_probability: f64) -> Self {
+    fn with_peer_probability(n: usize, peer_contact_probability: f64) -> Self {
         assert!(
             n >= 3,
             "a body-area network needs a hub and at least 2 sensors, got {n}"

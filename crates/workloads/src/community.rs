@@ -46,11 +46,6 @@ impl CommunityWorkload {
         }
     }
 
-    /// The community of a node (round-robin assignment by id).
-    pub fn community_of(&self, v: NodeId) -> usize {
-        v.index() % self.communities
-    }
-
     /// Members of community `c`, in increasing id order.
     pub fn members(&self, c: usize) -> Vec<NodeId> {
         (0..self.n)
@@ -153,7 +148,6 @@ mod tests {
         let mut all: Vec<NodeId> = (0..3).flat_map(|c| w.members(c)).collect();
         all.sort();
         assert_eq!(all.len(), 10);
-        assert_eq!(w.community_of(NodeId(4)), 1);
     }
 
     #[test]
@@ -162,9 +156,7 @@ mod tests {
         let seq = w.generate(20_000, 5);
         let intra = seq
             .iter()
-            .filter(|ti| {
-                w.community_of(ti.interaction.min()) == w.community_of(ti.interaction.max())
-            })
+            .filter(|ti| ti.interaction.min().index() % 3 == ti.interaction.max().index() % 3)
             .count();
         let fraction = intra as f64 / seq.len() as f64;
         assert!((fraction - 0.9).abs() < 0.03, "intra fraction {fraction}");

@@ -2,13 +2,13 @@
 //!
 //! Theorem 4 assumes that "the interactions occurring at least once, occur
 //! infinitely often". The round-robin workload realises that assumption on
-//! a finite horizon: a fixed list of pairs (by default all pairs of the
-//! complete graph) is replayed cyclically, so every edge of the underlying
-//! graph recurs every `|edges|` steps.
+//! a finite horizon: all pairs of the complete graph are replayed
+//! cyclically, so every edge of the underlying graph recurs every
+//! `|edges|` steps.
 
 use doda_core::sequence::AdversaryView;
 use doda_core::{Interaction, InteractionSource, Time};
-use doda_graph::{AdjacencyGraph, NodeId};
+use doda_graph::NodeId;
 
 use crate::Workload;
 
@@ -34,20 +34,6 @@ impl RoundRobinWorkload {
             }
         }
         RoundRobinWorkload { n, edges }
-    }
-
-    /// Round-robin over the edges of an arbitrary graph, in canonical order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the graph has no edges.
-    pub fn from_graph(graph: &AdjacencyGraph) -> Self {
-        let edges: Vec<(NodeId, NodeId)> = graph.edges().map(|e| (e.a, e.b)).collect();
-        assert!(!edges.is_empty(), "the graph must have at least one edge");
-        RoundRobinWorkload {
-            n: graph.node_count(),
-            edges,
-        }
     }
 
     /// The replayed edge list.
@@ -105,7 +91,6 @@ impl InteractionSource for RoundRobinSource {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use doda_graph::generators;
 
     #[test]
     fn all_pairs_cycle_covers_complete_graph() {
@@ -125,26 +110,8 @@ mod tests {
     }
 
     #[test]
-    fn from_graph_respects_topology() {
-        let cycle = generators::cycle_graph(5);
-        let w = RoundRobinWorkload::from_graph(&cycle);
-        let seq = w.generate(50, 0);
-        let g = seq.underlying_graph();
-        assert_eq!(g.edge_count(), 5);
-        for e in g.edges() {
-            assert!(cycle.has_edge(e.a, e.b));
-        }
-    }
-
-    #[test]
     fn seed_is_irrelevant() {
         let w = RoundRobinWorkload::all_pairs(4);
         assert_eq!(w.generate(20, 1), w.generate(20, 2));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one edge")]
-    fn rejects_edgeless_graph() {
-        let _ = RoundRobinWorkload::from_graph(&AdjacencyGraph::new(3));
     }
 }

@@ -159,12 +159,6 @@ impl TournamentWorkload {
         assert!(n >= 2, "need at least 2 nodes, got {n}");
         TournamentWorkload { n }
     }
-
-    /// Number of rounds per full cycle (every pair met once).
-    pub fn cycle_len(&self) -> usize {
-        let m = self.n + self.n % 2;
-        m - 1
-    }
 }
 
 impl RoundWorkload for TournamentWorkload {
@@ -499,7 +493,8 @@ mod tests {
     fn tournament_meets_every_pair_once_per_cycle() {
         for n in [6usize, 7, 8] {
             let w = TournamentWorkload::new(n);
-            let cycle = w.cycle_len();
+            // Rounds per full cycle: every pair meets once.
+            let cycle = n + n % 2 - 1;
             let rounds = drain_rounds(w.rounds(0).as_mut(), cycle, n);
             let mut met = std::collections::HashSet::new();
             for round in &rounds {

@@ -2,8 +2,8 @@
 //!
 //! Theorem 5 states that the spanning-tree algorithm is *optimal* when the
 //! underlying graph is a tree. This workload produces sequences whose
-//! interactions are confined to the edges of a tree (given or randomly
-//! generated from the seed), each edge recurring throughout the sequence in
+//! interactions are confined to the edges of a tree randomly generated
+//! from the seed, each edge recurring throughout the sequence in
 //! a random order.
 
 use doda_core::sequence::AdversaryView;
@@ -18,9 +18,6 @@ use crate::Workload;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TreeRestrictedWorkload {
     n: usize,
-    /// `None`: generate a fresh random tree from the seed at `generate`
-    /// time; `Some`: always use this fixed tree.
-    tree: Option<AdjacencyGraph>,
 }
 
 impl TreeRestrictedWorkload {
@@ -31,36 +28,13 @@ impl TreeRestrictedWorkload {
     /// Panics if `n < 2`.
     pub fn random_tree(n: usize) -> Self {
         assert!(n >= 2, "need at least 2 nodes, got {n}");
-        TreeRestrictedWorkload { n, tree: None }
+        TreeRestrictedWorkload { n }
     }
 
-    /// Sequences over a fixed tree.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tree` is not a tree (connected with exactly `n − 1` edges).
-    pub fn from_tree(tree: AdjacencyGraph) -> Self {
-        let n = tree.node_count();
-        assert!(n >= 2, "need at least 2 nodes, got {n}");
-        assert!(
-            tree.edge_count() == n - 1 && doda_graph::traversal::is_connected(&tree),
-            "the provided graph is not a tree"
-        );
-        TreeRestrictedWorkload {
-            n,
-            tree: Some(tree),
-        }
-    }
-
-    /// The tree used for a given seed (the fixed one, or the seed-derived one).
-    pub fn tree_for_seed(&self, seed: u64) -> AdjacencyGraph {
-        match &self.tree {
-            Some(t) => t.clone(),
-            None => {
-                let mut rng = seeded_rng(seed ^ TREE_SEED_MARKER);
-                generators::random_tree_graph(self.n, &mut rng)
-            }
-        }
+    /// The random tree a given seed derives.
+    fn tree_for_seed(&self, seed: u64) -> AdjacencyGraph {
+        let mut rng = seeded_rng(seed ^ TREE_SEED_MARKER);
+        generators::random_tree_graph(self.n, &mut rng)
     }
 }
 
@@ -129,24 +103,6 @@ mod tests {
         // Underlying graph is (a subgraph of) the tree and, with 2000 draws
         // over at most 11 edges, almost surely the whole tree.
         assert_eq!(seq.underlying_graph().edge_count(), 11);
-    }
-
-    #[test]
-    fn fixed_tree_is_respected_regardless_of_seed() {
-        let path = generators::path_graph(6);
-        let w = TreeRestrictedWorkload::from_tree(path.clone());
-        for seed in [1u64, 2, 3] {
-            let seq = w.generate(500, seed);
-            for ti in seq.iter() {
-                assert!(path.has_edge(ti.interaction.min(), ti.interaction.max()));
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "not a tree")]
-    fn rejects_non_trees() {
-        let _ = TreeRestrictedWorkload::from_tree(generators::cycle_graph(4));
     }
 
     #[test]

@@ -23,6 +23,9 @@ use doda::stats::harmonic;
 
 /// One streamed Gathering trial at `n` under a fixed interaction budget:
 /// prints wall-clock throughput and returns the interactions processed.
+/// The tier is forced to `Scalar`, as in `doda-bench --scale-guard`:
+/// `Auto` would put fault-free Gathering on the lane tier, and the printed
+/// rate would not be the streamed scalar engine's.
 fn streamed_point(n: usize, budget: usize) -> u64 {
     let t0 = std::time::Instant::now();
     let trials = Sweep::scenario(AlgorithmSpec::Gathering, Scenario::Uniform)
@@ -31,6 +34,7 @@ fn streamed_point(n: usize, budget: usize) -> u64 {
         .seed(0xD0DA)
         .horizon(Some(budget))
         .parallel(false)
+        .tier(ExecutionTier::Scalar)
         .run();
     let secs = t0.elapsed().as_secs_f64();
     let processed = trials[0].interactions_processed;
