@@ -15,7 +15,7 @@ use doda_adversary::{AdaptiveTrap, CycleTrap};
 use doda_core::cost::{cost_of_duration, Cost};
 use doda_core::prelude::*;
 use doda_graph::NodeId;
-use doda_sim::{AlgorithmSpec, BatchConfig, Scenario, Sweep};
+use doda_sim::{AlgorithmSpec, Scenario, Sweep};
 use doda_stats::harmonic;
 use doda_workloads::{TreeRestrictedWorkload, UniformWorkload, Workload};
 
@@ -572,25 +572,18 @@ pub fn e13_adaptive_sweep(effort: Effort) -> ExperimentReport {
         Effort::Quick => (16usize, 8usize, 4_000usize),
         Effort::Full => (64, 40, 64_000),
     };
-    let config = BatchConfig {
-        n,
-        trials,
-        horizon: Some(horizon),
-        seed: 0xE13,
-        parallel: false,
+    let sweep = |spec, parallel| {
+        Sweep::scenario(spec, Scenario::AdaptiveIsolator)
+            .n(n)
+            .trials(trials)
+            .horizon(Some(horizon))
+            .seed(0xE13)
+            .parallel(parallel)
+            .run()
     };
-    let gathering = Sweep::scenario(AlgorithmSpec::Gathering, Scenario::AdaptiveIsolator)
-        .config(&config)
-        .run();
-    let waiting = Sweep::scenario(AlgorithmSpec::Waiting, Scenario::AdaptiveIsolator)
-        .config(&config)
-        .run();
-    let parallel = Sweep::scenario(AlgorithmSpec::Gathering, Scenario::AdaptiveIsolator)
-        .config(&BatchConfig {
-            parallel: true,
-            ..config
-        })
-        .run();
+    let gathering = sweep(AlgorithmSpec::Gathering, false);
+    let waiting = sweep(AlgorithmSpec::Waiting, false);
+    let parallel = sweep(AlgorithmSpec::Gathering, true);
     let gathering_all = gathering
         .iter()
         .all(|r| r.terminated() && r.data_conserved && r.transmissions == n - 1);
@@ -643,14 +636,11 @@ pub fn e14_fault_degradation(effort: Effort) -> ExperimentReport {
             } else {
                 Scenario::Uniform.into()
             };
-            let config = BatchConfig {
-                n,
-                trials,
-                horizon: None,
-                seed: 0xE14,
-                parallel: false,
-            };
-            let raw = Sweep::scenario(spec, scenario).config(&config).run();
+            let raw = Sweep::scenario(spec, scenario)
+                .n(n)
+                .trials(trials)
+                .seed(0xE14)
+                .run();
             // Conservation must hold on every terminated trial, faulted
             // or not.
             if raw.iter().any(|r| r.terminated() && !r.data_conserved) {

@@ -1,6 +1,6 @@
 //! Scaling studies across the node count `n`.
 
-use doda_sim::{AlgorithmSpec, BatchConfig, Scenario, Sweep};
+use doda_sim::{AlgorithmSpec, Scenario, Sweep};
 use doda_stats::regression::{fit_power_law, fit_power_law_with_log_factor, PowerLawFit};
 
 /// One measured point of a scaling study.
@@ -82,15 +82,11 @@ impl ScalingStudy {
     pub fn run(&self, spec: AlgorithmSpec) -> ScalingResult {
         let mut points = Vec::with_capacity(self.ns.len());
         for (idx, &n) in self.ns.iter().enumerate() {
-            let config = BatchConfig {
-                n,
-                trials: self.trials,
-                horizon: None,
-                seed: self.seed ^ ((idx as u64 + 1) << 32),
-                parallel: self.parallel,
-            };
             let batch = Sweep::scenario(spec, Scenario::Uniform)
-                .config(&config)
+                .n(n)
+                .trials(self.trials)
+                .seed(self.seed ^ ((idx as u64 + 1) << 32))
+                .parallel(self.parallel)
                 .run_summarized()
                 .0;
             points.push(ScalingPoint {

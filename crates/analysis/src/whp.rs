@@ -6,7 +6,7 @@
 //! `1 − 1/log n` (the budget from the paper's definition, see
 //! `whp_failure_budget`).
 
-use doda_sim::{AlgorithmSpec, BatchConfig, Scenario, Sweep};
+use doda_sim::{AlgorithmSpec, Scenario, Sweep};
 
 /// Result of a w.h.p. check for one node count.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -57,18 +57,13 @@ where
     ns.iter()
         .map(|&n| {
             let b = bound(n);
-            let config = BatchConfig {
-                n,
-                trials,
-                horizon: Some(
-                    (b.ceil() as usize)
-                        .max(doda_adversary::RandomizedAdversary::default_horizon(n)),
-                ),
-                seed: seed ^ ((n as u64) << 20),
-                parallel: false,
-            };
+            let horizon =
+                (b.ceil() as usize).max(doda_adversary::RandomizedAdversary::default_horizon(n));
             let raw = Sweep::scenario(spec, Scenario::Uniform)
-                .config(&config)
+                .n(n)
+                .trials(trials)
+                .horizon(Some(horizon))
+                .seed(seed ^ ((n as u64) << 20))
                 .run();
             let within = raw
                 .iter()

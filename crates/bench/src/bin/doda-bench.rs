@@ -65,7 +65,6 @@ use doda_core::Interaction;
 use doda_graph::NodeId;
 use doda_service::decode_result;
 use doda_service::prelude::*;
-use doda_sim::runner::BatchConfig;
 use doda_sim::test_support::per_event_sweep;
 use doda_sim::{AggregateKind, AlgorithmSpec, ExecutionTier, Scenario, Sweep, TrialResult};
 
@@ -534,18 +533,16 @@ fn stream_guard() -> Result<String, String> {
     const HORIZON: usize = 10_000_000;
     const N: usize = 128;
 
-    let config = BatchConfig {
-        n: N,
-        trials: 1,
-        horizon: Some(HORIZON),
-        seed: 0xD0DA,
-        parallel: false,
+    let one_trial = |spec, scenario| {
+        Sweep::scenario(spec, scenario)
+            .n(N)
+            .horizon(Some(HORIZON))
+            .seed(0xD0DA)
+            .run()
     };
 
     let t0 = Instant::now();
-    let starved = Sweep::scenario(AlgorithmSpec::Waiting, Scenario::AdaptiveIsolator)
-        .config(&config)
-        .run();
+    let starved = one_trial(AlgorithmSpec::Waiting, Scenario::AdaptiveIsolator);
     let starved_secs = t0.elapsed().as_secs_f64();
     let starved = &starved[0];
     if starved.terminated() || starved.interactions_processed != HORIZON as u64 {
@@ -564,9 +561,7 @@ fn stream_guard() -> Result<String, String> {
     );
 
     let t1 = Instant::now();
-    let gathered = Sweep::scenario(AlgorithmSpec::Gathering, Scenario::Uniform)
-        .config(&config)
-        .run();
+    let gathered = one_trial(AlgorithmSpec::Gathering, Scenario::Uniform);
     let gathered_secs = t1.elapsed().as_secs_f64();
     let gathered = &gathered[0];
     if !gathered.terminated() {
@@ -640,16 +635,11 @@ fn fault_guard() -> Result<String, String> {
     const N: usize = 128;
 
     let starvation = Scenario::CrashAwareIsolator.with_faults(FaultProfile::lossy(0.25));
-    let config = BatchConfig {
-        n: N,
-        trials: 1,
-        horizon: Some(HORIZON),
-        seed: 0xD0DA,
-        parallel: false,
-    };
     let t0 = Instant::now();
     let starved = Sweep::scenario(AlgorithmSpec::Waiting, starvation)
-        .config(&config)
+        .n(N)
+        .horizon(Some(HORIZON))
+        .seed(0xD0DA)
         .run();
     let starved_secs = t0.elapsed().as_secs_f64();
     let starved = &starved[0];
@@ -673,16 +663,11 @@ fn fault_guard() -> Result<String, String> {
     );
 
     let crashing = Scenario::Uniform.with_faults(FaultProfile::crash(0.001));
-    let config = BatchConfig {
-        n: N,
-        trials: 8,
-        horizon: None,
-        seed: 0xD0DA,
-        parallel: false,
-    };
     let t1 = Instant::now();
     let trials = Sweep::scenario(AlgorithmSpec::Gathering, crashing)
-        .config(&config)
+        .n(N)
+        .trials(8)
+        .seed(0xD0DA)
         .run();
     let crash_secs = t1.elapsed().as_secs_f64();
     if !trials.iter().all(|r| r.terminated() && r.data_conserved) {
@@ -734,14 +719,10 @@ fn round_guard() -> Result<String, String> {
     if !doda_bench::memory::tracking() {
         return Err("the tracking allocator is not installed".to_string());
     }
-    let starved =
-        Sweep::scenario(AlgorithmSpec::Waiting, Scenario::RoundIsolator).config(&BatchConfig {
-            n: N,
-            trials: 1,
-            horizon: Some(HORIZON),
-            seed: 0xD0DA,
-            parallel: false,
-        });
+    let starved = Sweep::scenario(AlgorithmSpec::Waiting, Scenario::RoundIsolator)
+        .n(N)
+        .horizon(Some(HORIZON))
+        .seed(0xD0DA);
     let tier = starved.path_label();
     let floor = doda_bench::memory::reset_peak();
     let t0 = Instant::now();
@@ -775,16 +756,11 @@ fn round_guard() -> Result<String, String> {
         ));
     }
 
-    let config = BatchConfig {
-        n: N,
-        trials: 8,
-        horizon: None,
-        seed: 0xD0DA,
-        parallel: false,
-    };
     let t1 = Instant::now();
     let trials = Sweep::scenario(AlgorithmSpec::Gathering, Scenario::RandomMatching)
-        .config(&config)
+        .n(N)
+        .trials(8)
+        .seed(0xD0DA)
         .run();
     let gather_secs = t1.elapsed().as_secs_f64();
     if !trials.iter().all(|r| r.terminated() && r.data_conserved) {

@@ -21,7 +21,6 @@
 use std::time::Instant;
 
 use doda_core::fault::FaultProfile;
-use doda_sim::runner::BatchConfig;
 use doda_sim::{AlgorithmSpec, FaultedScenario, Scenario, Sweep};
 use doda_stats::Summary;
 
@@ -422,16 +421,16 @@ fn run_cell(grid: &PerfGrid, shape: CellShape, cell_index: u64) -> CellResult {
         trials,
         horizon,
     } = shape;
-    let config = BatchConfig {
-        n,
-        trials,
-        horizon,
-        seed: doda_stats::rng::SeedSequence::new(grid.seed)
-            .child(cell_index)
-            .seed(0),
-        parallel: grid.parallel,
-    };
-    let sweep = Sweep::scenario(spec, scenario).config(&config);
+    let sweep = Sweep::scenario(spec, scenario)
+        .n(n)
+        .trials(trials)
+        .horizon(horizon)
+        .seed(
+            doda_stats::rng::SeedSequence::new(grid.seed)
+                .child(cell_index)
+                .seed(0),
+        )
+        .parallel(grid.parallel);
     let mode = sweep.path_label();
     // Bracket the cell's heap growth when a tracking allocator is
     // installed; without one the counters never move and the column

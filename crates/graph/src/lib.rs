@@ -8,8 +8,7 @@
 //!
 //! * the **underlying graph** `G̅`, whose edges are the pairs of nodes that
 //!   interact at least once (Section 3.2 of the paper);
-//! * **spanning trees** of `G̅`, used by the algorithm of Theorems 4 and 5;
-//! * the **evolving graph** view, a sequence of single-edge snapshots.
+//! * **spanning trees** of `G̅`, used by the algorithm of Theorems 4 and 5.
 //!
 //! This crate provides those notions from scratch (no external graph
 //! library): adjacency-set and CSR graph representations, traversals,
@@ -39,7 +38,6 @@
 
 pub mod adjacency;
 pub mod csr;
-pub mod evolving;
 pub mod generators;
 pub mod node;
 pub mod spanning_tree;
@@ -50,7 +48,6 @@ pub mod union_find;
 
 pub use adjacency::AdjacencyGraph;
 pub use csr::CsrGraph;
-pub use evolving::EvolvingGraph;
 pub use node::NodeId;
 pub use tree::RootedTree;
 pub use underlying::underlying_graph;

@@ -98,14 +98,4 @@ proptest! {
             prop_assert!(pos[&c] < pos[&p]);
         }
     }
-
-    #[test]
-    fn evolving_underlying_equals_direct_union(pairs in edge_list(8, 50)) {
-        let eg = doda_graph::EvolvingGraph::from_pairs(
-            8,
-            pairs.iter().map(|&(a, b)| (NodeId(a), NodeId(b))),
-        );
-        let direct = underlying_graph(8, pairs.iter().map(|&(a, b)| (NodeId(a), NodeId(b))));
-        prop_assert_eq!(eg.underlying(), direct);
-    }
 }

@@ -9,7 +9,6 @@
 //! [`std::error::Error::source`].
 
 use doda_core::error::{EngineError, FaultError};
-use doda_core::fault::FaultConfigError;
 
 use crate::session::SessionId;
 
@@ -116,11 +115,12 @@ pub enum ServiceError {
     /// An externally-fed session was requested over zero nodes: every
     /// session has a sink (node 0), so `n` must be at least 1.
     EmptyPopulation(SessionId),
-    /// The scenario/population combination is invalid (e.g. `n` below the
-    /// scenario's node floor).
+    /// The scenario request is one the equivalent
+    /// [`Sweep`](doda_sim::Sweep) refuses (e.g. `n` below the scenario's
+    /// node floor, out-of-range scenario parameters, or a fault plan
+    /// invalid for `n`), with the sweep's admission message; or it
+    /// carries a Byzantine plan, which sessions cannot audit.
     InvalidScenario(String),
-    /// The scenario's fault plan is invalid for the requested population.
-    FaultConfig(FaultConfigError),
     /// The engine rejected an algorithm decision mid-session.
     Engine(EngineError),
     /// A frame failed to decode.
@@ -156,7 +156,6 @@ impl std::fmt::Display for ServiceError {
                 "session {id} requested zero nodes; a session needs at least its sink"
             ),
             ServiceError::InvalidScenario(msg) => write!(f, "invalid scenario: {msg}"),
-            ServiceError::FaultConfig(e) => write!(f, "invalid fault plan: {e}"),
             ServiceError::Engine(e) => write!(f, "engine error: {e}"),
             ServiceError::Wire(e) => write!(f, "wire error: {e}"),
         }
@@ -166,19 +165,12 @@ impl std::fmt::Display for ServiceError {
 impl std::error::Error for ServiceError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            ServiceError::FaultConfig(e) => Some(e),
             ServiceError::Engine(e) => Some(e),
             ServiceError::Wire(e) => Some(e),
             ServiceError::InvalidEvent { cause, .. } => Some(cause),
             ServiceError::SessionFault { cause, .. } => Some(cause),
             _ => None,
         }
-    }
-}
-
-impl From<FaultConfigError> for ServiceError {
-    fn from(e: FaultConfigError) -> Self {
-        ServiceError::FaultConfig(e)
     }
 }
 

@@ -74,16 +74,21 @@ impl SessionManager {
     }
 
     /// Opens a scenario-fed session: `scenario` streams the interactions,
-    /// seeded exactly like trial 0 of a
-    /// [`Sweep`](doda_sim::Sweep) with the same `(spec, scenario, n,
-    /// seed)` — the finished result is byte-identical to that sweep's.
+    /// admitted and seeded by [`Sweep::stream`](doda_sim::Sweep::stream)
+    /// as trial 0 of the [`Sweep`](doda_sim::Sweep) with the same `(spec,
+    /// scenario, n, seed)` — the finished result is byte-identical to that
+    /// sweep's.
     ///
     /// # Errors
     ///
-    /// [`ServiceError::DuplicateSession`] if `id` is taken,
-    /// [`ServiceError::UnsupportedSpec`] if `spec` needs knowledge of the
-    /// future, [`ServiceError::InvalidScenario`] /
-    /// [`ServiceError::FaultConfig`] if the scenario rejects `n`.
+    /// In this order: [`ServiceError::DuplicateSession`] if `id` is taken;
+    /// [`ServiceError::InvalidScenario`] with the sweep's admission message
+    /// if that sweep refuses the request (an adaptive scenario with a
+    /// knowledge-based spec, out-of-range scenario parameters, an invalid
+    /// fault or Byzantine plan, or `n` below the scenario's floor), then
+    /// if the scenario carries a Byzantine plan, which sessions cannot
+    /// audit; [`ServiceError::UnsupportedSpec`] if `spec` needs knowledge
+    /// of the future.
     pub fn open_scenario(
         &mut self,
         id: SessionId,

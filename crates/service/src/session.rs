@@ -7,10 +7,10 @@
 //! surface. Sessions come in two feed shapes:
 //!
 //! * **scenario-fed** — the interaction process is a
-//!   [`doda_sim::FaultedScenario`] from the registry, seeded exactly like
-//!   trial 0 of a [`doda_sim::Sweep`] with the same seed, so a finished
-//!   session's [`TrialResult`] is byte-identical to the standalone sweep's
-//!   (pinned by the loopback end-to-end tests);
+//!   [`doda_sim::FaultedScenario`] from the registry, admitted and seeded
+//!   by [`doda_sim::Sweep::stream`] as trial 0 of the equivalent sweep, so
+//!   a finished session's [`TrialResult`] is byte-identical to the
+//!   standalone sweep's (pinned by the loopback end-to-end tests);
 //! * **externally-fed** — the tenant pushes [`StepEvent`]s into a
 //!   *bounded* inbox over the wire; a full inbox sheds or blocks per
 //!   [`OverflowPolicy`]. The bound is what keeps the whole service at
@@ -29,8 +29,7 @@ use doda_core::error::FaultError;
 use doda_core::sequence::{AdversaryView, InteractionSource, StepEvent};
 use doda_core::{DiscardTransmissions, DodaAlgorithm, Interaction, Time};
 use doda_graph::NodeId;
-use doda_sim::{finish_trial, AlgorithmSpec, FaultedScenario, TrialResult};
-use doda_stats::rng::SeedSequence;
+use doda_sim::{finish_trial, AlgorithmSpec, FaultedScenario, Sweep, TrialResult};
 
 use crate::error::ServiceError;
 
@@ -132,7 +131,7 @@ impl Inbox {
     /// participant) depend on where the engine is in the queue and are
     /// caught at drain time instead — see
     /// [`SessionManager::poll_failure`](crate::SessionManager::poll_failure).
-    fn validate(&self, id: SessionId, event: StepEvent) -> Result<(), ServiceError> {
+    fn check_event(&self, id: SessionId, event: StepEvent) -> Result<(), ServiceError> {
         let invalid = |cause| ServiceError::InvalidEvent { session: id, cause };
         let in_range = |node: NodeId| {
             if node.index() < self.node_count {
@@ -163,7 +162,7 @@ impl Inbox {
         if self.closed {
             return Err(ServiceError::SessionClosed(id));
         }
-        self.validate(id, event)?;
+        self.check_event(id, event)?;
         if self.queue.len() >= self.capacity {
             return match self.overflow {
                 OverflowPolicy::Shed => {
@@ -206,7 +205,7 @@ impl InteractionSource for Inbox {
 /// The two feed shapes of a session.
 enum Feed {
     /// A registry scenario streams the events (faults pre-applied by
-    /// [`FaultedScenario::source`]).
+    /// [`Sweep::stream`]).
     Scenario(Box<dyn InteractionSource + Send>),
     /// The tenant pushes events into a bounded inbox.
     External(Inbox),
@@ -259,9 +258,9 @@ impl Session {
     /// Every session's sink: node 0, same as a sweep trial's.
     pub(crate) const SINK: NodeId = NodeId(0);
 
-    /// Opens a scenario-fed session, seeded exactly like trial 0 of
-    /// `Sweep::scenario(spec, scenario).n(n).seed(seed)` so the eventual
-    /// result is byte-identical to that standalone sweep's.
+    /// Opens a scenario-fed session on trial 0's stream of
+    /// `Sweep::scenario(spec, scenario).n(n).seed(seed)`, admitted by that
+    /// sweep, so the eventual result is byte-identical to its trial 0.
     pub(crate) fn open_scenario(
         id: SessionId,
         spec: AlgorithmSpec,
@@ -270,23 +269,11 @@ impl Session {
         seed: u64,
         config: &SessionConfig,
     ) -> Result<Self, ServiceError> {
-        if !scenario.supports(spec) {
-            return Err(ServiceError::InvalidScenario(format!(
-                "{spec} cannot run against the adaptive scenario '{scenario}'"
-            )));
-        }
-        if n < scenario.min_nodes() {
-            return Err(ServiceError::InvalidScenario(format!(
-                "scenario '{scenario}' needs at least {} nodes, got {n}",
-                scenario.min_nodes()
-            )));
-        }
-        scenario.validate(n)?;
-        if let Err(e) = scenario.validate_byzantine() {
-            return Err(ServiceError::InvalidScenario(format!(
-                "invalid byzantine plan for scenario '{scenario}': {e}"
-            )));
-        }
+        let source = Sweep::scenario(spec, scenario)
+            .n(n)
+            .seed(seed)
+            .stream()
+            .map_err(|e| ServiceError::InvalidScenario(e.to_string()))?;
         // A session steps the engine on the honest data plane; accepting
         // a Byzantine plan here would silently return an unaudited result
         // where the equivalent sweep returns a verdict. Byzantine
@@ -298,16 +285,12 @@ impl Session {
             )));
         }
         // A spec the sweep would materialise has no incremental form, so
-        // no session can serve it. (The fast tiers — rounds, lanes — are
-        // byte-identical to the scalar stream the session runs.)
+        // no session can serve it.
         let Some(algorithm) = spec.instantiate_online() else {
             return Err(ServiceError::UnsupportedSpec {
                 spec: spec.to_string(),
             });
         };
-        // Trial 0 of a sweep with this seed.
-        let trial_seed = SeedSequence::new(seed).seed(0);
-        let source = scenario.source(n, trial_seed);
         Ok(Self::start(
             id,
             spec,

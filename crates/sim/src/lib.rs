@@ -21,7 +21,7 @@
 //! * [`sweep::Sweep`] is the unified batch builder: scenario or workload ×
 //!   algorithm × trials × seed × parallelism × execution tier
 //!   ([`sweep::ExecutionTier`]: auto / scalar / lockstep **lanes**);
-//! * [`runner`] holds the batch shape and summary, and
+//! * [`runner`] holds the batch summary and
 //!   [`runner::claim_chunks`], the claim-based dispatcher that shards a
 //!   sweep's trials, and the service's sessions, over worker threads;
 //! * [`table`] renders result rows as Markdown for EXPERIMENTS.md and
@@ -58,10 +58,10 @@ pub use datum::{
     AggregateKind, CountFamily, DatumFamily, DistinctFamily, ExactOrigins, MaxFamily, MinFamily,
     QuantileFamily, SumFamily,
 };
-pub use runner::{BatchConfig, BatchResult};
+pub use runner::BatchResult;
 pub use scenario::{FaultedScenario, Scenario};
 pub use spec::{AlgorithmSpec, KnowledgeRequirement};
-pub use sweep::{ExecutionTier, Sweep};
+pub use sweep::{AdmissionError, ExecutionTier, Sweep};
 pub use trial::{
     finish_trial, finish_trial_with, run_trial_on_sequence, ByzantineInjection, FaultInjection,
     TrialConfig, TrialResult, TrialRunner,
@@ -70,7 +70,7 @@ pub use trial::{
 /// Commonly used items for examples and benches.
 pub mod prelude {
     pub use crate::datum::{AggregateKind, DatumFamily, ExactOrigins};
-    pub use crate::runner::{BatchConfig, BatchResult};
+    pub use crate::runner::BatchResult;
     pub use crate::scenario::{FaultedScenario, Scenario};
     pub use crate::spec::{AlgorithmSpec, KnowledgeRequirement};
     pub use crate::sweep::{ExecutionTier, Sweep};

@@ -1,11 +1,12 @@
-//! Multi-trial batches: the batch shape ([`BatchConfig`], which
-//! [`Sweep::config`](crate::Sweep::config) copies), its summary
-//! ([`BatchResult`]), and the claim loop every sweep and service slice
+//! Multi-trial batches: the summary of a [`Sweep`](crate::Sweep)
+//! ([`BatchResult`]) and the claim loop every sweep and service slice
 //! runs on.
 //!
-//! A batch fixes an algorithm, a node count and a trial count; each trial
-//! draws an independent interaction stream from a workload or scenario,
-//! runs the algorithm, and the batch summarises the interaction counts.
+//! A sweep fixes an algorithm, a node count and a trial count through its
+//! builder; each trial draws an independent interaction stream from a
+//! workload or scenario, runs the algorithm, and
+//! [`Sweep::run_summarized`](crate::Sweep::run_summarized) summarises the
+//! interaction counts.
 //!
 //! # Streaming-first execution
 //!
@@ -33,8 +34,8 @@
 //! finishes a long one. The cursor is the only thing shared while trials
 //! run; each trial's result lands in its own index slot. Because trial `i`
 //! always uses the sub-seed `SeedSequence::seed(i)` regardless of which
-//! worker executes it, serial and parallel runs of the same
-//! [`BatchConfig`] produce **identical** [`BatchResult`]s and raw
+//! worker executes it, serial and parallel runs of the same sweep
+//! produce **identical** [`BatchResult`]s and raw
 //! [`TrialResult`]s, byte for byte.
 //!
 //! [`TrialRunner`]: crate::trial::TrialRunner
@@ -47,31 +48,6 @@ use doda_stats::Summary;
 
 use crate::spec::AlgorithmSpec;
 use crate::trial::TrialResult;
-
-/// Configuration of a batch of independent randomized-adversary trials.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchConfig {
-    /// Number of nodes (the sink is node 0).
-    pub n: usize,
-    /// Number of independent trials.
-    pub trials: usize,
-    /// Length of the materialised random sequence per trial; `None` uses
-    /// the generous default `8·n²` (see
-    /// `doda_adversary::RandomizedAdversary::default_horizon`).
-    pub horizon: Option<usize>,
-    /// Root seed; trial `i` uses an independent sub-seed derived from it.
-    pub seed: u64,
-    /// Whether to spread trials across worker threads.
-    pub parallel: bool,
-}
-
-impl BatchConfig {
-    /// The sequence length used per trial.
-    fn horizon_len(&self) -> usize {
-        self.horizon
-            .unwrap_or_else(|| doda_adversary::RandomizedAdversary::default_horizon(self.n))
-    }
-}
 
 /// Summary of a batch of trials.
 #[derive(Debug, Clone, PartialEq)]
@@ -200,7 +176,8 @@ pub(crate) fn shard<S>(
         .collect()
 }
 
-/// Summarises raw trial results into a [`BatchResult`].
+/// Summarises the raw results of `trials` trials over `n` nodes, each run
+/// to at most `horizon` interactions, into a [`BatchResult`].
 ///
 /// # Panics
 ///
@@ -208,7 +185,9 @@ pub(crate) fn shard<S>(
 /// this means the horizon was far too small for the algorithm.
 pub(crate) fn summarize(
     spec: AlgorithmSpec,
-    config: &BatchConfig,
+    n: usize,
+    trials: usize,
+    horizon: usize,
     results: &[TrialResult],
 ) -> BatchResult {
     let completions: Vec<f64> = results
@@ -218,19 +197,17 @@ pub(crate) fn summarize(
     let completed = completions.len();
     let interactions = Summary::from_values(&completions).unwrap_or_else(|| {
         panic!(
-            "no trial of {} terminated within {} interactions (n = {}); increase the horizon",
-            spec,
-            config.horizon_len(),
-            config.n
+            "no trial of {spec} terminated within {horizon} interactions (n = {n}); \
+             increase the horizon"
         )
     });
     BatchResult {
         algorithm: spec.label().to_string(),
-        n: config.n,
-        trials: config.trials,
+        n,
+        trials,
         completed,
         interactions,
-        completion_rate: completed as f64 / config.trials.max(1) as f64,
+        completion_rate: completed as f64 / trials.max(1) as f64,
     }
 }
 
@@ -244,14 +221,19 @@ mod tests {
     use doda_core::fault::FaultProfile;
     use doda_workloads::{UniformWorkload, Workload, ZipfWorkload};
 
-    fn config(n: usize, trials: usize, parallel: bool) -> BatchConfig {
-        BatchConfig {
-            n,
-            trials,
-            horizon: None,
-            seed: 42,
-            parallel,
-        }
+    /// A scenario sweep of `spec` at seed 42 and the default horizon.
+    fn sweep(
+        spec: AlgorithmSpec,
+        scenario: impl Into<FaultedScenario>,
+        n: usize,
+        trials: usize,
+        parallel: bool,
+    ) -> Sweep<'static> {
+        Sweep::scenario(spec, scenario)
+            .n(n)
+            .trials(trials)
+            .seed(42)
+            .parallel(parallel)
     }
 
     #[test]
@@ -360,9 +342,8 @@ mod tests {
 
     #[test]
     fn sequential_batch_summarises_trials() {
-        let (result, raw) = Sweep::scenario(AlgorithmSpec::Gathering, Scenario::Uniform)
-            .config(&config(12, 8, false))
-            .run_summarized();
+        let (result, raw) =
+            sweep(AlgorithmSpec::Gathering, Scenario::Uniform, 12, 8, false).run_summarized();
         assert_eq!(result.trials, 8);
         assert_eq!(result.completed, 8);
         assert_eq!(raw.len(), 8);
@@ -373,12 +354,10 @@ mod tests {
 
     #[test]
     fn parallel_and_sequential_agree() {
-        let sequential = Sweep::scenario(AlgorithmSpec::Gathering, Scenario::Uniform)
-            .config(&config(10, 6, false))
-            .run_summarized();
-        let parallel = Sweep::scenario(AlgorithmSpec::Gathering, Scenario::Uniform)
-            .config(&config(10, 6, true))
-            .run_summarized();
+        let sequential =
+            sweep(AlgorithmSpec::Gathering, Scenario::Uniform, 10, 6, false).run_summarized();
+        let parallel =
+            sweep(AlgorithmSpec::Gathering, Scenario::Uniform, 10, 6, true).run_summarized();
         // Same seeds per trial index regardless of sharding, so both the
         // summary and the raw per-trial results are identical.
         assert_eq!(sequential, parallel);
@@ -386,16 +365,12 @@ mod tests {
 
     #[test]
     fn run_trials_supports_non_uniform_workloads_without_panicking() {
-        let cfg = BatchConfig {
-            n: 10,
-            trials: 4,
-            horizon: Some(5), // hopeless horizon: zero completions allowed
-            seed: 3,
-            parallel: false,
-        };
         let workload = ZipfWorkload::new(10, 1.2);
         let raw = Sweep::workload(AlgorithmSpec::Waiting, &workload)
-            .config(&cfg)
+            .n(10)
+            .trials(4)
+            .horizon(Some(5)) // hopeless horizon: zero completions allowed
+            .seed(3)
             .run();
         assert_eq!(raw.len(), 4);
         assert!(raw.iter().all(|r| !r.terminated()));
@@ -406,87 +381,79 @@ mod tests {
     fn run_trials_rejects_mismatched_node_counts() {
         let workload = ZipfWorkload::new(8, 1.2);
         let _ = Sweep::workload(AlgorithmSpec::Waiting, &workload)
-            .config(&config(10, 2, false))
+            .n(10)
+            .trials(2)
             .run();
     }
 
     #[test]
     fn scenario_sweep_runs_adaptive_adversaries_sharded() {
-        let cfg = BatchConfig {
-            n: 12,
-            trials: 6,
-            horizon: Some(4_000),
-            seed: 9,
-            parallel: false,
+        let run = |spec, parallel| {
+            Sweep::scenario(spec, Scenario::AdaptiveIsolator)
+                .n(12)
+                .trials(6)
+                .horizon(Some(4_000))
+                .seed(9)
+                .parallel(parallel)
+                .run()
         };
-        let serial = Sweep::scenario(AlgorithmSpec::Gathering, Scenario::AdaptiveIsolator)
-            .config(&cfg)
-            .run();
-        let parallel = Sweep::scenario(AlgorithmSpec::Gathering, Scenario::AdaptiveIsolator)
-            .config(&BatchConfig {
-                parallel: true,
-                ..cfg
-            })
-            .run();
-        assert_eq!(serial, parallel);
+        let serial = run(AlgorithmSpec::Gathering, false);
+        assert_eq!(serial, run(AlgorithmSpec::Gathering, true));
         assert!(serial.iter().all(|r| r.terminated() && r.data_conserved));
         // The same adversary starves Waiting for the whole horizon.
-        let waiting = Sweep::scenario(AlgorithmSpec::Waiting, Scenario::AdaptiveIsolator)
-            .config(&cfg)
-            .run();
+        let waiting = run(AlgorithmSpec::Waiting, false);
         assert!(waiting.iter().all(|r| !r.terminated()));
         assert!(waiting.iter().all(|r| r.interactions_processed == 4_000));
     }
 
     #[test]
     fn scenario_sweep_materializes_for_knowledge_based_specs() {
-        let cfg = BatchConfig {
-            n: 10,
-            trials: 3,
-            horizon: None,
-            seed: 4,
-            parallel: false,
-        };
-        let raw = Sweep::scenario(
-            AlgorithmSpec::WaitingGreedy { tau: None },
-            Scenario::Uniform,
-        )
-        .config(&cfg)
-        .run();
+        let greedy = AlgorithmSpec::WaitingGreedy { tau: None };
+        let raw = Sweep::scenario(greedy, Scenario::Uniform)
+            .n(10)
+            .trials(3)
+            .seed(4)
+            .run();
         assert_eq!(raw.len(), 3);
         assert!(raw.iter().all(|r| r.terminated()));
         // The scenario and workload views of "uniform" are the same process:
         // identical seeds produce identical trials.
-        let via_workload = Sweep::workload(
-            AlgorithmSpec::WaitingGreedy { tau: None },
-            &UniformWorkload::new(10),
-        )
-        .config(&cfg)
-        .run();
+        let via_workload = Sweep::workload(greedy, &UniformWorkload::new(10))
+            .trials(3)
+            .seed(4)
+            .run();
         assert_eq!(raw, via_workload);
+    }
+
+    /// Serial and parallel runs of `scenario` under `spec` at seed `seed`,
+    /// `trials` trials over 12 nodes and horizon `horizon`.
+    fn serial_and_parallel(
+        spec: AlgorithmSpec,
+        scenario: impl Into<FaultedScenario> + Copy,
+        trials: usize,
+        horizon: usize,
+        seed: u64,
+    ) -> (Vec<TrialResult>, Vec<TrialResult>) {
+        let run = |parallel| {
+            Sweep::scenario(spec, scenario)
+                .n(12)
+                .trials(trials)
+                .horizon(Some(horizon))
+                .seed(seed)
+                .parallel(parallel)
+                .run()
+        };
+        (run(false), run(true))
     }
 
     #[test]
     fn faulted_scenario_sweeps_are_serial_parallel_identical() {
-        let cfg = BatchConfig {
-            n: 12,
-            trials: 6,
-            horizon: Some(6_000),
-            seed: 0xFA,
-            parallel: false,
-        };
         for spec in [
             AlgorithmSpec::Gathering,
             AlgorithmSpec::WaitingGreedy { tau: None },
         ] {
             let scenario = Scenario::Uniform.with_faults(FaultProfile::crash(0.002));
-            let serial = Sweep::scenario(spec, scenario).config(&cfg).run();
-            let parallel = Sweep::scenario(spec, scenario)
-                .config(&BatchConfig {
-                    parallel: true,
-                    ..cfg
-                })
-                .run();
+            let (serial, parallel) = serial_and_parallel(spec, scenario, 6, 6_000, 0xFA);
             assert_eq!(serial, parallel, "{spec}");
             assert!(serial.iter().all(|r| r.data_conserved || !r.terminated()));
         }
@@ -494,27 +461,13 @@ mod tests {
 
     #[test]
     fn round_scenarios_sweep_serial_parallel_identical() {
-        let cfg = BatchConfig {
-            n: 12,
-            trials: 6,
-            horizon: Some(6_000),
-            seed: 9,
-            parallel: false,
-        };
         for scenario in [
             Scenario::RandomMatching,
             Scenario::Tournament,
             Scenario::IntervalConnected { t: 8 },
         ] {
-            let serial = Sweep::scenario(AlgorithmSpec::Gathering, scenario)
-                .config(&cfg)
-                .run();
-            let parallel = Sweep::scenario(AlgorithmSpec::Gathering, scenario)
-                .config(&BatchConfig {
-                    parallel: true,
-                    ..cfg
-                })
-                .run();
+            let (serial, parallel) =
+                serial_and_parallel(AlgorithmSpec::Gathering, scenario, 6, 6_000, 9);
             assert_eq!(serial, parallel, "{scenario}");
             assert!(
                 serial.iter().all(|r| r.terminated() && r.data_conserved),
@@ -522,9 +475,13 @@ mod tests {
             );
         }
         // The sink-unmatched round trap starves even Gathering.
-        let starved = Sweep::scenario(AlgorithmSpec::Gathering, Scenario::RoundIsolator)
-            .config(&cfg)
-            .run();
+        let (starved, _) = serial_and_parallel(
+            AlgorithmSpec::Gathering,
+            Scenario::RoundIsolator,
+            6,
+            6_000,
+            9,
+        );
         assert!(starved
             .iter()
             .all(|r| !r.terminated() && r.interactions_processed == 6_000));
@@ -532,23 +489,9 @@ mod tests {
 
     #[test]
     fn faulted_round_scenarios_flow_through_the_flattened_fault_layer() {
-        let cfg = BatchConfig {
-            n: 12,
-            trials: 5,
-            horizon: Some(8_000),
-            seed: 0xFA,
-            parallel: false,
-        };
         let scenario = Scenario::RandomMatching.with_faults(FaultProfile::lossy(0.2));
-        let serial = Sweep::scenario(AlgorithmSpec::Gathering, scenario)
-            .config(&cfg)
-            .run();
-        let parallel = Sweep::scenario(AlgorithmSpec::Gathering, scenario)
-            .config(&BatchConfig {
-                parallel: true,
-                ..cfg
-            })
-            .run();
+        let (serial, parallel) =
+            serial_and_parallel(AlgorithmSpec::Gathering, scenario, 5, 8_000, 0xFA);
         assert_eq!(serial, parallel);
         assert!(serial.iter().any(|r| r.faults.lost_interactions > 0));
         assert!(serial.iter().all(|r| !r.terminated() || r.data_conserved));
@@ -556,15 +499,14 @@ mod tests {
 
     #[test]
     fn fault_free_faulted_scenario_reproduces_the_plain_scenario() {
-        let cfg = config(10, 5, false);
-        let plain = Sweep::scenario(AlgorithmSpec::Gathering, Scenario::Uniform)
-            .config(&cfg)
-            .run();
-        let wrapped = Sweep::scenario(
+        let plain = sweep(AlgorithmSpec::Gathering, Scenario::Uniform, 10, 5, false).run();
+        let wrapped = sweep(
             AlgorithmSpec::Gathering,
             FaultedScenario::from(Scenario::Uniform),
+            10,
+            5,
+            false,
         )
-        .config(&cfg)
         .run();
         assert_eq!(plain, wrapped);
         assert!(plain.iter().all(|r| r.faults.is_clean()));
@@ -577,51 +519,39 @@ mod tests {
             min_live: 1,
             ..FaultProfile::churn(0.5, 0.0)
         });
-        let _ = Sweep::scenario(AlgorithmSpec::Gathering, bad)
-            .config(&config(8, 2, false))
-            .run();
+        let _ = sweep(AlgorithmSpec::Gathering, bad, 8, 2, false).run();
     }
 
     #[test]
     #[should_panic(expected = "is adaptive")]
     fn scenario_sweep_rejects_oracles_over_adaptive_streams() {
-        let cfg = config(10, 2, false);
-        let _ = Sweep::scenario(AlgorithmSpec::OfflineOptimal, Scenario::AdaptiveIsolator)
-            .config(&cfg)
-            .run();
+        let spec = AlgorithmSpec::OfflineOptimal;
+        let _ = sweep(spec, Scenario::AdaptiveIsolator, 10, 2, false).run();
     }
 
     #[test]
     fn ordering_offline_fastest_waiting_slowest() {
-        let cfg = config(16, 6, false);
-        let offline = Sweep::scenario(AlgorithmSpec::OfflineOptimal, Scenario::Uniform)
-            .config(&cfg)
-            .run_summarized()
-            .0;
-        let gathering = Sweep::scenario(AlgorithmSpec::Gathering, Scenario::Uniform)
-            .config(&cfg)
-            .run_summarized()
-            .0;
-        let waiting = Sweep::scenario(AlgorithmSpec::Waiting, Scenario::Uniform)
-            .config(&cfg)
-            .run_summarized()
-            .0;
-        assert!(offline.interactions.mean < gathering.interactions.mean);
-        assert!(gathering.interactions.mean < waiting.interactions.mean);
+        let mean = |spec| {
+            sweep(spec, Scenario::Uniform, 16, 6, false)
+                .run_summarized()
+                .0
+                .interactions
+                .mean
+        };
+        let offline = mean(AlgorithmSpec::OfflineOptimal);
+        let gathering = mean(AlgorithmSpec::Gathering);
+        let waiting = mean(AlgorithmSpec::Waiting);
+        assert!(offline < gathering);
+        assert!(gathering < waiting);
     }
 
     #[test]
     fn custom_horizon_is_respected() {
-        let cfg = BatchConfig {
-            n: 8,
-            trials: 3,
-            horizon: Some(2_000),
-            seed: 1,
-            parallel: false,
-        };
-        assert_eq!(cfg.horizon_len(), 2_000);
         let result = Sweep::scenario(AlgorithmSpec::Gathering, Scenario::Uniform)
-            .config(&cfg)
+            .n(8)
+            .trials(3)
+            .horizon(Some(2_000))
+            .seed(1)
             .run_summarized()
             .0;
         assert_eq!(result.completed, 3);
@@ -630,15 +560,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "increase the horizon")]
     fn hopelessly_short_horizon_panics_with_guidance() {
-        let cfg = BatchConfig {
-            n: 10,
-            trials: 2,
-            horizon: Some(3),
-            seed: 1,
-            parallel: false,
-        };
         let _ = Sweep::scenario(AlgorithmSpec::Waiting, Scenario::Uniform)
-            .config(&cfg)
+            .n(10)
+            .trials(2)
+            .horizon(Some(3))
+            .seed(1)
             .run_summarized()
             .0;
     }

@@ -22,7 +22,7 @@ use doda_adversary::{
     CrashAwareIsolator, IsolatorAdversary, ObliviousTrap, RoundIsolator, WeightedRandomAdversary,
 };
 use doda_core::byzantine::{ByzantineConfigError, ByzantineProfile};
-use doda_core::fault::{FaultConfigError, FaultProfile, FaultedSource};
+use doda_core::fault::{FaultConfigError, FaultProfile};
 use doda_core::round::{FlattenedRounds, RoundSource};
 use doda_core::{InteractionSequence, InteractionSource};
 use doda_stats::rng::SeedSequence;
@@ -181,10 +181,39 @@ impl Scenario {
     /// The smallest node count the scenario admits.
     pub fn min_nodes(&self) -> usize {
         match self {
-            Scenario::Community { communities, .. } => 2 * (*communities).max(1),
+            Scenario::Community { communities, .. } => (*communities).max(1).saturating_mul(2),
             Scenario::BodyArea | Scenario::CrashAwareIsolator | Scenario::RoundIsolator => 3,
             Scenario::ObliviousTrap => 4,
             _ => 2,
+        }
+    }
+
+    /// The range rule the scenario's parameters break, if any: the check
+    /// [`crate::Sweep`] admission runs before any source is built, so no
+    /// parameter reaches a constructor that would panic or a stream that
+    /// would never yield.
+    ///
+    /// Zipf exponents are capped at [`MAX_ZIPF_EXPONENT`]: both
+    /// Zipf streams redraw the second endpoint until it differs from the
+    /// first, and at exponent `s` a redraw leaves the hub (node 0) with
+    /// probability at least `2^-(s+1)` at every `n ≥ 2`. Past the cap that
+    /// loop can run for millions of draws, and from about `s = 1,075`
+    /// every weight but the hub's underflows to zero, so it never ends.
+    pub(crate) fn parameter_rule(&self) -> Option<&'static str> {
+        match *self {
+            Scenario::Zipf { exponent } | Scenario::WeightedZipf { exponent }
+                if !(0.0..=MAX_ZIPF_EXPONENT).contains(&exponent) =>
+            {
+                Some("the Zipf exponent must lie in [0, 9]")
+            }
+            Scenario::Community { communities: 0, .. } => Some("it needs at least one community"),
+            Scenario::Community { p_intra, .. } if !(0.0..=1.0).contains(&p_intra) => {
+                Some("p_intra must lie in [0, 1]")
+            }
+            Scenario::IntervalConnected { t } if t < 2 => {
+                Some("the stability window must be at least 2 rounds")
+            }
+            _ => None,
         }
     }
 
@@ -505,28 +534,11 @@ impl FaultedScenario {
             seed: SeedSequence::new(trial_seed).seed(BYZANTINE_STREAM_LABEL),
         })
     }
-
-    /// A seeded streaming source with the fault plan already applied —
-    /// the composite view for direct engine use (sweeps go through
-    /// [`crate::Sweep::scenario`], which injects faults per trial
-    /// instead).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n < self.min_nodes()` (propagated from the base) or if
-    /// the fault plan is invalid for `n` (use
-    /// [`validate`](FaultedScenario::validate) for the typed error).
-    pub fn source(&self, n: usize, seed: u64) -> Box<dyn InteractionSource + Send> {
-        let base = self.base.source(n, seed);
-        match self.fault_injection(seed) {
-            None => base,
-            Some(injection) => Box::new(
-                FaultedSource::new(base, injection.profile, injection.seed)
-                    .unwrap_or_else(|e| panic!("invalid fault plan for '{}': {e}", self.name())),
-            ),
-        }
-    }
 }
+
+/// The largest Zipf exponent admission accepts (see
+/// [`Scenario::parameter_rule`]).
+const MAX_ZIPF_EXPONENT: f64 = 9.0;
 
 /// The seed-stream label separating fault randomness from the base
 /// stream's (see [`FaultedScenario::fault_injection`]).
@@ -700,9 +712,19 @@ mod tests {
     fn faulted_sources_stream_and_fault_free_entries_match_the_base() {
         use doda_core::StepEvent;
 
-        let entry = Scenario::Uniform.with_faults(FaultProfile::crash(0.05));
+        let stream = |entry: FaultedScenario, n, seed| {
+            crate::Sweep::scenario(AlgorithmSpec::Gathering, entry)
+                .n(n)
+                .seed(seed)
+                .stream()
+                .expect("admissible")
+        };
         let n = 10;
-        let mut source = entry.source(n, 7);
+        let mut source = stream(
+            Scenario::Uniform.with_faults(FaultProfile::crash(0.05)),
+            n,
+            7,
+        );
         let owns = vec![true; n];
         let view = AdversaryView {
             owns_data: &owns,
@@ -718,10 +740,9 @@ mod tests {
         }
         assert!(crashes > 0, "a 5% crash plan must fire within 2000 steps");
 
-        // A fault-free FaultedScenario streams exactly its base.
-        let plain: FaultedScenario = Scenario::Uniform.into();
-        let mut a = plain.source(n, 3);
-        let mut b = Scenario::Uniform.source(n, 3);
+        // A fault-free entry streams exactly its base, from trial 0's seed.
+        let mut a = stream(Scenario::Uniform.into(), n, 3);
+        let mut b = Scenario::Uniform.source(n, SeedSequence::new(3).seed(0));
         for t in 0..200u64 {
             assert_eq!(a.next_interaction(t, &view), b.next_interaction(t, &view));
         }

@@ -18,7 +18,11 @@
 //!
 //! [`Sweep::run`] first resolves the sweep — admission checks, then the
 //! tier — once for both families: a workload is a pairwise, fault-free,
-//! non-adaptive family that fixes one node count. One dispatcher then
+//! non-adaptive family that fixes one node count. That admission is the
+//! only one in the workspace: [`Sweep::stream`] runs it too, so a service
+//! session, which steps trial 0's stream, is refused exactly where the
+//! equivalent sweep would panic, with the same [`AdmissionError`] text.
+//! One dispatcher then
 //! shards the trials over worker threads and runs each on the resolved
 //! [`TrialRunner`] entry point, with the datum family the aggregate kind
 //! selects ([`ExactOrigins`] by default).
@@ -44,6 +48,7 @@
 //! byte-identical too.
 
 use doda_core::byzantine::ByzantineProfile;
+use doda_core::fault::FaultedSource;
 use doda_core::lane::MAX_LANES;
 use doda_core::{InteractionSequence, InteractionSource};
 use doda_stats::rng::SeedSequence;
@@ -53,7 +58,7 @@ use crate::datum::{
     AggregateKind, CountFamily, DatumFamily, DistinctFamily, ExactOrigins, MaxFamily, MinFamily,
     QuantileFamily, SumFamily,
 };
-use crate::runner::{shard, summarize, BatchConfig, BatchResult};
+use crate::runner::{shard, summarize, BatchResult};
 use crate::scenario::{FaultedScenario, Scenario};
 use crate::spec::{AlgorithmSpec, KnowledgeRequirement};
 use crate::trial::{TrialConfig, TrialResult, TrialRunner};
@@ -106,6 +111,32 @@ enum Path {
     Materialized,
     Streamed,
     Lanes,
+}
+
+/// Why a sweep was refused before any trial ran: an adaptive scenario
+/// with a knowledge-based spec, out-of-range scenario parameters, an
+/// invalid fault or Byzantine plan, a forced tier the sweep cannot take,
+/// or a node count the family does not admit. Its text is the message
+/// [`Sweep::run`] panics with.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct AdmissionError(String);
+
+impl std::fmt::Display for AdmissionError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for AdmissionError {}
+
+/// Refuses with `message` unless `admitted`; the message is formatted
+/// only on refusal.
+fn admit(admitted: bool, message: impl FnOnce() -> String) -> Result<(), AdmissionError> {
+    if admitted {
+        Ok(())
+    } else {
+        Err(AdmissionError(message()))
+    }
 }
 
 /// A sweep resolved for running ([`Sweep::plan`]): the node count, the
@@ -265,16 +296,6 @@ impl<'a> Sweep<'a> {
         self
     }
 
-    /// Copies the batch shape (`n`, `trials`, `horizon`, `seed`,
-    /// `parallel`) from a legacy [`BatchConfig`].
-    pub fn config(self, config: &BatchConfig) -> Self {
-        self.n(config.n)
-            .trials(config.trials)
-            .horizon(config.horizon)
-            .seed(config.seed)
-            .parallel(config.parallel)
-    }
-
     /// The label of the execution path this sweep will actually run —
     /// `"materialized"`, `"streamed"` or `"lanes"` —
     /// resolved from the tier, the spec and the
@@ -293,7 +314,7 @@ impl<'a> Sweep<'a> {
     /// tier, spec, plan or node count — with the same message
     /// [`Sweep::run`] would produce.
     pub fn path_label(&self) -> &'static str {
-        match self.plan().path {
+        match self.admitted().path {
             Path::Materialized => "materialized",
             Path::Streamed => "streamed",
             Path::Lanes => "lanes",
@@ -305,24 +326,16 @@ impl<'a> Sweep<'a> {
     ///
     /// # Panics
     ///
-    /// Panics on inadmissible combinations — an adaptive scenario with a
-    /// knowledge-based spec, an invalid fault or Byzantine plan, a forced
-    /// tier the family, spec or [`Sweep::aggregate`] cannot take (see
-    /// [`ExecutionTier`]), a scenario sweep without [`Sweep::n`] or below
-    /// its scenario's [`Scenario::min_nodes`], or a workload sweep whose
-    /// explicit `n` mismatches the workload — and, with the worker's own
-    /// message, if a trial panics.
+    /// Panics with the [`AdmissionError`] text on inadmissible
+    /// combinations — an adaptive scenario with a knowledge-based spec,
+    /// out-of-range scenario parameters, an invalid fault or Byzantine
+    /// plan, a forced tier the family, spec or [`Sweep::aggregate`] cannot
+    /// take (see [`ExecutionTier`]), a scenario sweep without [`Sweep::n`]
+    /// or below its scenario's [`Scenario::min_nodes`], or a workload sweep
+    /// whose explicit `n` mismatches the workload — and, with the worker's
+    /// own message, if a trial panics.
     pub fn run(&self) -> Vec<TrialResult> {
-        let plan = self.plan();
-        match self.aggregate {
-            AggregateKind::IdSet => self.dispatch(&plan, &ExactOrigins),
-            AggregateKind::Count => self.dispatch(&plan, &CountFamily),
-            AggregateKind::Sum => self.dispatch(&plan, &SumFamily::new(self.seed)),
-            AggregateKind::Min => self.dispatch(&plan, &MinFamily::new(self.seed)),
-            AggregateKind::Max => self.dispatch(&plan, &MaxFamily::new(self.seed)),
-            AggregateKind::Distinct => self.dispatch(&plan, &DistinctFamily::new(self.seed)),
-            AggregateKind::Quantile => self.dispatch(&plan, &QuantileFamily::new(self.seed)),
-        }
+        self.run_plan(&self.admitted())
     }
 
     /// Runs the sweep and summarises it, returning the summary together
@@ -333,36 +346,55 @@ impl<'a> Sweep<'a> {
     /// Panics as [`Sweep::run`], and additionally if no trial terminated
     /// (no summary can be formed — the horizon was far too small).
     pub fn run_summarized(&self) -> (BatchResult, Vec<TrialResult>) {
-        let results = self.run();
-        let config = BatchConfig {
-            n: self.resolved_n(),
-            trials: self.trials,
-            horizon: self.horizon,
-            seed: self.seed,
-            parallel: self.parallel,
-        };
-        (summarize(self.spec, &config, &results), results)
+        let plan = self.admitted();
+        let results = self.run_plan(&plan);
+        let summary = summarize(self.spec, plan.n, self.trials, plan.horizon, &results);
+        (summary, results)
+    }
+
+    /// Admits the sweep and returns trial 0's interaction stream with its
+    /// fault plan applied: the stream a service session steps, so a
+    /// session's result is byte-identical to trial 0 of this sweep. The
+    /// Byzantine plan is not applied; it lives on the data plane, which
+    /// the caller must audit itself.
+    ///
+    /// # Errors
+    ///
+    /// The [`AdmissionError`] [`Sweep::run`] would panic with.
+    pub fn stream(&self) -> Result<Box<dyn InteractionSource + Send>, AdmissionError> {
+        let plan = self.plan()?;
+        let seed = SeedSequence::new(self.seed).seed(0);
+        let source = (plan.source)(seed);
+        Ok(match plan.planes.fault_injection(seed) {
+            None => source,
+            Some(injection) => Box::new(
+                FaultedSource::new(source, injection.profile, injection.seed)
+                    .expect("admission validated the fault plan"),
+            ),
+        })
+    }
+
+    /// The admitted plan, or a panic with the refusal.
+    fn admitted(&self) -> Plan<'_> {
+        self.plan().unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// The node count the sweep will run at.
-    fn resolved_n(&self) -> usize {
-        match self.family {
-            Family::Scenario(_) => self
-                .n
-                .expect("a scenario sweep needs an explicit node count: call Sweep::n"),
-            Family::Workload(workload) => match self.n {
-                None => workload.node_count(),
-                Some(n) => {
-                    assert_eq!(
-                        workload.node_count(),
-                        n,
-                        "workload is over {} nodes but the batch asks for {}",
-                        workload.node_count(),
-                        n
-                    );
-                    n
-                }
-            },
+    fn resolved_n(&self) -> Result<usize, AdmissionError> {
+        match (&self.family, self.n) {
+            (Family::Scenario(_), n) => n.ok_or_else(|| {
+                AdmissionError(
+                    "a scenario sweep needs an explicit node count: call Sweep::n".into(),
+                )
+            }),
+            (Family::Workload(workload), None) => Ok(workload.node_count()),
+            (Family::Workload(workload), Some(n)) => {
+                let own = workload.node_count();
+                admit(own == n, || {
+                    format!("workload is over {own} nodes but the batch asks for {n}")
+                })?;
+                Ok(n)
+            }
         }
     }
 
@@ -373,50 +405,64 @@ impl<'a> Sweep<'a> {
     /// scenario entry carries, and a workload's is seeded exactly as a
     /// scenario entry would seed it, so both families corrupt identically
     /// per trial seed.
-    fn plan(&self) -> Plan<'_> {
+    fn plan(&self) -> Result<Plan<'_>, AdmissionError> {
         let spec = self.spec;
-        let (subject, scenario, faults, byzantine) = match self.family {
-            Family::Scenario(entry) => {
-                let entry = match self.byzantine {
+        let (scenario, planes) = match self.family {
+            Family::Scenario(entry) => (
+                Some(entry.base),
+                match self.byzantine {
                     None => entry,
                     Some(profile) => entry.with_byzantine(profile),
-                };
-                let subject = format!("scenario '{entry}'");
-                (subject, Some(entry.base), entry.faults, entry.byzantine)
-            }
-            Family::Workload(workload) => (
-                format!("workload '{}'", workload.name()),
+                },
+            ),
+            // One entry carries either family's planes, so both are
+            // admitted and seeded alike (a workload's base is a
+            // placeholder never read).
+            Family::Workload(_) => (
                 None,
-                None,
-                self.byzantine,
+                FaultedScenario {
+                    base: Scenario::Uniform,
+                    faults: None,
+                    byzantine: self.byzantine,
+                },
             ),
         };
-        // One entry carries either family's planes, so both are admitted
-        // and seeded alike (a workload's base is a placeholder never read).
-        let planes = FaultedScenario {
-            base: scenario.unwrap_or(Scenario::Uniform),
-            faults,
-            byzantine,
+        let (faults, byzantine) = (planes.faults, planes.byzantine);
+        // Formatted only when a check refuses: admission runs once per
+        // service session, and those open by the thousand.
+        let subject = || match self.family {
+            Family::Scenario(_) => format!("scenario '{planes}'"),
+            Family::Workload(workload) => format!("workload '{}'", workload.name()),
         };
 
-        assert!(
-            scenario.map_or(true, |s| s.supports(spec)),
-            "{subject} is adaptive: {spec} requires {} knowledge, which would \
-             need materialising a stream that depends on the execution itself",
-            spec.knowledge()
-        );
-        let n = self.resolved_n();
+        admit(scenario.map_or(true, |s| s.supports(spec)), || {
+            format!(
+                "{} is adaptive: {spec} requires {} knowledge, which would \
+                 need materialising a stream that depends on the execution itself",
+                subject(),
+                spec.knowledge()
+            )
+        })?;
+        let n = self.resolved_n()?;
         // A fault plan that could strand the execution below two live
         // nodes must be a typed error before any trial runs — never a hang.
         planes
             .validate(n)
-            .unwrap_or_else(|e| panic!("invalid fault plan for {subject}: {e}"));
-        planes
-            .validate_byzantine()
-            .unwrap_or_else(|e| panic!("invalid byzantine plan for {subject}: {e}"));
+            .map_err(|e| AdmissionError(format!("invalid fault plan for {}: {e}", subject())))?;
+        planes.validate_byzantine().map_err(|e| {
+            AdmissionError(format!("invalid byzantine plan for {}: {e}", subject()))
+        })?;
         if let Some(base) = scenario {
+            if let Some(rule) = base.parameter_rule() {
+                return Err(AdmissionError(format!(
+                    "{} is out of range ({base:?}): {rule}",
+                    subject()
+                )));
+            }
             let need = base.min_nodes();
-            assert!(n >= need, "{subject} needs at least {need} nodes, got {n}");
+            admit(n >= need, || {
+                format!("{} needs at least {need} nodes, got {n}", subject())
+            })?;
         }
 
         let materialize = spec.requires_materialization();
@@ -430,22 +476,27 @@ impl<'a> Sweep<'a> {
             ExecutionTier::Scalar if materialize => Path::Materialized,
             ExecutionTier::Scalar => Path::Streamed,
             ExecutionTier::Lanes => {
-                assert!(
-                    spec.lane_algorithm().is_some(),
-                    "{spec} requires {} knowledge and has no lane kernel",
-                    spec.knowledge()
-                );
+                admit(spec.lane_algorithm().is_some(), || {
+                    format!(
+                        "{spec} requires {} knowledge and has no lane kernel",
+                        spec.knowledge()
+                    )
+                })?;
                 // Fault and Byzantine plans run on the scalar tiers only.
-                assert!(
-                    faults.is_none(),
-                    "the lane tier is fault-free by contract; {subject} carries a \
-                     fault plan, which the scalar tier runs"
-                );
-                assert!(
-                    byzantine.is_none(),
-                    "the lane tier is honest by contract; {subject} carries a \
-                     byzantine plan, which the audited scalar tier runs"
-                );
+                admit(faults.is_none(), || {
+                    format!(
+                        "the lane tier is fault-free by contract; {} carries a \
+                         fault plan, which the scalar tier runs",
+                        subject()
+                    )
+                })?;
+                admit(byzantine.is_none(), || {
+                    format!(
+                        "the lane tier is honest by contract; {} carries a \
+                         byzantine plan, which the audited scalar tier runs",
+                        subject()
+                    )
+                })?;
                 Path::Lanes
             }
         };
@@ -453,12 +504,13 @@ impl<'a> Sweep<'a> {
         // exists in its SoA lanes — so non-default kinds run the streamed
         // path instead (under `Auto`) or refuse a forced lane tier.
         if path == Path::Lanes && self.aggregate != AggregateKind::IdSet {
-            assert!(
-                self.tier != ExecutionTier::Lanes,
-                "the lane tier tracks no aggregates; aggregate '{}' sweeps run \
-                 the scalar tiers",
-                self.aggregate
-            );
+            admit(self.tier != ExecutionTier::Lanes, || {
+                format!(
+                    "the lane tier tracks no aggregates; aggregate '{}' sweeps run \
+                     the scalar tiers",
+                    self.aggregate
+                )
+            })?;
             path = Path::Streamed;
         }
 
@@ -467,7 +519,7 @@ impl<'a> Sweep<'a> {
             Family::Scenario(_) => Box::new(move |seed| planes.base.source(n, seed)),
             Family::Workload(workload) => Box::new(move |seed| workload.source(seed)),
         };
-        Plan {
+        Ok(Plan {
             n,
             horizon: self
                 .horizon
@@ -475,6 +527,20 @@ impl<'a> Sweep<'a> {
             path,
             source,
             planes,
+        })
+    }
+
+    /// Runs an admitted plan's trials with the datum family the aggregate
+    /// kind selects.
+    fn run_plan(&self, plan: &Plan<'_>) -> Vec<TrialResult> {
+        match self.aggregate {
+            AggregateKind::IdSet => self.dispatch(plan, &ExactOrigins),
+            AggregateKind::Count => self.dispatch(plan, &CountFamily),
+            AggregateKind::Sum => self.dispatch(plan, &SumFamily::new(self.seed)),
+            AggregateKind::Min => self.dispatch(plan, &MinFamily::new(self.seed)),
+            AggregateKind::Max => self.dispatch(plan, &MaxFamily::new(self.seed)),
+            AggregateKind::Distinct => self.dispatch(plan, &DistinctFamily::new(self.seed)),
+            AggregateKind::Quantile => self.dispatch(plan, &QuantileFamily::new(self.seed)),
         }
     }
 
@@ -676,16 +742,13 @@ mod tests {
 
     #[test]
     fn run_summarized_summarizes_run() {
-        let config = BatchConfig {
-            n: 12,
-            trials: 6,
-            horizon: None,
-            seed: 42,
-            parallel: false,
-        };
-        let sweep = Sweep::scenario(AlgorithmSpec::Gathering, Scenario::Uniform).config(&config);
+        let sweep = Sweep::scenario(AlgorithmSpec::Gathering, Scenario::Uniform)
+            .n(12)
+            .trials(6)
+            .seed(42);
         let raw = sweep.run();
-        let expected = summarize(AlgorithmSpec::Gathering, &config, &raw);
+        let horizon = doda_adversary::RandomizedAdversary::default_horizon(12);
+        let expected = summarize(AlgorithmSpec::Gathering, 12, 6, horizon, &raw);
         assert_eq!(sweep.run_summarized(), (expected, raw));
     }
 

@@ -107,24 +107,18 @@ fn main() {
 
     // Adaptive adversaries are first-class sweep scenarios: Monte-Carlo
     // batches run streamed through the sharded runner.
-    let batch = BatchConfig {
-        n: 64,
-        trials: 16,
-        horizon: Some(100_000),
-        seed: 7,
-        parallel: true,
-    };
+    let (n, trials) = (64, 16);
     let raw = Sweep::scenario(AlgorithmSpec::Gathering, Scenario::AdaptiveIsolator)
-        .config(&batch)
+        .n(n)
+        .trials(trials)
+        .horizon(Some(100_000))
+        .seed(7)
+        .parallel(true)
         .run();
     let completed = raw.iter().filter(|r| r.terminated()).count();
+    println!("\nSweeping the adaptive isolator (n = {n}, {trials} trials, sharded + streamed):");
     println!(
-        "\nSweeping the adaptive isolator (n = {}, {} trials, sharded + streamed):",
-        batch.n, batch.trials
-    );
-    println!(
-        "Gathering completed {completed}/{} trials, each with exactly n-1 = {} transmissions.",
-        batch.trials,
+        "Gathering completed {completed}/{trials} trials, each with exactly n-1 = {} transmissions.",
         raw.first().map(|r| r.transmissions).unwrap_or(0),
     );
 

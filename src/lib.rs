@@ -7,7 +7,7 @@
 //!
 //! | module | contents |
 //! |--------|----------|
-//! | [`graph`] | static/evolving graph substrate (`doda-graph`) |
+//! | [`graph`] | static graph substrate (`doda-graph`) |
 //! | [`stats`] | statistics substrate (`doda-stats`) |
 //! | [`core`] | the paper's model, algorithms, convergecast and cost (`doda-core`) |
 //! | [`adversary`] | oblivious / adaptive / randomized adversaries (`doda-adversary`) |
@@ -62,14 +62,9 @@ pub use doda_sim as sim;
 pub use doda_stats as stats;
 pub use doda_workloads as workloads;
 
-mod error;
-
-pub use error::Error;
-
 /// One-stop prelude: the core prelude plus the most used simulation and
 /// service types.
 pub mod prelude {
-    pub use crate::Error;
     pub use doda_core::prelude::*;
     pub use doda_service::prelude::*;
     pub use doda_sim::prelude::*;

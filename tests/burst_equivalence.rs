@@ -44,7 +44,12 @@ const BUDGETS: [u64; 5] = [1, 255, 256, 257, u64::MAX];
 fn oblivious_cases() -> Vec<FaultedScenario> {
     let mut cases: Vec<FaultedScenario> = Vec::new();
     for entry in FaultedScenario::registry() {
-        if entry.faults.is_some() || !entry.source(entry.min_nodes().max(8), 0).is_oblivious() {
+        if entry.faults.is_some()
+            || !entry
+                .base
+                .source(entry.min_nodes().max(8), 0)
+                .is_oblivious()
+        {
             continue;
         }
         let forged = entry.with_byzantine(ByzantineProfile::forge(0.1));
@@ -163,10 +168,10 @@ proptest! {
                     byzantine: entry.byzantine_injection(trial_seed),
                     ..TrialConfig::default()
                 };
-                let mut source = entry.source(n, trial_seed);
+                let mut source = entry.base.source(n, trial_seed);
                 prop_assert!(source.is_oblivious());
                 let burst = runner.run_streamed(spec, source.as_mut(), &config, &ExactOrigins);
-                let mut source = PerEvent(entry.source(n, trial_seed));
+                let mut source = PerEvent(entry.base.source(n, trial_seed));
                 let per_event = runner.run_streamed(spec, &mut source, &config, &ExactOrigins);
                 prop_assert_eq!(
                     &burst,
@@ -210,7 +215,7 @@ proptest! {
                 }
                 let reference_pulls = Rc::new(Cell::new(0));
                 let mut reference_source = PerEvent(Counting {
-                    inner: entry.source(n, trial_seed),
+                    inner: entry.base.source(n, trial_seed),
                     pulled: Rc::clone(&reference_pulls),
                 });
                 let expected =
@@ -218,7 +223,7 @@ proptest! {
                 for budget in BUDGETS {
                     let pulled = Rc::new(Cell::new(0));
                     let mut source = Counting {
-                        inner: entry.source(n, trial_seed),
+                        inner: entry.base.source(n, trial_seed),
                         pulled: Rc::clone(&pulled),
                     };
                     let got = sliced(spec, &mut source, &pulled, horizon, budget);

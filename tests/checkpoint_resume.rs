@@ -39,8 +39,11 @@ fn sliced(
     budget: u64,
     pause_slices: Option<u32>,
 ) -> TrialResult {
-    let trial_seed = SeedSequence::new(seed).seed(0);
-    let mut source = scenario.source(n, trial_seed);
+    let mut source = Sweep::scenario(spec, scenario)
+        .n(n)
+        .seed(seed)
+        .stream()
+        .expect("admissible");
     let mut algorithm = spec.instantiate_online().expect("online spec");
     let horizon = doda::adversary::RandomizedAdversary::default_horizon(n) as u64;
     let config = EngineConfig::sweep(horizon);
@@ -149,10 +152,8 @@ fn unbounded_budget_is_run_to_completion() {
 #[test]
 fn checkpoints_carry_progress() {
     let spec = AlgorithmSpec::Waiting;
-    let scenario: FaultedScenario = Scenario::Uniform.into();
     let n = 12;
-    let trial_seed = SeedSequence::new(7).seed(0);
-    let mut source = scenario.source(n, trial_seed);
+    let mut source = Scenario::Uniform.source(n, SeedSequence::new(7).seed(0));
     let mut algorithm = spec.instantiate_online().expect("online");
     let horizon = doda::adversary::RandomizedAdversary::default_horizon(n) as u64;
 

@@ -1,7 +1,7 @@
 //! Cross-crate determinism guarantees of the sharded batch runner.
 //!
 //! The sweep runner shards trials across worker threads, but trial `i`
-//! always runs with the sub-seed derived from `(config.seed, i)` no matter
+//! always runs with the sub-seed derived from `(seed, i)` no matter
 //! which worker executes it — so a parallel batch must be **identical**
 //! (summary and raw per-trial results, byte for byte) to the serial batch
 //! of the same configuration, and re-running either must reproduce it.
@@ -9,14 +9,19 @@
 use doda_core::fault::FaultProfile;
 use doda_sim::prelude::*;
 
-fn config(n: usize, trials: usize, seed: u64, parallel: bool) -> BatchConfig {
-    BatchConfig {
-        n,
-        trials,
-        horizon: None,
-        seed,
-        parallel,
-    }
+/// A uniform scenario sweep of `spec` at the default horizon.
+fn uniform(
+    spec: AlgorithmSpec,
+    n: usize,
+    trials: usize,
+    seed: u64,
+    parallel: bool,
+) -> Sweep<'static> {
+    Sweep::scenario(spec, Scenario::Uniform)
+        .n(n)
+        .trials(trials)
+        .seed(seed)
+        .parallel(parallel)
 }
 
 #[test]
@@ -28,12 +33,8 @@ fn parallel_and_serial_batches_are_byte_identical() {
         AlgorithmSpec::OfflineOptimal,
     ] {
         for seed in [1u64, 0xD0DA] {
-            let serial = Sweep::scenario(spec, Scenario::Uniform)
-                .config(&config(12, 9, seed, false))
-                .run_summarized();
-            let parallel = Sweep::scenario(spec, Scenario::Uniform)
-                .config(&config(12, 9, seed, true))
-                .run_summarized();
+            let serial = uniform(spec, 12, 9, seed, false).run_summarized();
+            let parallel = uniform(spec, 12, 9, seed, true).run_summarized();
             assert_eq!(
                 serial, parallel,
                 "{spec} diverged between serial and parallel for seed {seed}"
@@ -44,24 +45,16 @@ fn parallel_and_serial_batches_are_byte_identical() {
 
 #[test]
 fn batches_are_reproducible_across_runs() {
-    let cfg = config(10, 6, 7, true);
-    let first = Sweep::scenario(AlgorithmSpec::Gathering, Scenario::Uniform)
-        .config(&cfg)
-        .run_summarized();
-    let second = Sweep::scenario(AlgorithmSpec::Gathering, Scenario::Uniform)
-        .config(&cfg)
-        .run_summarized();
+    let sweep = uniform(AlgorithmSpec::Gathering, 10, 6, 7, true);
+    let first = sweep.run_summarized();
+    let second = sweep.run_summarized();
     assert_eq!(first, second);
 }
 
 #[test]
 fn different_seeds_produce_different_batches() {
-    let a = Sweep::scenario(AlgorithmSpec::Gathering, Scenario::Uniform)
-        .config(&config(10, 6, 1, true))
-        .run_summarized();
-    let b = Sweep::scenario(AlgorithmSpec::Gathering, Scenario::Uniform)
-        .config(&config(10, 6, 2, true))
-        .run_summarized();
+    let a = uniform(AlgorithmSpec::Gathering, 10, 6, 1, true).run_summarized();
+    let b = uniform(AlgorithmSpec::Gathering, 10, 6, 2, true).run_summarized();
     assert_ne!(a.1, b.1, "distinct seeds must draw distinct sequences");
 }
 
@@ -81,20 +74,16 @@ fn scenario_batches_are_serial_parallel_identical() {
             if !scenario.supports(spec) {
                 continue;
             }
-            let cfg = BatchConfig {
-                n,
-                trials: 7,
-                horizon: Some(3_000),
-                seed: 0xD0DA,
-                parallel: false,
+            let sweep = |parallel| {
+                Sweep::scenario(spec, scenario)
+                    .n(n)
+                    .trials(7)
+                    .horizon(Some(3_000))
+                    .seed(0xD0DA)
+                    .parallel(parallel)
+                    .run()
             };
-            let serial = Sweep::scenario(spec, scenario).config(&cfg).run();
-            let parallel = Sweep::scenario(spec, scenario)
-                .config(&BatchConfig {
-                    parallel: true,
-                    ..cfg
-                })
-                .run();
+            let (serial, parallel) = (sweep(false), sweep(true));
             assert_eq!(
                 serial, parallel,
                 "{spec} diverged between serial and parallel on scenario '{scenario}'"
@@ -125,23 +114,19 @@ fn faulted_batches_are_reproducible_and_seed_sensitive() {
         loss: 0.1,
         ..FaultProfile::crash(0.002)
     });
-    let cfg = BatchConfig {
-        n: 16,
-        trials: 8,
-        horizon: Some(20_000),
-        seed: 0xFA7,
-        parallel: true,
+    let sweep = |seed| {
+        Sweep::scenario(AlgorithmSpec::Gathering, scenario)
+            .n(16)
+            .trials(8)
+            .horizon(Some(20_000))
+            .seed(seed)
+            .parallel(true)
+            .run()
     };
-    let first = Sweep::scenario(AlgorithmSpec::Gathering, scenario)
-        .config(&cfg)
-        .run();
-    let second = Sweep::scenario(AlgorithmSpec::Gathering, scenario)
-        .config(&cfg)
-        .run();
+    let first = sweep(0xFA7);
+    let second = sweep(0xFA7);
     assert_eq!(first, second);
-    let other_seed = Sweep::scenario(AlgorithmSpec::Gathering, scenario)
-        .config(&BatchConfig { seed: 0xFA8, ..cfg })
-        .run();
+    let other_seed = sweep(0xFA8);
     assert_ne!(
         first, other_seed,
         "distinct seeds must draw distinct faults"
@@ -157,22 +142,16 @@ fn faulted_batches_are_reproducible_and_seed_sensitive() {
 /// streaming-first refactor).
 #[test]
 fn adaptive_scenarios_shard_deterministically() {
-    let cfg = BatchConfig {
-        n: 24,
-        trials: 9,
-        horizon: Some(10_000),
-        seed: 3,
-        parallel: false,
+    let sweep = |parallel| {
+        Sweep::scenario(AlgorithmSpec::Gathering, Scenario::AdaptiveIsolator)
+            .n(24)
+            .trials(9)
+            .horizon(Some(10_000))
+            .seed(3)
+            .parallel(parallel)
+            .run()
     };
-    let serial = Sweep::scenario(AlgorithmSpec::Gathering, Scenario::AdaptiveIsolator)
-        .config(&cfg)
-        .run();
-    let parallel = Sweep::scenario(AlgorithmSpec::Gathering, Scenario::AdaptiveIsolator)
-        .config(&BatchConfig {
-            parallel: true,
-            ..cfg
-        })
-        .run();
+    let (serial, parallel) = (sweep(false), sweep(true));
     assert_eq!(serial, parallel);
     assert!(serial
         .iter()

@@ -34,20 +34,16 @@ proptest! {
                 if !scenario.supports(spec) {
                     continue;
                 }
-                let cfg = BatchConfig {
-                    n: scenario.min_nodes().max(11),
-                    trials: 5,
-                    horizon: Some(3_000),
-                    seed,
-                    parallel: false,
+                let sweep = |parallel| {
+                    Sweep::scenario(spec, scenario)
+                        .n(scenario.min_nodes().max(11))
+                        .trials(5)
+                        .horizon(Some(3_000))
+                        .seed(seed)
+                        .parallel(parallel)
+                        .run()
                 };
-                let serial = Sweep::scenario(spec, scenario).config(&cfg).run();
-                let parallel = Sweep::scenario(spec, scenario)
-                    .config(&BatchConfig {
-                        parallel: true,
-                        ..cfg
-                    })
-                    .run();
+                let (serial, parallel) = (sweep(false), sweep(true));
                 prop_assert_eq!(
                     &serial,
                     &parallel,
@@ -64,19 +60,17 @@ proptest! {
 /// the round-model impossibility the registry exposes as a scenario.
 #[test]
 fn round_isolator_starves_every_supported_algorithm() {
-    let cfg = BatchConfig {
-        n: 10,
-        trials: 3,
-        horizon: Some(2_000),
-        seed: 0xD0DA,
-        parallel: false,
-    };
     let scenario = Scenario::RoundIsolator;
     for spec in AlgorithmSpec::all() {
         if !scenario.supports(spec) {
             continue;
         }
-        let results = Sweep::scenario(spec, scenario).config(&cfg).run();
+        let results = Sweep::scenario(spec, scenario)
+            .n(10)
+            .trials(3)
+            .horizon(Some(2_000))
+            .seed(0xD0DA)
+            .run();
         assert!(
             results.iter().all(|r| !r.terminated()),
             "{spec} escaped the sink-unmatched trap"

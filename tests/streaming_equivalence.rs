@@ -68,22 +68,20 @@ proptest! {
     /// batch.
     #[test]
     fn batch_streaming_equals_manual_materialization(seed in 0u64..1_000_000) {
-        let n = 10;
-        let config = BatchConfig {
-            n,
-            trials: 4,
-            horizon: Some(5 * n * n),
-            seed,
-            parallel: false,
-        };
+        let (n, trials) = (10, 4);
+        let horizon = 5 * n * n;
         let workload = UniformWorkload::new(n);
         for spec in STREAMABLE {
-            let via_runner = Sweep::workload(spec, &workload).config(&config).run();
-            let manual: Vec<TrialResult> = (0..config.trials)
+            let via_runner = Sweep::workload(spec, &workload)
+                .trials(trials)
+                .horizon(Some(horizon))
+                .seed(seed)
+                .run();
+            let manual: Vec<TrialResult> = (0..trials)
                 .map(|trial| {
                     let trial_seed =
                         doda::stats::rng::SeedSequence::new(seed).seed(trial as u64);
-                    let seq = workload.generate(config.horizon.unwrap(), trial_seed);
+                    let seq = workload.generate(horizon, trial_seed);
                     run_trial_on_sequence(spec, &seq, &TrialConfig::default())
                 })
                 .collect();
