@@ -2,11 +2,12 @@
 //!
 //! A Monte-Carlo sweep runs thousands of *independent* trials of the same
 //! knowledge-free algorithm; the scalar engine steps them one at a time,
-//! paying per interaction for an aggregate-carrying [`NetworkState`], a
-//! virtual call into the boxed algorithm and branchy decision plumbing —
-//! none of which affects the *counters* a sweep actually keeps. (Both
-//! engines pull an oblivious source in bursts, so neither pays a virtual
-//! source call per interaction.)
+//! paying per interaction for an aggregate-carrying [`NetworkState`] and
+//! branchy decision plumbing — none of which affects the *counters* a
+//! sweep actually keeps. (Both engines pull an oblivious source in
+//! bursts, so neither pays a virtual source call per interaction, and the
+//! scalar engine runs the knowledge-free specs through [`LaneAlgorithm`]'s
+//! own [`DodaAlgorithm`] impl, so neither pays a virtual `decide`.)
 //!
 //! [`LaneEngine`] restructures that state as a structure-of-arrays batch:
 //! ownership is a `[u64]` bitset column per node, with **bit `l` holding
@@ -41,6 +42,7 @@
 
 use doda_graph::NodeId;
 
+use crate::algorithm::{Decision, DodaAlgorithm, InteractionContext};
 use crate::interaction::{Interaction, Time};
 use crate::sequence::{AdversaryView, InteractionSource, StepEvent, PULL_BATCH};
 
@@ -57,6 +59,13 @@ pub const MAX_LANES: usize = 64;
 /// when it is involved and the smaller id otherwise, the sender the other
 /// endpoint. Neither algorithm ever emits an ignorable decision, so the
 /// lane path needs no `ignored_decisions` counter.
+///
+/// The same rule, one interaction at a time, is this type's
+/// [`DodaAlgorithm`] impl: the scalar engine runs it by value for every
+/// knowledge-free streamed trial and service session, so its `decide`
+/// inlines into the engine step. A unit test checks, for every
+/// interaction, sink and ownership pair up to `n = 5`, that this rule,
+/// both kernels and the reference algorithms agree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LaneAlgorithm {
     /// [`crate::algorithms::Waiting`]: transmit to the sink, and only to
@@ -74,6 +83,36 @@ impl LaneAlgorithm {
             LaneAlgorithm::Waiting => "Waiting",
             LaneAlgorithm::Gathering => "Gathering",
         }
+    }
+}
+
+impl DodaAlgorithm for LaneAlgorithm {
+    fn name(&self) -> &str {
+        self.label()
+    }
+
+    /// The lane kernels' rule for one interaction: idle unless both
+    /// endpoints own data (and, for `Waiting`, the sink takes part); the
+    /// receiver is the sink when it takes part and the smaller id
+    /// otherwise.
+    #[inline]
+    fn decide(&mut self, ctx: &InteractionContext) -> Decision {
+        let a = ctx.interaction.min();
+        let b = ctx.interaction.max();
+        let sink = ctx.sink;
+        let gate = match self {
+            LaneAlgorithm::Gathering => true,
+            LaneAlgorithm::Waiting => a == sink || b == sink,
+        };
+        if !(gate && ctx.both_own_data()) {
+            return Decision::Idle;
+        }
+        let (sender, receiver) = if b == sink { (a, b) } else { (b, a) };
+        Decision::Transmit { sender, receiver }
+    }
+
+    fn is_oblivious(&self) -> bool {
+        true
     }
 }
 
@@ -624,6 +663,95 @@ mod tests {
     fn lane_labels_match_scalar_names() {
         assert_eq!(LaneAlgorithm::Waiting.label(), Waiting::new().name());
         assert_eq!(LaneAlgorithm::Gathering.label(), Gathering::new().name());
+        for rule in [LaneAlgorithm::Waiting, LaneAlgorithm::Gathering] {
+            assert_eq!(rule.name(), rule.label());
+            assert!(rule.is_oblivious());
+        }
+    }
+
+    /// What lane 0's kernel does with one interaction when every node owns
+    /// data except as `owns` says for the two endpoints: the node whose
+    /// bit it cleared, if it fired. `batched` runs the oblivious drain
+    /// loop, otherwise the stepped path's `apply`.
+    fn kernel_sender(
+        algorithm: LaneAlgorithm,
+        n: usize,
+        sink: NodeId,
+        interaction: Interaction,
+        owns: (bool, bool),
+        batched: bool,
+    ) -> Option<NodeId> {
+        let mut engine = LaneEngine::new();
+        engine.ownership = vec![1; n];
+        engine.ownership[interaction.min().index()] = u64::from(owns.0);
+        engine.ownership[interaction.max().index()] = u64::from(owns.1);
+        engine.views = engine.ownership.iter().map(|&bit| bit == 1).collect();
+        engine.owners = vec![engine.ownership.iter().sum::<u64>() as u32];
+        engine.clock = vec![0];
+        engine.transmissions = vec![0];
+        engine.termination = vec![None];
+        let before = engine.ownership.clone();
+        if batched {
+            let seq = InteractionSequence::from_interactions(n, [interaction]);
+            engine.burst_batched(algorithm, &mut seq.stream(false), 0, n, sink, 1);
+            assert_eq!(engine.clock[0], 1, "the drain loop took the interaction");
+        } else {
+            engine.apply(algorithm, interaction, sink, 0, n);
+        }
+        let cleared: Vec<NodeId> = (0..n)
+            .filter(|&v| engine.ownership[v] != before[v])
+            .map(NodeId)
+            .collect();
+        assert_eq!(engine.transmissions[0], cleared.len() as u64);
+        match cleared[..] {
+            [] => None,
+            [sender] => Some(sender),
+            _ => panic!("one interaction cleared {cleared:?}"),
+        }
+    }
+
+    #[test]
+    fn the_rule_decides_like_the_reference_algorithms_and_the_kernels() {
+        for n in 2..=5 {
+            for sink in (0..n).map(NodeId) {
+                for u in 0..n {
+                    for v in u + 1..n {
+                        let interaction = Interaction::new(NodeId(u), NodeId(v));
+                        for owns in [(false, false), (false, true), (true, false), (true, true)] {
+                            let ctx = InteractionContext {
+                                time: 0,
+                                interaction,
+                                min_owns_data: owns.0,
+                                max_owns_data: owns.1,
+                                sink,
+                            };
+                            let pairs: [(LaneAlgorithm, Box<dyn DodaAlgorithm>); 2] = [
+                                (LaneAlgorithm::Gathering, Box::new(Gathering::new())),
+                                (LaneAlgorithm::Waiting, Box::new(Waiting::new())),
+                            ];
+                            for (mut rule, mut reference) in pairs {
+                                let case = format!(
+                                    "{rule:?}, n = {n}, sink {sink}, {interaction}, owns {owns:?}"
+                                );
+                                let decision = rule.decide(&ctx);
+                                assert_eq!(decision, reference.decide(&ctx), "{case}");
+                                let sender = match decision {
+                                    Decision::Idle => None,
+                                    Decision::Transmit { sender, .. } => Some(sender),
+                                };
+                                for batched in [false, true] {
+                                    assert_eq!(
+                                        kernel_sender(rule, n, sink, interaction, owns, batched),
+                                        sender,
+                                        "{case}, batched {batched}"
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! A session is one tenant's aggregation: its own sink, its own
 //! population, its own [`doda_core::Engine`] scratch held paused between
 //! scheduler slices via the resumable [`doda_core::Engine::step_for`]
-//! surface. Sessions come in two feed shapes:
+//! surface. Only knowledge-free specs have a session: it holds the spec's
+//! rule ([`doda_core::LaneAlgorithm`]) by value, so every slice steps the
+//! engine without a virtual `decide`. Sessions come in two feed shapes:
 //!
 //! * **scenario-fed** — the interaction process is a
 //!   [`doda_sim::FaultedScenario`] from the registry, admitted and seeded
@@ -27,7 +29,7 @@ use doda_core::data::IdSet;
 use doda_core::engine::{Engine, EngineConfig, RunProgress, StepOutcome};
 use doda_core::error::FaultError;
 use doda_core::sequence::{AdversaryView, InteractionSource, StepEvent};
-use doda_core::{DiscardTransmissions, DodaAlgorithm, Interaction, Time};
+use doda_core::{DiscardTransmissions, Interaction, LaneAlgorithm, Time};
 use doda_graph::NodeId;
 use doda_sim::{finish_trial, AlgorithmSpec, FaultedScenario, Sweep, TrialResult};
 
@@ -235,7 +237,9 @@ pub(crate) enum SliceOutcome {
 pub(crate) struct Session {
     id: SessionId,
     spec: AlgorithmSpec,
-    algorithm: Box<dyn DodaAlgorithm + Send>,
+    /// The spec's knowledge-free rule, held by value so the engine step
+    /// dispatches its `decide` statically.
+    algorithm: LaneAlgorithm,
     engine: Engine<IdSet>,
     progress: RunProgress,
     feed: Feed,
@@ -247,6 +251,7 @@ impl std::fmt::Debug for Session {
         f.debug_struct("Session")
             .field("id", &self.id)
             .field("spec", &self.spec)
+            .field("algorithm", &self.algorithm)
             .field("progress", &self.progress)
             .field("feed", &self.feed)
             .field("slice_budget", &self.slice_budget)
@@ -286,7 +291,7 @@ impl Session {
         }
         // A spec the sweep would materialise has no incremental form, so
         // no session can serve it.
-        let Some(algorithm) = spec.instantiate_online() else {
+        let Some(algorithm) = spec.lane_algorithm() else {
             return Err(ServiceError::UnsupportedSpec {
                 spec: spec.to_string(),
             });
@@ -311,7 +316,7 @@ impl Session {
         if n == 0 {
             return Err(ServiceError::EmptyPopulation(id));
         }
-        let Some(algorithm) = spec.instantiate_online() else {
+        let Some(algorithm) = spec.lane_algorithm() else {
             return Err(ServiceError::UnsupportedSpec {
                 spec: spec.to_string(),
             });
@@ -330,7 +335,7 @@ impl Session {
     fn start(
         id: SessionId,
         spec: AlgorithmSpec,
-        algorithm: Box<dyn DodaAlgorithm + Send>,
+        algorithm: LaneAlgorithm,
         feed: Feed,
         n: usize,
         config: &SessionConfig,
@@ -414,7 +419,7 @@ impl Session {
         let outcome = match &mut self.feed {
             Feed::Scenario(source) => self.engine.step_for(
                 &mut self.progress,
-                self.algorithm.as_mut(),
+                &mut self.algorithm,
                 source,
                 IdSet::singleton,
                 budget,
@@ -422,7 +427,7 @@ impl Session {
             )?,
             Feed::External(inbox) => self.engine.step_for(
                 &mut self.progress,
-                self.algorithm.as_mut(),
+                &mut self.algorithm,
                 inbox,
                 IdSet::singleton,
                 budget,

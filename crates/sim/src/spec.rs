@@ -21,7 +21,7 @@
 //!   ([`AlgorithmSpec::instantiate`]).
 
 use doda_core::algorithms::{
-    FutureBroadcast, Gathering, OfflineOptimal, SpanningTreeAggregation, Waiting, WaitingGreedy,
+    FutureBroadcast, OfflineOptimal, SpanningTreeAggregation, WaitingGreedy,
 };
 use doda_core::knowledge::{FullKnowledge, MeetTimeLookahead, MeetTimeOracle};
 use doda_core::{DodaAlgorithm, InteractionSequence, InteractionSource, Time};
@@ -75,9 +75,9 @@ impl KnowledgeRequirement {
 /// A named DODA algorithm together with its parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AlgorithmSpec {
-    /// [`Waiting`] — no knowledge.
+    /// [`Waiting`](doda_core::algorithms::Waiting) — no knowledge.
     Waiting,
-    /// [`Gathering`] — no knowledge.
+    /// [`Gathering`](doda_core::algorithms::Gathering) — no knowledge.
     Gathering,
     /// [`WaitingGreedy`] with an explicit `τ`, or the paper's recommended
     /// `τ = n^{3/2}√(log n)` when `None`.
@@ -150,13 +150,14 @@ impl AlgorithmSpec {
         self.knowledge_requirement().label()
     }
 
-    /// The branchless lane kernel of this spec, if it has one.
+    /// The knowledge-free rule of this spec, if it has one.
     ///
-    /// Exactly the knowledge-free specs have lane kernels: the lane tier
+    /// Exactly the knowledge-free specs have one. The lane tier
     /// ([`doda_core::LaneEngine`]) executes `Waiting` and `Gathering` as
-    /// bitset operations, byte-identical per trial to the scalar engine.
-    /// Every other spec needs oracles and returns `None` — sweeps fall
-    /// back to the scalar path.
+    /// bitset operations, byte-identical per trial to the scalar engine,
+    /// and the scalar engine runs the same rule by value for streamed
+    /// trials and service sessions. Every other spec needs oracles and
+    /// returns `None` — sweeps fall back to the scalar path.
     pub fn lane_algorithm(&self) -> Option<doda_core::LaneAlgorithm> {
         match self {
             AlgorithmSpec::Waiting => Some(doda_core::LaneAlgorithm::Waiting),
@@ -172,13 +173,10 @@ impl AlgorithmSpec {
     /// Returns `None` when the spec requires knowledge of the future
     /// (check with [`AlgorithmSpec::requires_materialization`]); such specs
     /// must go through [`AlgorithmSpec::instantiate`] with a materialised
-    /// sequence.
+    /// sequence. The box holds [`AlgorithmSpec::lane_algorithm`]'s rule.
     pub fn instantiate_online(&self) -> Option<Box<dyn DodaAlgorithm + Send>> {
-        match self {
-            AlgorithmSpec::Waiting => Some(Box::new(Waiting::new())),
-            AlgorithmSpec::Gathering => Some(Box::new(Gathering::new())),
-            _ => None,
-        }
+        self.lane_algorithm()
+            .map(|rule| Box::new(rule) as Box<dyn DodaAlgorithm + Send>)
     }
 
     /// Instantiates the algorithm for a concrete sequence and sink,
@@ -193,8 +191,9 @@ impl AlgorithmSpec {
         sink: NodeId,
     ) -> Option<Box<dyn DodaAlgorithm>> {
         match self {
-            AlgorithmSpec::Waiting => Some(Box::new(Waiting::new())),
-            AlgorithmSpec::Gathering => Some(Box::new(Gathering::new())),
+            AlgorithmSpec::Waiting | AlgorithmSpec::Gathering => self
+                .lane_algorithm()
+                .map(|rule| Box::new(rule) as Box<dyn DodaAlgorithm>),
             AlgorithmSpec::WaitingGreedy { tau } => {
                 let algo = match tau {
                     Some(tau) => WaitingGreedy::new(*tau, MeetTimeOracle::new(seq, sink)),

@@ -10,8 +10,10 @@
 //! (`O(n)` memory, any source) differ only in how they build the
 //! algorithm and whether they price the cost: all run one execution,
 //! where a fault plan wraps the source and a Byzantine plan selects the
-//! audited data plane. Round streams run flattened on every path. The
-//! lane tier is fault-free and honest.
+//! audited data plane. The knowledge specs run boxed; a streamed trial
+//! runs the knowledge-free rule ([`doda_core::LaneAlgorithm`]) by value,
+//! so its `decide` inlines into the engine step. Round streams run
+//! flattened on every path. The lane tier is fault-free and honest.
 
 use doda_core::algebra::AggregateSummary;
 use doda_core::byzantine::{ByzantineInjector, ByzantineProfile, Tally, Verdict};
@@ -317,7 +319,9 @@ impl<A: Aggregate> TrialRunner<A> {
     /// The engine's budget is `config.max_interactions` (sources are
     /// usually infinite, so sweeps must set it). Streamed trials never
     /// compute the paper's cost function — it is defined over a concrete
-    /// sequence — and report `cost: None`.
+    /// sequence — and report `cost: None`. The algorithm is the spec's
+    /// knowledge-free rule ([`AlgorithmSpec::lane_algorithm`]), run by
+    /// value.
     ///
     /// # Panics
     ///
@@ -342,11 +346,17 @@ impl<A: Aggregate> TrialRunner<A> {
             "the paper's cost function needs the materialised sequence; \
              streamed trials cannot compute it"
         );
-        let mut algorithm = online(spec, "streamed");
+        let Some(mut algorithm) = spec.lane_algorithm() else {
+            panic!(
+                "{spec} requires {} knowledge and cannot run streamed; \
+                 materialise the source and use TrialRunner::run",
+                spec.knowledge()
+            );
+        };
         let max_interactions = config.stream_budget();
         self.execute(
             spec,
-            algorithm.as_mut(),
+            &mut algorithm,
             source,
             config,
             max_interactions,
@@ -436,16 +446,19 @@ impl<A: Aggregate> TrialRunner<A> {
     /// [`FaultedSource`], and the Byzantine plan picks the audited data
     /// plane ([`doda_core::Engine::run_audited`]) over the honest one. The
     /// two planes compose freely: the schedule never sees the audit.
-    fn execute<S, D>(
+    /// Generic over the algorithm, so a rule passed by value is
+    /// statically dispatched.
+    fn execute<G, S, D>(
         &mut self,
         spec: AlgorithmSpec,
-        algorithm: &mut dyn DodaAlgorithm,
+        algorithm: &mut G,
         source: &mut S,
         config: &TrialConfig,
         max_interactions: u64,
         family: &D,
     ) -> TrialResult
     where
+        G: DodaAlgorithm + ?Sized,
         S: InteractionSource + ?Sized,
         D: DatumFamily<Agg = A>,
     {
@@ -468,16 +481,17 @@ impl<A: Aggregate> TrialRunner<A> {
 
     /// Runs one execution on the data plane `config` asks for; the audited
     /// plane's result carries the verdict.
-    fn run_plane<S, D>(
+    fn run_plane<G, S, D>(
         &mut self,
         spec: AlgorithmSpec,
-        algorithm: &mut dyn DodaAlgorithm,
+        algorithm: &mut G,
         source: &mut S,
         config: &TrialConfig,
         max_interactions: u64,
         family: &D,
     ) -> TrialResult
     where
+        G: DodaAlgorithm + ?Sized,
         S: InteractionSource + ?Sized,
         D: DatumFamily<Agg = A>,
     {
@@ -564,22 +578,6 @@ impl<A: Aggregate> TrialRunner<A> {
             .map(|stats| finish_lane(spec, stats))
             .collect()
     }
-}
-
-/// Instantiates knowledge-free `spec` for a trial that never materialises
-/// its stream (`how` names that path in the panic).
-///
-/// # Panics
-///
-/// Panics if `spec` requires knowledge of the future.
-fn online(spec: AlgorithmSpec, how: &str) -> Box<dyn DodaAlgorithm + Send> {
-    spec.instantiate_online().unwrap_or_else(|| {
-        panic!(
-            "{spec} requires {} knowledge and cannot run {how}; \
-             materialise the source and use TrialRunner::run",
-            spec.knowledge()
-        )
-    })
 }
 
 /// Packages the engine counters (plus the data-conservation check read
