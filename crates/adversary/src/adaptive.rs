@@ -3,53 +3,14 @@
 //! The online adaptive adversary "can use the past execution of the
 //! algorithm to construct the next interaction" (Section 2.2). The engine
 //! exposes exactly that power through the ownership view passed to
-//! [`InteractionSource::next_interaction`]; [`AdaptiveAdversary`] lets
-//! experiments and tests build ad-hoc adaptive strategies from a closure,
-//! [`IsolatorAdversary`] is the *sweepable* adaptive strategy (any node
-//! count, `O(1)` amortised per step), and the named constructions of the
-//! paper live in [`crate::constructions`].
+//! [`InteractionSource::next_interaction`]; [`IsolatorAdversary`] is the
+//! *sweepable* adaptive strategy (any node count, `O(1)` amortised per
+//! step), and the named constructions of the paper live in
+//! [`crate::constructions`].
 
 use doda_core::sequence::{AdversaryView, InteractionSource};
 use doda_core::{Interaction, Time};
 use doda_graph::NodeId;
-
-/// An adaptive adversary defined by a closure receiving the current time
-/// and the ownership view.
-pub struct AdaptiveAdversary<F> {
-    n: usize,
-    strategy: F,
-}
-
-impl<F> AdaptiveAdversary<F>
-where
-    F: FnMut(Time, &AdversaryView<'_>) -> Option<Interaction>,
-{
-    /// Creates an adaptive adversary over `n` nodes driven by `strategy`.
-    pub fn new(n: usize, strategy: F) -> Self {
-        AdaptiveAdversary { n, strategy }
-    }
-}
-
-impl<F> std::fmt::Debug for AdaptiveAdversary<F> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AdaptiveAdversary")
-            .field("n", &self.n)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<F> InteractionSource for AdaptiveAdversary<F>
-where
-    F: FnMut(Time, &AdversaryView<'_>) -> Option<Interaction>,
-{
-    fn node_count(&self) -> usize {
-        self.n
-    }
-
-    fn next_interaction(&mut self, t: Time, view: &AdversaryView<'_>) -> Option<Interaction> {
-        (self.strategy)(t, view)
-    }
-}
 
 /// The sweepable online adaptive adversary: it *isolates* the sink.
 ///
@@ -251,45 +212,6 @@ impl InteractionSource for CrashAwareIsolator {
 mod tests {
     use super::*;
     use doda_core::prelude::*;
-
-    #[test]
-    fn closure_adversary_reacts_to_ownership() {
-        // Strategy: keep pairing the two smallest-id nodes that still own
-        // data (never involving the sink), so the Waiting algorithm can
-        // never make progress while Gathering drains everyone into one node.
-        let strategy = |_t: Time, view: &AdversaryView<'_>| {
-            let owners: Vec<NodeId> = (0..view.node_count())
-                .map(NodeId)
-                .filter(|&v| v != view.sink && view.owns(v))
-                .collect();
-            if owners.len() >= 2 {
-                Some(Interaction::new(owners[0], owners[1]))
-            } else {
-                None
-            }
-        };
-        let mut adversary = AdaptiveAdversary::new(5, strategy);
-        assert_eq!(adversary.node_count(), 5);
-        let mut algo = Gathering::new();
-        let outcome = engine::run_with_id_sets(
-            &mut algo,
-            &mut adversary,
-            NodeId(0),
-            EngineConfig::with_max_interactions(100),
-        )
-        .unwrap();
-        // Gathering merges all non-sink data into node 1, then the adversary
-        // has nothing left to offer and the execution stalls unterminated.
-        assert!(!outcome.terminated());
-        assert_eq!(outcome.transmission_count(), 3);
-        assert_eq!(outcome.remaining_owners(), 2);
-    }
-
-    #[test]
-    fn debug_impl_does_not_require_closure_debug() {
-        let adv = AdaptiveAdversary::new(3, |_t, _v| None);
-        assert!(format!("{adv:?}").contains("AdaptiveAdversary"));
-    }
 
     #[test]
     fn isolator_starves_waiting_for_the_whole_horizon() {

@@ -47,7 +47,7 @@ pub mod oblivious;
 pub mod randomized;
 pub mod round_trap;
 
-pub use adaptive::{AdaptiveAdversary, CrashAwareIsolator, IsolatorAdversary};
+pub use adaptive::{CrashAwareIsolator, IsolatorAdversary};
 pub use constructions::{AdaptiveTrap, CycleTrap, ObliviousTrap};
 pub use nonuniform::WeightedRandomAdversary;
 pub use oblivious::ObliviousAdversary;

@@ -128,13 +128,7 @@ impl DodaAlgorithm for FutureBroadcast {
             // Still in the dissemination phase: everybody waits.
             return Decision::Idle;
         }
-        match schedule.transmission_at(ctx.time) {
-            Some(tr) if ctx.both_own_data() => Decision::Transmit {
-                sender: tr.sender,
-                receiver: tr.receiver,
-            },
-            _ => Decision::Idle,
-        }
+        schedule.decide(ctx)
     }
 }
 

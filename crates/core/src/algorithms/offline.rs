@@ -50,13 +50,7 @@ impl DodaAlgorithm for OfflineOptimal {
         let Some(schedule) = &self.schedule else {
             return Decision::Idle;
         };
-        match schedule.transmission_at(ctx.time) {
-            Some(tr) if ctx.both_own_data() => Decision::Transmit {
-                sender: tr.sender,
-                receiver: tr.receiver,
-            },
-            _ => Decision::Idle,
-        }
+        schedule.decide(ctx)
     }
 
     fn is_oblivious(&self) -> bool {

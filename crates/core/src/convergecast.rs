@@ -26,6 +26,7 @@
 
 use doda_graph::NodeId;
 
+use crate::algorithm::{Decision, InteractionContext};
 use crate::interaction::Time;
 use crate::outcome::Transmission;
 use crate::sequence::InteractionSequence;
@@ -49,6 +50,27 @@ impl ConvergecastSchedule {
             .binary_search_by_key(&t, |tr| tr.time)
             .ok()
             .map(|idx| self.transmissions[idx])
+    }
+
+    /// The decision of a node following this schedule in `ctx`: the
+    /// transmission scheduled at `ctx.time`, when both nodes own data.
+    /// A fault plan delays the schedule under the algorithm, so the entry
+    /// for a time may name another pair; such a stale entry is not acted
+    /// on.
+    pub fn decide(&self, ctx: &InteractionContext) -> Decision {
+        match self.transmission_at(ctx.time) {
+            Some(tr)
+                if ctx.both_own_data()
+                    && ctx.interaction.involves(tr.sender)
+                    && ctx.interaction.involves(tr.receiver) =>
+            {
+                Decision::Transmit {
+                    sender: tr.sender,
+                    receiver: tr.receiver,
+                }
+            }
+            _ => Decision::Idle,
+        }
     }
 }
 

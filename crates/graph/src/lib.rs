@@ -19,7 +19,7 @@
 //! # Example
 //!
 //! ```
-//! use doda_graph::{AdjacencyGraph, NodeId, spanning_tree::bfs_spanning_tree};
+//! use doda_graph::{AdjacencyGraph, NodeId, spanning_tree::deterministic_spanning_tree};
 //!
 //! let mut g = AdjacencyGraph::new(4);
 //! g.add_edge(NodeId(0), NodeId(1));
@@ -27,7 +27,7 @@
 //! g.add_edge(NodeId(2), NodeId(3));
 //! g.add_edge(NodeId(3), NodeId(0));
 //!
-//! let tree = bfs_spanning_tree(&g, NodeId(0)).expect("graph is connected");
+//! let tree = deterministic_spanning_tree(&g, NodeId(0)).expect("graph is connected");
 //! assert_eq!(tree.len(), 4);
 //! assert_eq!(tree.root(), NodeId(0));
 //! ```

@@ -3,27 +3,9 @@
 //! Theorem 4 of the paper relies on every node deterministically computing
 //! *the same* spanning tree of the underlying graph `G̅` from the node
 //! identifiers alone. [`deterministic_spanning_tree`] provides exactly that
-//! (a Kruskal-style scan of edges in canonical id order), while
-//! [`bfs_spanning_tree`] produces the shallowest tree rooted at the sink,
-//! used as the baseline tree in examples and tests.
+//! (a Kruskal-style scan of edges in canonical id order).
 
 use crate::{traversal::bfs, tree::RootedTree, AdjacencyGraph, NodeId, UnionFind};
-
-/// Builds the BFS spanning tree of `g` rooted at `root`.
-///
-/// Returns `None` if `g` is not connected (some node would be missing from
-/// the tree), except for the degenerate single-node graph.
-///
-/// # Panics
-///
-/// Panics if `root` is out of range.
-pub fn bfs_spanning_tree(g: &AdjacencyGraph, root: NodeId) -> Option<RootedTree> {
-    let res = bfs(g, root);
-    if res.order.len() != g.node_count() {
-        return None;
-    }
-    Some(RootedTree::from_parents(root, &res.parent))
-}
 
 /// Builds a deterministic spanning tree of `g` rooted at `root` using a
 /// Kruskal-style scan of the edges in canonical (id-sorted) order.
@@ -68,19 +50,9 @@ mod tests {
     use crate::generators;
 
     #[test]
-    fn bfs_tree_on_cycle_is_shallow() {
-        let g = generators::cycle_graph(6);
-        let t = bfs_spanning_tree(&g, NodeId(0)).unwrap();
-        assert_eq!(t.len(), 6);
-        assert!(is_spanning_tree_of(&t, &g));
-        assert_eq!(t.height(), 3);
-    }
-
-    #[test]
     fn bfs_tree_fails_on_disconnected() {
         let mut g = AdjacencyGraph::new(4);
         g.add_edge(NodeId(0), NodeId(1));
-        assert!(bfs_spanning_tree(&g, NodeId(0)).is_none());
         assert!(deterministic_spanning_tree(&g, NodeId(0)).is_none());
     }
 
@@ -124,11 +96,9 @@ mod tests {
     #[test]
     fn single_node_graph() {
         let g = AdjacencyGraph::new(1);
-        let t = bfs_spanning_tree(&g, NodeId(0)).unwrap();
+        let t = deterministic_spanning_tree(&g, NodeId(0)).unwrap();
         assert_eq!(t.len(), 1);
         assert!(is_spanning_tree_of(&t, &g));
-        let t2 = deterministic_spanning_tree(&g, NodeId(0)).unwrap();
-        assert_eq!(t2.len(), 1);
     }
 
     #[test]

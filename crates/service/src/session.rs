@@ -31,7 +31,7 @@ use doda_core::error::FaultError;
 use doda_core::sequence::{AdversaryView, InteractionSource, StepEvent};
 use doda_core::{DiscardTransmissions, Interaction, LaneAlgorithm, Time};
 use doda_graph::NodeId;
-use doda_sim::{finish_trial, AlgorithmSpec, FaultedScenario, Sweep, TrialResult};
+use doda_sim::{finish_trial, AlgorithmSpec, FaultedScenario, Sweep, TrialResult, SINK};
 
 use crate::error::ServiceError;
 
@@ -128,7 +128,7 @@ impl Inbox {
 
     /// Checks the structural invariants push-time can see: every node the
     /// event names exists, and fault events never target the sink
-    /// ([`Session::SINK`]). Liveness-dependent violations (crashing a
+    /// ([`doda_sim::SINK`]). Liveness-dependent violations (crashing a
     /// dead node, reviving a live one, an interaction with a dead
     /// participant) depend on where the engine is in the queue and are
     /// caught at drain time instead — see
@@ -152,7 +152,7 @@ impl Inbox {
             | StepEvent::Departure(node)
             | StepEvent::Arrival(node) => {
                 in_range(node)?;
-                if node == Session::SINK {
+                if node == SINK {
                     return Err(invalid(FaultError::TargetsSink { node }));
                 }
                 Ok(())
@@ -260,9 +260,6 @@ impl std::fmt::Debug for Session {
 }
 
 impl Session {
-    /// Every session's sink: node 0, same as a sweep trial's.
-    pub(crate) const SINK: NodeId = NodeId(0);
-
     /// Opens a scenario-fed session on trial 0's stream of
     /// `Sweep::scenario(spec, scenario).n(n).seed(seed)`, admitted by that
     /// sweep, so the eventual result is byte-identical to its trial 0.
@@ -344,12 +341,7 @@ impl Session {
             .horizon
             .unwrap_or(doda_adversary::RandomizedAdversary::default_horizon(n) as u64);
         let mut engine = Engine::new();
-        let progress = engine.begin_run(
-            n,
-            Session::SINK,
-            IdSet::singleton,
-            EngineConfig::sweep(horizon),
-        );
+        let progress = engine.begin_run(n, SINK, IdSet::singleton, EngineConfig::sweep(horizon));
         Session {
             id,
             spec,

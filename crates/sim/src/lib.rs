@@ -16,8 +16,8 @@
 //!   axis of `doda_core::fault` — crash faults, node churn, lossy
 //!   interactions — so every scenario also runs under a seeded,
 //!   deterministic fault plan;
-//! * [`trial`] runs one algorithm over one stream (or sequence) and
-//!   extracts metrics;
+//! * [`trial`] runs one algorithm over one trial's stream, building the
+//!   knowledge its spec needs, and extracts metrics;
 //! * [`sweep::Sweep`] is the unified batch builder: scenario or workload ×
 //!   algorithm × trials × seed × parallelism × execution tier
 //!   ([`sweep::ExecutionTier`]: auto / scalar / lockstep **lanes**);
@@ -63,8 +63,7 @@ pub use scenario::{FaultedScenario, Scenario};
 pub use spec::{AlgorithmSpec, KnowledgeRequirement};
 pub use sweep::{AdmissionError, ExecutionTier, Sweep};
 pub use trial::{
-    finish_trial, finish_trial_with, run_trial_on_sequence, ByzantineInjection, FaultInjection,
-    TrialConfig, TrialResult, TrialRunner,
+    finish_trial, ByzantineInjection, FaultInjection, TrialConfig, TrialResult, TrialRunner, SINK,
 };
 
 /// Commonly used items for examples and benches.
@@ -74,9 +73,8 @@ pub mod prelude {
     pub use crate::scenario::{FaultedScenario, Scenario};
     pub use crate::spec::{AlgorithmSpec, KnowledgeRequirement};
     pub use crate::sweep::{ExecutionTier, Sweep};
-    pub use crate::table::{markdown_table, Table};
+    pub use crate::table::Table;
     pub use crate::trial::{
-        finish_trial, finish_trial_with, run_trial_on_sequence, ByzantineInjection, FaultInjection,
-        TrialConfig, TrialResult, TrialRunner,
+        finish_trial, ByzantineInjection, FaultInjection, TrialConfig, TrialResult, TrialRunner,
     };
 }

@@ -15,9 +15,10 @@
 //! time from a seeded source, so a sweep's memory footprint is `O(n)`
 //! regardless of the horizon, and adaptive adversaries (which cannot be
 //! pre-generated at all) sweep through the exact same machinery.
-//! Knowledge-based algorithms materialise each trial's sequence into a
-//! per-worker scratch buffer first, because their oracles are functions
-//! of the future. Both paths produce byte-identical results for the same
+//! Knowledge-based algorithms read each trial's committed sequence ahead
+//! of the execution, because their oracles are functions of the future:
+//! Waiting Greedy on demand, the others filled into the runner's scratch
+//! buffer first. Both paths produce byte-identical results for the same
 //! seed, enforced by `tests/determinism.rs` and the
 //! `streaming_equivalence` property suite.
 //!
@@ -25,9 +26,8 @@
 //!
 //! Parallel batches are *sharded* by [`claim_chunks`], the one dispatcher
 //! behind every sweep and every service slice: every worker owns a
-//! [`TrialRunner`] (reused engine scratch) plus a scratch
-//! [`InteractionSequence`] that the materialising path refills in place,
-//! and keeps both for the whole batch. Workers claim trials from one
+//! [`TrialRunner`] (reused engine scratch, and the scratch sequence the
+//! filling path refills in place) and keeps it for the whole batch. Workers claim trials from one
 //! shared cursor as they free up — one trial at a time on the scalar
 //! paths, a lane batch at a time on the lane tier — so a worker that drew
 //! short trials takes more of them instead of idling while another
@@ -39,7 +39,6 @@
 //! [`TrialResult`]s, byte for byte.
 //!
 //! [`TrialRunner`]: crate::trial::TrialRunner
-//! [`InteractionSequence`]: doda_core::InteractionSequence
 
 use std::ops::Range;
 use std::sync::Mutex;
@@ -320,18 +319,16 @@ mod tests {
     #[test]
     #[should_panic(expected = "trial 5 fails")]
     fn a_panicking_trial_surfaces_as_a_worker_panic() {
-        let config = TrialConfig {
-            max_interactions: Some(1_000),
-            ..TrialConfig::default()
-        };
+        let config = TrialConfig::default();
         let _ = shard(8, true, 1, TrialRunner::new, |runner, trials| {
             trials
                 .map(|trial| {
                     assert_ne!(trial, 5, "trial 5 fails");
-                    let mut source = UniformWorkload::new(6).source(trial as u64);
-                    runner.run_streamed(
+                    let source = || UniformWorkload::new(6).source(trial as u64);
+                    runner.run(
                         AlgorithmSpec::Gathering,
-                        source.as_mut(),
+                        source,
+                        1_000,
                         &config,
                         &ExactOrigins,
                     )

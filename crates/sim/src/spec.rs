@@ -14,11 +14,11 @@
 //! * every other requirement needs the adversary to **commit** to its
 //!   sequence first, because the oracles (`meetTime`, underlying graph,
 //!   futures, full sequence) are functions of the future.
-//!   [`KnowledgeRequirement::MeetTime`] specs run on a sweep against a
-//!   lookahead over a second copy of the committed stream
-//!   ([`AlgorithmSpec::instantiate_lookahead`]), which reads only as far
+//!   [`KnowledgeRequirement::MeetTime`] specs run against a lookahead
+//!   over a second copy of the committed stream, which reads only as far
 //!   ahead as each decision needs; the others materialise the sequence
-//!   ([`AlgorithmSpec::instantiate`]).
+//!   ([`AlgorithmSpec::instantiate`]). [`crate::TrialRunner::run`] picks
+//!   the construction from the requirement.
 
 use doda_core::algorithms::{
     FutureBroadcast, OfflineOptimal, SpanningTreeAggregation, WaitingGreedy,
@@ -222,7 +222,7 @@ impl AlgorithmSpec {
     /// The recommended `τ` reads `n` from the source.
     ///
     /// Returns `None` for every other spec.
-    pub fn instantiate_lookahead<S>(
+    pub(crate) fn instantiate_lookahead<S>(
         &self,
         source: S,
         horizon: usize,

@@ -23,16 +23,17 @@
 //! session, which steps trial 0's stream, is refused exactly where the
 //! equivalent sweep would panic, with the same [`AdmissionError`] text.
 //! One dispatcher then
-//! shards the trials over worker threads and runs each on the resolved
-//! [`TrialRunner`] entry point, with the datum family the aggregate kind
-//! selects ([`ExactOrigins`] by default).
+//! shards the trials over worker threads and runs each through
+//! [`TrialRunner::run`], or a lane batch through
+//! [`TrialRunner::run_lane_batch`], with the datum family the aggregate
+//! kind selects ([`ExactOrigins`] by default).
 //!
 //! # Execution tiers
 //!
 //! | tier | what runs | when [`ExecutionTier::Auto`] picks it |
 //! |------|-----------|---------------------------------------|
-//! | materialised scalar | against a committed schedule: [`TrialRunner::run_lookahead`] for `meetTime` specs, [`TrialRunner::run`] over a per-worker scratch sequence for the rest | the spec's oracles need the future |
-//! | streamed scalar | [`TrialRunner::run_streamed`], `O(n)` memory | a fault or Byzantine plan is present (both are scalar-path features), or no faster tier applies |
+//! | materialised scalar | [`TrialRunner::run`] against a committed schedule: `meetTime` read ahead on demand, the other oracles over the schedule filled into the runner's scratch sequence | the spec's oracles need the future |
+//! | streamed scalar | [`TrialRunner::run`] with the knowledge-free rule on the stream, `O(n)` memory | a fault or Byzantine plan is present (both are scalar-path features), or no faster tier applies |
 //! | **lanes** | [`TrialRunner::run_lane_batch`]: up to 64 trials in lockstep through bit-lane state | the spec has a lane kernel ([`AlgorithmSpec::lane_algorithm`]), the trials are fault-free and honest, and the aggregate is the default |
 //!
 //! Round scenarios have no tier of their own: every tier runs their
@@ -50,7 +51,7 @@
 use doda_core::byzantine::ByzantineProfile;
 use doda_core::fault::FaultedSource;
 use doda_core::lane::MAX_LANES;
-use doda_core::{InteractionSequence, InteractionSource};
+use doda_core::InteractionSource;
 use doda_stats::rng::SeedSequence;
 use doda_workloads::Workload;
 
@@ -60,7 +61,7 @@ use crate::datum::{
 };
 use crate::runner::{shard, summarize, BatchResult};
 use crate::scenario::{FaultedScenario, Scenario};
-use crate::spec::{AlgorithmSpec, KnowledgeRequirement};
+use crate::spec::AlgorithmSpec;
 use crate::trial::{TrialConfig, TrialResult, TrialRunner};
 
 /// The execution tier of a sweep: which engine path runs the trials.
@@ -202,9 +203,10 @@ impl<'a> Sweep<'a> {
         }
     }
 
-    /// Sets the node count (the sink is node 0). Mandatory for scenario
-    /// sweeps; workload sweeps may omit it (the workload fixes it) but a
-    /// mismatched explicit value panics at [`Sweep::run`].
+    /// Sets the node count (the sink is [`crate::SINK`], node 0).
+    /// Mandatory for scenario sweeps; workload sweeps may omit it (the
+    /// workload fixes it) but a mismatched explicit value panics at
+    /// [`Sweep::run`].
     pub fn n(mut self, n: usize) -> Self {
         self.n = Some(n);
         self
@@ -302,11 +304,12 @@ impl<'a> Sweep<'a> {
     /// interaction family exactly as [`Sweep::run`] resolves it.
     /// `doda-bench` stamps this into each grid cell's `mode` column.
     ///
-    /// `"materialized"` means the trials run against a committed schedule,
-    /// which their knowledge reads ahead of the execution: `meetTime` specs
-    /// read it on demand through a lookahead
-    /// ([`TrialRunner::run_lookahead`]), the others fill it into a
-    /// sequence first.
+    /// Both scalar labels run [`TrialRunner::run`], and the label says
+    /// what the spec knows. `"materialized"` means the trials run against
+    /// a committed schedule, which their knowledge reads ahead of the
+    /// execution: `meetTime` specs read it on demand through a lookahead,
+    /// the others fill it into a sequence first. `"streamed"` means the
+    /// knowledge-free rule runs on the stream itself.
     ///
     /// # Panics
     ///
@@ -554,63 +557,37 @@ impl<'a> Sweep<'a> {
     fn dispatch<D: DatumFamily>(&self, plan: &Plan<'_>, family: &D) -> Vec<TrialResult> {
         let spec = self.spec;
         let seeds = SeedSequence::new(self.seed);
-        let budget = Some(plan.horizon as u64);
-        let config = |trial_seed, max_interactions| TrialConfig {
-            max_interactions,
-            fault: plan.planes.fault_injection(trial_seed),
-            byzantine: plan.planes.byzantine_injection(trial_seed),
-            ..TrialConfig::default()
-        };
         let lanes = plan.path == Path::Lanes;
         let width = if lanes { self.lane_width } else { 1 };
-        let init = || (TrialRunner::new(), InteractionSequence::new(plan.n));
         shard(
             self.trials,
             self.parallel,
             width,
-            init,
-            |(runner, seq), trials| {
+            TrialRunner::new,
+            |runner, trials| {
                 if lanes {
                     // A claim is one lane batch. Lanes carry no plans, so
-                    // every trial shares one config.
+                    // every trial shares the default config.
                     let mut sources: Vec<_> = trials
                         .map(|trial| (plan.source)(seeds.seed(trial as u64)))
                         .collect();
-                    return runner.run_lane_batch(spec, &mut sources, &config(0, budget), family);
+                    let config = TrialConfig::default();
+                    return runner.run_lane_batch(
+                        spec,
+                        &mut sources,
+                        plan.horizon,
+                        &config,
+                        family,
+                    );
                 }
                 trials
                     .map(|trial| {
                         let seed = seeds.seed(trial as u64);
-                        match plan.path {
-                            // meetTime is read ahead on demand, never
-                            // filled to the horizon.
-                            Path::Materialized
-                                if spec.knowledge_requirement()
-                                    == KnowledgeRequirement::MeetTime =>
-                            {
-                                runner.run_lookahead(
-                                    spec,
-                                    || (plan.source)(seed),
-                                    plan.horizon,
-                                    &config(seed, None),
-                                    family,
-                                )
-                            }
-                            Path::Materialized => {
-                                seq.fill_from((plan.source)(seed).as_mut(), plan.horizon);
-                                runner.run(spec, seq, &config(seed, None), family)
-                            }
-                            Path::Streamed => {
-                                let mut source = (plan.source)(seed);
-                                runner.run_streamed(
-                                    spec,
-                                    source.as_mut(),
-                                    &config(seed, budget),
-                                    family,
-                                )
-                            }
-                            Path::Lanes => unreachable!("lane trials run in batches above"),
-                        }
+                        let config = TrialConfig {
+                            fault: plan.planes.fault_injection(seed),
+                            byzantine: plan.planes.byzantine_injection(seed),
+                        };
+                        runner.run(spec, || (plan.source)(seed), plan.horizon, &config, family)
                     })
                     .collect()
             },

@@ -91,20 +91,6 @@ impl Table {
     }
 }
 
-/// Convenience: builds a Markdown table in one call.
-pub fn markdown_table<H, S, R>(header: H, rows: R) -> String
-where
-    H: IntoIterator<Item = S>,
-    S: Into<String>,
-    R: IntoIterator<Item = Vec<String>>,
-{
-    let mut table = Table::new(header);
-    for row in rows {
-        table.push_row(row);
-    }
-    table.to_markdown()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,11 +138,5 @@ mod tests {
     fn arity_mismatch_panics() {
         let mut t = Table::new(["a", "b"]);
         t.push_row(["only one"]);
-    }
-
-    #[test]
-    fn helper_builds_in_one_call() {
-        let md = markdown_table(["x", "y"], vec![vec!["1".to_string(), "2".to_string()]]);
-        assert!(md.contains("| 1 | 2 |"));
     }
 }

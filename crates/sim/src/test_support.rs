@@ -48,12 +48,8 @@ impl<S: InteractionSource> InteractionSource for PerEvent<S> {
 /// The trials `Sweep::scenario(spec, scenario).n(n).trials(trials)
 /// .seed(seed).parallel(parallel).tier(ExecutionTier::Scalar).run()` runs,
 /// with the same seeds, default horizon and sharding, but with every
-/// source wrapped in [`PerEvent`]: the streamed scalar tier on the
-/// per-event loop.
-///
-/// # Panics
-///
-/// Panics if `spec` needs knowledge of the future.
+/// source wrapped in [`PerEvent`]: for a knowledge-free spec, the
+/// streamed scalar tier on the per-event loop.
 pub fn per_event_sweep(
     spec: AlgorithmSpec,
     scenario: Scenario,
@@ -63,15 +59,14 @@ pub fn per_event_sweep(
     parallel: bool,
 ) -> Vec<TrialResult> {
     let seeds = SeedSequence::new(seed);
-    let config = TrialConfig {
-        max_interactions: Some(doda_adversary::RandomizedAdversary::default_horizon(n) as u64),
-        ..TrialConfig::default()
-    };
+    let horizon = doda_adversary::RandomizedAdversary::default_horizon(n);
+    let config = TrialConfig::default();
     shard(trials, parallel, 1, TrialRunner::new, |runner, trials| {
         trials
             .map(|trial| {
-                let mut source = PerEvent(scenario.source(n, seeds.seed(trial as u64)));
-                runner.run_streamed(spec, &mut source, &config, &ExactOrigins)
+                let seed = seeds.seed(trial as u64);
+                let source = || PerEvent(scenario.source(n, seed));
+                runner.run(spec, source, horizon, &config, &ExactOrigins)
             })
             .collect()
     })

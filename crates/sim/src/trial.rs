@@ -1,23 +1,28 @@
 //! Single-trial execution and metrics.
 //!
 //! [`TrialRunner`] is the sweep-facing entry point: it owns a reusable
-//! [`Engine`] so that running thousands of trials reuses one set of
-//! scratch allocations, and every entry point takes the [`DatumFamily`]
-//! the nodes carry ([`ExactOrigins`] by default). [`TrialRunner::run`]
-//! (materialised, for oracles that need the future),
-//! [`TrialRunner::run_lookahead`] (Waiting Greedy's `meetTime` read ahead
-//! on demand from a committed stream) and [`TrialRunner::run_streamed`]
-//! (`O(n)` memory, any source) differ only in how they build the
-//! algorithm and whether they price the cost: all run one execution,
-//! where a fault plan wraps the source and a Byzantine plan selects the
-//! audited data plane. The knowledge specs run boxed; a streamed trial
-//! runs the knowledge-free rule ([`doda_core::LaneAlgorithm`]) by value,
-//! so its `decide` inlines into the engine step. Round streams run
-//! flattened on every path. The lane tier is fault-free and honest.
+//! [`Engine`] and a scratch sequence, so that running thousands of trials
+//! reuses one set of allocations. [`TrialRunner::run`] is the one scalar
+//! trial: it takes the trial's stream, horizon, plans and
+//! [`DatumFamily`] ([`ExactOrigins`] by default), and builds the
+//! algorithm from what the spec knows
+//! ([`AlgorithmSpec::knowledge_requirement`]):
+//!
+//! | knowledge | algorithm | engine budget |
+//! |-----------|-----------|---------------|
+//! | none | the knowledge-free rule ([`doda_core::LaneAlgorithm`]) by value, on the stream itself, `O(n)` memory | the horizon |
+//! | `meetTime` | Waiting Greedy over a lookahead that reads a second copy of the stream ahead on demand | the horizon, or the committed length when a faulted trial outruns a short source |
+//! | anything else | the spec's oracles over the stream filled into the scratch sequence up to the horizon | the filled length |
+//!
+//! Every arm runs one execution: a fault plan wraps the source and a
+//! Byzantine plan selects the audited data plane. The knowledge specs run
+//! boxed; the rule's `decide` inlines into the engine step. Round streams
+//! run flattened on every arm. [`TrialRunner::run_lane_batch`] is the
+//! lane tier, which is fault-free and honest.
 
 use doda_core::algebra::AggregateSummary;
 use doda_core::byzantine::{ByzantineInjector, ByzantineProfile, Tally, Verdict};
-use doda_core::cost::{cost_of_duration, Cost};
+use doda_core::cost::Cost;
 use doda_core::data::{Aggregate, IdSet};
 use doda_core::engine::{DiscardTransmissions, Engine, EngineConfig, RunStats};
 use doda_core::fault::{FaultProfile, FaultedSource};
@@ -27,7 +32,12 @@ use doda_core::{CommittedStream, DodaAlgorithm, InteractionSequence, Interaction
 use doda_graph::NodeId;
 
 use crate::datum::{DatumFamily, ExactOrigins};
-use crate::spec::AlgorithmSpec;
+use crate::spec::{AlgorithmSpec, KnowledgeRequirement};
+
+/// Every trial's sink: node 0. Sweep trials, lane batches and service
+/// sessions all aggregate here, which is what makes a session's result
+/// byte-identical to trial 0 of the equivalent sweep.
+pub const SINK: NodeId = NodeId(0);
 
 /// A fully resolved per-trial fault plan: the profile plus the seed of
 /// the dedicated fault stream. Built by
@@ -58,30 +68,16 @@ pub struct ByzantineInjection {
     pub seed: u64,
 }
 
-/// Configuration of a single trial.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// The per-trial plans of a single trial; the default is a fault-free,
+/// honest trial.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct TrialConfig {
-    /// The sink node.
-    pub sink: NodeId,
-    /// Interaction budget of the engine. For materialised trials `None`
-    /// defaults to the sequence length (an algorithm that cannot finish on
-    /// the sequence is reported as non-terminated); for streamed trials
-    /// over an infinite source `None` falls back to the engine's default
-    /// budget, so sweeps should always set it explicitly.
-    pub max_interactions: Option<u64>,
-    /// Whether to compute the paper's cost function for the outcome (adds
-    /// `O(len log len)` work per convergecast, so sweeps usually disable it).
-    pub compute_cost: bool,
-    /// Cap on the number of successive convergecasts examined by the cost
-    /// computation.
-    pub max_convergecasts: u64,
-    /// The fault plan injected over the trial's source, if any. On the
-    /// materialised path the oracles are still built from the *base*
-    /// sequence (knowledge describes the committed schedule, not the
-    /// faults); the plan perturbs execution only, delaying the schedule
-    /// under the algorithm so time-indexed knowledge grows stale by the
-    /// number of fault events (see [`TrialRunner::run`]). Incompatible
-    /// with [`TrialConfig::compute_cost`].
+    /// The fault plan injected over the trial's source, if any. Knowledge
+    /// is still built from the *base* stream (it describes the committed
+    /// schedule, not the faults); the plan perturbs execution only,
+    /// delaying the schedule under the algorithm so time-indexed
+    /// knowledge grows stale by the number of fault events (see
+    /// [`TrialRunner::run`]).
     pub fault: Option<FaultInjection>,
     /// The Byzantine plan injected over the trial's data plane, if any:
     /// the trial routes through the audited engine path
@@ -94,22 +90,10 @@ pub struct TrialConfig {
 }
 
 impl TrialConfig {
-    /// The engine budget of an unmaterialised trial: the explicit one, or
-    /// the engine's default.
-    fn stream_budget(&self) -> u64 {
-        self.max_interactions
-            .unwrap_or(EngineConfig::default().max_interactions)
-    }
-
-    /// Asserts what the fault-free, honest lane tier requires: no cost, no
-    /// fault plan and no Byzantine plan. Faulted and audited trials run on
-    /// the scalar paths.
+    /// Asserts what the fault-free, honest lane tier requires: no fault
+    /// plan and no Byzantine plan. Faulted and audited trials run on
+    /// [`TrialRunner::run`].
     fn assert_plain(&self) {
-        assert!(
-            !self.compute_cost,
-            "the paper's cost function needs the materialised sequence; \
-             lane trials cannot compute it"
-        );
         assert!(
             self.fault.is_none(),
             "fault plans run on the scalar path; the lane tier is \
@@ -120,19 +104,6 @@ impl TrialConfig {
             "byzantine plans run on the audited scalar path; the lane \
              tier is honest by contract"
         );
-    }
-}
-
-impl Default for TrialConfig {
-    fn default() -> Self {
-        TrialConfig {
-            sink: NodeId(0),
-            max_interactions: None,
-            compute_cost: false,
-            max_convergecasts: 64,
-            fault: None,
-            byzantine: None,
-        }
     }
 }
 
@@ -164,7 +135,9 @@ pub struct TrialResult {
     /// The fault events applied during the trial (all zero without a
     /// fault plan).
     pub faults: FaultTally,
-    /// The paper's cost, when requested.
+    /// The paper's cost. [`TrialRunner`] never prices a trial and leaves
+    /// it `None`; [`finish_trial`] takes it from callers that price a run
+    /// over its sequence with [`doda_core::cost`].
     pub cost: Option<Cost>,
     /// The constant-size summary of the sink's final aggregate, for
     /// sweeps running a real aggregation function
@@ -202,9 +175,10 @@ impl TrialResult {
 
 /// A reusable trial executor.
 ///
-/// Holds the zero-allocation [`Engine`] scratch so that consecutive trials
-/// (the Monte-Carlo sweeps of Sections 4–5) reuse one set of allocations.
-/// The sharded batch runner keeps one `TrialRunner` per worker thread.
+/// Holds the zero-allocation [`Engine`] scratch and the sequence the
+/// oracle specs fill, so that consecutive trials (the Monte-Carlo sweeps
+/// of Sections 4–5) reuse one set of allocations. The sharded batch
+/// runner keeps one `TrialRunner` per worker thread.
 ///
 /// The runner is generic over the [`Aggregate`] the nodes carry, and every
 /// entry point takes the [`DatumFamily`] that seeds and checks it:
@@ -215,6 +189,7 @@ impl TrialResult {
 pub struct TrialRunner<A: Aggregate = IdSet> {
     engine: Engine<A>,
     lanes: LaneEngine,
+    seq: InteractionSequence,
 }
 
 impl<A: Aggregate> Default for TrialRunner<A> {
@@ -229,170 +204,41 @@ impl<A: Aggregate> TrialRunner<A> {
         TrialRunner {
             engine: Engine::new(),
             lanes: LaneEngine::new(),
+            seq: InteractionSequence::new(0),
         }
     }
 
-    /// Runs `spec` over a concrete, pre-materialised sequence, reusing
-    /// this runner's scratch.
+    /// Runs `spec` for one trial over the stream `source` yields, cut at
+    /// `horizon`, with `config`'s plans, reusing this runner's scratch.
+    /// The knowledge the spec needs decides how the algorithm is built
+    /// (see the [module docs](self)): the knowledge-free rule runs on the
+    /// stream itself, `meetTime` is read ahead on demand, and every other
+    /// spec's oracles are built over the stream filled up to `horizon`.
     ///
-    /// With a fault plan ([`TrialConfig::fault`]), the oracles are built
-    /// from `seq` — the committed schedule — while fault events consume
-    /// execution steps without consuming schedule entries. Time-indexed
-    /// knowledge (`meetTime`, futures) therefore grows *stale* by the
-    /// number of fault events: the algorithm acts on the committed times
-    /// while the schedule is delayed under it. This knowledge
-    /// degradation is deliberate fault-model semantics (a real
-    /// deployment's precomputed schedule drifts exactly like this), and
-    /// part of what the fault-degradation experiment (E14) measures.
+    /// `source` must yield the same stream on every call, as a seeded
+    /// workload does: the `meetTime` arm calls it twice, once for the
+    /// knowledge and once for the execution, and again when it re-runs.
+    /// It stays generic, so a source passed by value costs no boxing.
     ///
-    /// # Panics
+    /// With a fault plan ([`TrialConfig::fault`]), knowledge describes the
+    /// committed schedule, while fault events consume execution steps
+    /// without consuming schedule entries. Time-indexed knowledge
+    /// (`meetTime`, futures) therefore grows *stale* by the number of
+    /// fault events: the algorithm acts on the committed times while the
+    /// schedule is delayed under it. This knowledge degradation is
+    /// deliberate fault-model semantics (a real deployment's precomputed
+    /// schedule drifts exactly like this), and part of what the
+    /// fault-degradation experiment (E14) measures.
     ///
-    /// Panics if the algorithm produces a structurally invalid decision
-    /// (this would be a bug in the algorithm implementation, not a
-    /// property of the input), or if `config.compute_cost` is combined
-    /// with a fault plan: the paper's cost function indexes the committed
-    /// sequence by time, and a faulted execution's clock includes fault
-    /// events, so no faithful duration exists to price.
-    pub fn run<D>(
-        &mut self,
-        spec: AlgorithmSpec,
-        seq: &InteractionSequence,
-        config: &TrialConfig,
-        family: &D,
-    ) -> TrialResult
-    where
-        D: DatumFamily<Agg = A>,
-    {
-        assert!(
-            !(config.compute_cost && config.fault.is_some()),
-            "the paper's cost function is defined over the committed fault-free \
-             sequence; a faulted execution's termination time indexes the engine \
-             clock (schedule + fault events), so its cost is undefined"
-        );
-        let Some(mut algorithm) = spec.instantiate(seq, config.sink) else {
-            // Spanning tree over a disconnected underlying graph: no
-            // algorithm could aggregate on this sequence; report a
-            // non-terminated trial.
-            return TrialResult {
-                algorithm: spec.label().to_string(),
-                n: seq.node_count(),
-                termination_time: None,
-                interactions_processed: 0,
-                transmissions: 0,
-                ignored_decisions: 0,
-                data_conserved: false,
-                completion: Completion::Starved,
-                faults: FaultTally::default(),
-                cost: None,
-                aggregate: None,
-                // No interaction ever ran, so an audited trial's ledger is
-                // trivially clean (byzantine plan ⇒ Some verdict, always).
-                verdict: config.byzantine.map(|_| Verdict::Clean),
-            };
-        };
-        // The oracles above were built from the base sequence (the
-        // committed schedule); only execution sees the faults.
-        let max_interactions = config.max_interactions.unwrap_or(seq.len() as u64);
-        let mut result = self.execute(
-            spec,
-            algorithm.as_mut(),
-            &mut seq.stream(false),
-            config,
-            max_interactions,
-            family,
-        );
-        if config.compute_cost {
-            result.cost = Some(cost_of_duration(
-                seq,
-                config.sink,
-                result.termination_time,
-                config.max_convergecasts,
-            ));
-        }
-        result
-    }
-
-    /// Runs `spec` **streamed**: the engine pulls interactions straight
-    /// from `source` — no sequence is ever materialised, so the trial runs
-    /// in `O(n)` memory at any horizon and the source may be adaptive.
-    ///
-    /// The engine's budget is `config.max_interactions` (sources are
-    /// usually infinite, so sweeps must set it). Streamed trials never
-    /// compute the paper's cost function — it is defined over a concrete
-    /// sequence — and report `cost: None`. The algorithm is the spec's
-    /// knowledge-free rule ([`AlgorithmSpec::lane_algorithm`]), run by
-    /// value.
+    /// A spanning tree over a disconnected underlying graph is reported as
+    /// a trial that never started: no algorithm could aggregate there.
     ///
     /// # Panics
     ///
-    /// Panics if `spec` requires knowledge of the future (check
-    /// [`AlgorithmSpec::requires_materialization`] first; such specs must
-    /// materialise the source and go through [`TrialRunner::run`]), if
-    /// `config.compute_cost` is set, or if the algorithm produces a
-    /// structurally invalid decision.
-    pub fn run_streamed<S, D>(
-        &mut self,
-        spec: AlgorithmSpec,
-        source: &mut S,
-        config: &TrialConfig,
-        family: &D,
-    ) -> TrialResult
-    where
-        S: InteractionSource + ?Sized,
-        D: DatumFamily<Agg = A>,
-    {
-        assert!(
-            !config.compute_cost,
-            "the paper's cost function needs the materialised sequence; \
-             streamed trials cannot compute it"
-        );
-        let Some(mut algorithm) = spec.lane_algorithm() else {
-            panic!(
-                "{spec} requires {} knowledge and cannot run streamed; \
-                 materialise the source and use TrialRunner::run",
-                spec.knowledge()
-            );
-        };
-        let max_interactions = config.stream_budget();
-        self.execute(
-            spec,
-            &mut algorithm,
-            source,
-            config,
-            max_interactions,
-            family,
-        )
-    }
-
-    /// Runs a `meetTime` spec (Waiting Greedy) against the schedule that
-    /// `source` commits up to `horizon`, **without materialising it**: the
-    /// result equals [`TrialRunner::run`] over the sequence
-    /// [`InteractionSequence::fill_from`] fills from `source()` up to
-    /// `horizon`, with the same config, fault and Byzantine plans
-    /// included.
-    ///
-    /// `source` is called for two copies of the same stream (so it must
-    /// yield the same stream each time, as a seeded workload does): the
-    /// knowledge reads one ahead through a [`MeetTimeLookahead`], only as
-    /// far as each decision needs, and the engine replays the other
-    /// through a [`CommittedStream`] cut at `horizon`. Memory is `O(n)`
-    /// plus the sink meetings read ahead, instead of `O(horizon)`.
-    ///
-    /// The budget `None` means the committed length, as for
-    /// [`TrialRunner::run`]. Fault events spend engine steps, so a
-    /// faulted trial can outrun a source that ends before `horizon`; when
-    /// it does, the trial runs once more with the budget set to the
-    /// length found.
-    ///
-    /// [`MeetTimeLookahead`]: doda_core::knowledge::MeetTimeLookahead
-    ///
-    /// # Panics
-    ///
-    /// Panics if `spec` does not need exactly `meetTime` knowledge
-    /// ([`AlgorithmSpec::instantiate_lookahead`] is `None`), if
-    /// `config.compute_cost` is set, or if the algorithm produces a
-    /// structurally invalid decision.
-    pub fn run_lookahead<F, D>(
+    /// Panics if a plan is invalid, or if the algorithm produces a
+    /// structurally invalid decision (a bug in the algorithm, not a
+    /// property of the input).
+    pub fn run<F, S, D>(
         &mut self,
         spec: AlgorithmSpec,
         source: F,
@@ -401,156 +247,135 @@ impl<A: Aggregate> TrialRunner<A> {
         family: &D,
     ) -> TrialResult
     where
-        F: Fn() -> Box<dyn InteractionSource + Send>,
+        F: Fn() -> S,
+        S: InteractionSource + Send + 'static,
         D: DatumFamily<Agg = A>,
     {
-        assert!(
-            !config.compute_cost,
-            "the paper's cost function needs the materialised sequence; \
-             lookahead trials cannot compute it"
-        );
-        let mut algorithm = spec
-            .instantiate_lookahead(source(), horizon, config.sink)
-            .unwrap_or_else(|| {
-                panic!(
-                    "{spec} requires {} knowledge, which no lookahead answers; \
-                     materialise the source and use TrialRunner::run",
-                    spec.knowledge()
-                )
-            });
-        let mut stream = CommittedStream::new(source(), horizon);
-        let max_interactions = config.max_interactions.unwrap_or(horizon as u64);
-        let result = self.execute(
-            spec,
-            algorithm.as_mut(),
-            &mut stream,
-            config,
-            max_interactions,
-            family,
-        );
-        let processed = usize::try_from(result.interactions_processed)
-            .expect("the engine processes at most `horizon` interactions");
-        if config.max_interactions.is_none() && !stream.reaches(processed) {
-            let config = TrialConfig {
-                max_interactions: Some(stream.yielded() as u64),
-                ..*config
-            };
-            return self.run_lookahead(spec, source, horizon, &config, family);
-        }
-        result
-    }
-
-    /// The one trial execution behind [`TrialRunner::run`],
-    /// [`TrialRunner::run_streamed`] and [`TrialRunner::run_lookahead`]:
-    /// the fault plan wraps the source in a
-    /// [`FaultedSource`], and the Byzantine plan picks the audited data
-    /// plane ([`doda_core::Engine::run_audited`]) over the honest one. The
-    /// two planes compose freely: the schedule never sees the audit.
-    /// Generic over the algorithm, so a rule passed by value is
-    /// statically dispatched.
-    fn execute<G, S, D>(
-        &mut self,
-        spec: AlgorithmSpec,
-        algorithm: &mut G,
-        source: &mut S,
-        config: &TrialConfig,
-        max_interactions: u64,
-        family: &D,
-    ) -> TrialResult
-    where
-        G: DodaAlgorithm + ?Sized,
-        S: InteractionSource + ?Sized,
-        D: DatumFamily<Agg = A>,
-    {
-        match config.fault {
-            None => self.run_plane(spec, algorithm, source, config, max_interactions, family),
-            Some(injection) => {
-                let mut faulted = FaultedSource::new(source, injection.profile, injection.seed)
-                    .unwrap_or_else(|e| panic!("invalid fault plan: {e}"));
-                self.run_plane(
+        match spec.knowledge_requirement() {
+            KnowledgeRequirement::None => {
+                let mut rule = spec
+                    .lane_algorithm()
+                    .expect("every knowledge-free spec has a rule");
+                let budget = horizon as u64;
+                execute(
+                    &mut self.engine,
                     spec,
-                    algorithm,
-                    &mut faulted,
+                    &mut rule,
+                    &mut source(),
                     config,
-                    max_interactions,
+                    budget,
+                    family,
+                )
+            }
+            KnowledgeRequirement::MeetTime => {
+                let (result, outran) =
+                    self.lookahead(spec, &source, horizon, horizon as u64, config, family);
+                // Fault events spend engine steps, so a faulted trial can
+                // outrun a source that ends before `horizon`; the filled
+                // sequence's budget is the committed length.
+                outran.map_or(result, |len| {
+                    self.lookahead(spec, &source, horizon, len, config, family)
+                        .0
+                })
+            }
+            _ => {
+                let TrialRunner { engine, seq, .. } = self;
+                seq.fill_from(&mut source(), horizon);
+                let Some(mut algorithm) = spec.instantiate(seq, SINK) else {
+                    return TrialResult {
+                        algorithm: spec.label().to_string(),
+                        n: seq.node_count(),
+                        termination_time: None,
+                        interactions_processed: 0,
+                        transmissions: 0,
+                        ignored_decisions: 0,
+                        data_conserved: false,
+                        completion: Completion::Starved,
+                        faults: FaultTally::default(),
+                        cost: None,
+                        aggregate: None,
+                        // No interaction ever ran, so an audited trial's
+                        // ledger is trivially clean.
+                        verdict: config.byzantine.map(|_| Verdict::Clean),
+                    };
+                };
+                let budget = seq.len() as u64;
+                let mut stream = seq.stream(false);
+                execute(
+                    engine,
+                    spec,
+                    algorithm.as_mut(),
+                    &mut stream,
+                    config,
+                    budget,
                     family,
                 )
             }
         }
     }
 
-    /// Runs one execution on the data plane `config` asks for; the audited
-    /// plane's result carries the verdict.
-    fn run_plane<G, S, D>(
+    /// Runs a `meetTime` spec against the schedule `source` commits up to
+    /// `horizon`, without materialising it, under `budget`: the knowledge
+    /// reads one copy of the stream ahead through a
+    /// [`doda_core::knowledge::MeetTimeLookahead`], only as far as each
+    /// decision needs, and the engine replays another through a
+    /// [`CommittedStream`]. Memory is `O(n)` plus the sink meetings read
+    /// ahead. Also returns the committed length when the execution
+    /// outran the schedule.
+    fn lookahead<F, S, D>(
         &mut self,
         spec: AlgorithmSpec,
-        algorithm: &mut G,
-        source: &mut S,
+        source: &F,
+        horizon: usize,
+        budget: u64,
         config: &TrialConfig,
-        max_interactions: u64,
         family: &D,
-    ) -> TrialResult
+    ) -> (TrialResult, Option<u64>)
     where
-        G: DodaAlgorithm + ?Sized,
-        S: InteractionSource + ?Sized,
+        F: Fn() -> S,
+        S: InteractionSource + Send + 'static,
         D: DatumFamily<Agg = A>,
     {
-        let sink = config.sink;
-        let initial = |v| family.initial(v);
-        let engine_config = EngineConfig::sweep(max_interactions);
-        let mut tally = Tally::new();
-        let stats = match config.byzantine {
-            None => self.engine.run(
-                algorithm,
-                source,
-                sink,
-                initial,
-                engine_config,
-                &mut DiscardTransmissions,
-            ),
-            Some(byz) => {
-                let n = source.node_count();
-                let mut injector = ByzantineInjector::new(byz.profile, n, sink, byz.seed)
-                    .unwrap_or_else(|e| panic!("invalid byzantine plan: {e}"));
-                self.engine.run_audited(
-                    algorithm,
-                    source,
-                    sink,
-                    initial,
-                    engine_config,
-                    &mut DiscardTransmissions,
-                    &mut injector,
-                    &mut tally,
-                )
-            }
-        }
-        .expect("the provided algorithms never emit structurally invalid decisions");
-        let mut result = finish_trial_with(spec, &self.engine, family, stats, None);
-        result.verdict = config.byzantine.map(|_| tally.verdict::<A>());
-        result
+        let mut algorithm = spec
+            .instantiate_lookahead(source(), horizon, SINK)
+            .expect("a lookahead answers every meetTime spec");
+        let mut stream = CommittedStream::new(source(), horizon);
+        let result = execute(
+            &mut self.engine,
+            spec,
+            algorithm.as_mut(),
+            &mut stream,
+            config,
+            budget,
+            family,
+        );
+        let processed = usize::try_from(result.interactions_processed)
+            .expect("the engine processes at most `horizon` interactions");
+        let outran = (!stream.reaches(processed)).then(|| stream.yielded() as u64);
+        (result, outran)
     }
 
     /// Runs one trial per source through the **lane tier**
     /// ([`doda_core::LaneEngine`]): up to [`doda_core::MAX_LANES`]
     /// independent trials of the same knowledge-free spec advance in
     /// lockstep through bit-lane state, each pulling its own interaction
-    /// stream. Results are returned in source order and are byte-identical
-    /// per trial to [`TrialRunner::run_streamed`] on the same source
-    /// (pinned by `tests/lane_equivalence.rs`).
+    /// stream under the budget `horizon`. Results are returned in source
+    /// order and are byte-identical per trial to [`TrialRunner::run`] on
+    /// the same source (pinned by `tests/lane_equivalence.rs`).
     ///
     /// # Panics
     ///
     /// Panics if `spec` has no lane kernel
-    /// ([`AlgorithmSpec::lane_algorithm`] is `None`), if a fault plan,
-    /// Byzantine plan or cost computation is configured (all are
-    /// scalar-path features), if `family` reports an aggregate summary
-    /// (lanes track ownership bits, never aggregates), if the batch is
-    /// empty, oversized, or mixes node counts, or if a source emits a
-    /// fault event.
+    /// ([`AlgorithmSpec::lane_algorithm`] is `None`), if a fault or
+    /// Byzantine plan is configured (both are scalar-path features), if
+    /// `family` reports an aggregate summary (lanes track ownership bits,
+    /// never aggregates), if the batch is empty, oversized, or mixes node
+    /// counts, or if a source emits a fault event.
     pub fn run_lane_batch<S, D>(
         &mut self,
         spec: AlgorithmSpec,
         sources: &mut [S],
+        horizon: usize,
         config: &TrialConfig,
         family: &D,
     ) -> Vec<TrialResult>
@@ -560,29 +385,124 @@ impl<A: Aggregate> TrialRunner<A> {
     {
         config.assert_plain();
         assert!(
-            family.summary(&family.initial(config.sink)).is_none(),
+            family.summary(&family.initial(SINK)).is_none(),
             "the lane tier tracks no aggregates; families with a summary \
              run the scalar tiers"
         );
         let Some(algorithm) = spec.lane_algorithm() else {
             panic!(
                 "{spec} requires {} knowledge and has no lane kernel; \
-                 materialise the source and use TrialRunner::run",
+                 run it through TrialRunner::run",
                 spec.knowledge()
             );
         };
-        let max_interactions = config.stream_budget();
         self.lanes
-            .run_lanes(algorithm, sources, config.sink, max_interactions)
+            .run_lanes(algorithm, sources, SINK, horizon as u64)
             .into_iter()
             .map(|stats| finish_lane(spec, stats))
             .collect()
     }
 }
 
+/// The one trial execution behind every arm of [`TrialRunner::run`]: the
+/// fault plan wraps the source in a [`FaultedSource`], and the Byzantine
+/// plan picks the audited data plane ([`doda_core::Engine::run_audited`])
+/// over the honest one. The two planes compose freely: the schedule never
+/// sees the audit. Generic over the algorithm, so a rule passed by value
+/// is statically dispatched.
+fn execute<G, S, D>(
+    engine: &mut Engine<D::Agg>,
+    spec: AlgorithmSpec,
+    algorithm: &mut G,
+    source: &mut S,
+    config: &TrialConfig,
+    max_interactions: u64,
+    family: &D,
+) -> TrialResult
+where
+    G: DodaAlgorithm + ?Sized,
+    S: InteractionSource + ?Sized,
+    D: DatumFamily,
+{
+    match config.fault {
+        None => run_plane(
+            engine,
+            spec,
+            algorithm,
+            source,
+            config,
+            max_interactions,
+            family,
+        ),
+        Some(injection) => {
+            let mut faulted = FaultedSource::new(source, injection.profile, injection.seed)
+                .unwrap_or_else(|e| panic!("invalid fault plan: {e}"));
+            run_plane(
+                engine,
+                spec,
+                algorithm,
+                &mut faulted,
+                config,
+                max_interactions,
+                family,
+            )
+        }
+    }
+}
+
+/// Runs one execution on the data plane `config` asks for; the audited
+/// plane's result carries the verdict.
+fn run_plane<G, S, D>(
+    engine: &mut Engine<D::Agg>,
+    spec: AlgorithmSpec,
+    algorithm: &mut G,
+    source: &mut S,
+    config: &TrialConfig,
+    max_interactions: u64,
+    family: &D,
+) -> TrialResult
+where
+    G: DodaAlgorithm + ?Sized,
+    S: InteractionSource + ?Sized,
+    D: DatumFamily,
+{
+    let initial = |v| family.initial(v);
+    let engine_config = EngineConfig::sweep(max_interactions);
+    let mut tally = Tally::new();
+    let stats = match config.byzantine {
+        None => engine.run(
+            algorithm,
+            source,
+            SINK,
+            initial,
+            engine_config,
+            &mut DiscardTransmissions,
+        ),
+        Some(byz) => {
+            let n = source.node_count();
+            let mut injector = ByzantineInjector::new(byz.profile, n, SINK, byz.seed)
+                .unwrap_or_else(|e| panic!("invalid byzantine plan: {e}"));
+            engine.run_audited(
+                algorithm,
+                source,
+                SINK,
+                initial,
+                engine_config,
+                &mut DiscardTransmissions,
+                &mut injector,
+                &mut tally,
+            )
+        }
+    }
+    .expect("the provided algorithms never emit structurally invalid decisions");
+    let mut result = finish_trial_with(spec, engine, family, stats, None);
+    result.verdict = config.byzantine.map(|_| tally.verdict::<D::Agg>());
+    result
+}
+
 /// Packages the engine counters (plus the data-conservation check read
 /// off the engine's final state) into a [`TrialResult`], for the default
-/// exact-origins family; see [`finish_trial_with`].
+/// exact-origins family.
 ///
 /// Public so external drivers of the resumable engine surface (notably
 /// `doda-service` sessions finalising a [`doda_core::RunStats`] from
@@ -607,7 +527,7 @@ pub fn finish_trial(
 /// aggregated or destroyed by a fault, but never silently dropped. The
 /// exact-origins family reduces to the classic "sink covers every
 /// origin"; fault-free trials have empty bins.
-pub fn finish_trial_with<D>(
+fn finish_trial_with<D>(
     spec: AlgorithmSpec,
     engine: &Engine<D::Agg>,
     family: &D,
@@ -677,57 +597,60 @@ fn finish_lane(spec: AlgorithmSpec, stats: LaneRunStats) -> TrialResult {
     }
 }
 
-/// Runs `spec` over a concrete, pre-materialised sequence with fresh
-/// scratch. Convenience wrapper over [`TrialRunner`] for one-off trials.
-///
-/// # Panics
-///
-/// Panics if the algorithm produces a structurally invalid decision (this
-/// would be a bug in the algorithm implementation, not a property of the
-/// input).
-pub fn run_trial_on_sequence(
-    spec: AlgorithmSpec,
-    seq: &InteractionSequence,
-    config: &TrialConfig,
-) -> TrialResult {
-    TrialRunner::new().run(spec, seq, config, &ExactOrigins)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use doda_workloads::{UniformWorkload, Workload};
 
+    /// Runs `spec` over the whole of `seq` with fresh scratch.
+    fn run_on(spec: AlgorithmSpec, seq: &InteractionSequence, config: &TrialConfig) -> TrialResult {
+        TrialRunner::new().run(spec, || seq.source(false), seq.len(), config, &ExactOrigins)
+    }
+
+    /// The trial over a filled sequence, assembled from the runner's own
+    /// parts: the spec's oracles over `seq`, and its length as the budget.
+    fn filled(
+        runner: &mut TrialRunner,
+        spec: AlgorithmSpec,
+        seq: &InteractionSequence,
+        config: &TrialConfig,
+    ) -> TrialResult {
+        let mut algorithm = spec.instantiate(seq, SINK).expect("a connected schedule");
+        let budget = seq.len() as u64;
+        let stream = &mut seq.stream(false);
+        execute(
+            &mut runner.engine,
+            spec,
+            algorithm.as_mut(),
+            stream,
+            config,
+            budget,
+            &ExactOrigins,
+        )
+    }
+
     #[test]
     fn gathering_trial_terminates_and_conserves_data() {
         let seq = UniformWorkload::new(12).generate(2_000, 5);
-        let result = run_trial_on_sequence(
-            AlgorithmSpec::Gathering,
-            &seq,
-            &TrialConfig {
-                compute_cost: true,
-                ..TrialConfig::default()
-            },
-        );
+        let result = run_on(AlgorithmSpec::Gathering, &seq, &TrialConfig::default());
         assert!(result.terminated());
         assert!(result.data_conserved);
         assert_eq!(result.transmissions, 11);
         assert!(result.interactions_to_completion().unwrap() >= 11.0);
-        assert!(result.cost.is_some());
     }
 
     #[test]
     fn offline_beats_or_matches_every_online_algorithm_per_sequence() {
         let seq = UniformWorkload::new(10).generate(3_000, 11);
         let config = TrialConfig::default();
-        let offline = run_trial_on_sequence(AlgorithmSpec::OfflineOptimal, &seq, &config);
+        let offline = run_on(AlgorithmSpec::OfflineOptimal, &seq, &config);
         assert!(offline.terminated());
         for spec in [
             AlgorithmSpec::Waiting,
             AlgorithmSpec::Gathering,
             AlgorithmSpec::WaitingGreedy { tau: None },
         ] {
-            let result = run_trial_on_sequence(spec, &seq, &config);
+            let result = run_on(spec, &seq, &config);
             if let (Some(on), Some(off)) = (result.termination_time, offline.termination_time) {
                 assert!(
                     off <= on,
@@ -740,7 +663,7 @@ mod tests {
     #[test]
     fn too_short_sequence_reports_non_termination() {
         let seq = UniformWorkload::new(10).generate(5, 3);
-        let result = run_trial_on_sequence(AlgorithmSpec::Waiting, &seq, &TrialConfig::default());
+        let result = run_on(AlgorithmSpec::Waiting, &seq, &TrialConfig::default());
         assert!(!result.terminated());
         assert_eq!(result.interactions_to_completion(), None);
         assert!(!result.data_conserved);
@@ -749,8 +672,7 @@ mod tests {
     #[test]
     fn disconnected_spanning_tree_trial_is_reported_not_panicking() {
         let seq = doda_core::InteractionSequence::from_pairs(5, vec![(1, 2), (1, 2), (3, 4)]);
-        let result =
-            run_trial_on_sequence(AlgorithmSpec::SpanningTree, &seq, &TrialConfig::default());
+        let result = run_on(AlgorithmSpec::SpanningTree, &seq, &TrialConfig::default());
         assert!(!result.terminated());
         assert_eq!(result.interactions_processed, 0);
     }
@@ -766,9 +688,16 @@ mod tests {
                 AlgorithmSpec::Gathering,
                 AlgorithmSpec::Waiting,
                 AlgorithmSpec::WaitingGreedy { tau: None },
+                AlgorithmSpec::OfflineOptimal,
             ] {
-                let reused = runner.run(spec, &seq, &config, &ExactOrigins);
-                let fresh = run_trial_on_sequence(spec, &seq, &config);
+                let reused = runner.run(
+                    spec,
+                    || seq.source(false),
+                    seq.len(),
+                    &config,
+                    &ExactOrigins,
+                );
+                let fresh = run_on(spec, &seq, &config);
                 assert_eq!(reused, fresh, "{spec} diverged at n={n}, seed={seed}");
             }
         }
@@ -777,39 +706,36 @@ mod tests {
     #[test]
     fn explicit_interaction_budget_is_respected() {
         let seq = UniformWorkload::new(8).generate(5_000, 1);
-        let result = run_trial_on_sequence(
+        let result = TrialRunner::new().run(
             AlgorithmSpec::Waiting,
-            &seq,
-            &TrialConfig {
-                max_interactions: Some(10),
-                ..TrialConfig::default()
-            },
+            || seq.source(false),
+            10,
+            &TrialConfig::default(),
+            &ExactOrigins,
         );
         assert!(result.interactions_processed <= 10);
     }
 
-    /// The materialised and streamed entry points share one execution, so
-    /// they agree under any `(fault, byzantine)` composition.
+    /// A knowledge-free trial over a generated sequence and over the
+    /// workload's live source are one execution, so they agree under any
+    /// `(fault, byzantine)` composition.
     fn assert_streamed_matches_materialized(
         fault: Option<FaultInjection>,
         byzantine: Option<ByzantineInjection>,
     ) {
         let horizon = 4_000usize;
-        let config = TrialConfig {
-            max_interactions: Some(horizon as u64),
-            fault,
-            byzantine,
-            ..TrialConfig::default()
-        };
+        let config = TrialConfig { fault, byzantine };
         let mut runner = TrialRunner::new();
         for (n, seed) in [(8usize, 1u64), (12, 2), (6, 3)] {
             let workload = UniformWorkload::new(n);
             let seq = workload.generate(horizon, seed);
             for spec in [AlgorithmSpec::Gathering, AlgorithmSpec::Waiting] {
-                let materialized = runner.run(spec, &seq, &config, &ExactOrigins);
-                let streamed = runner.run_streamed(
+                let materialized =
+                    runner.run(spec, || seq.source(false), horizon, &config, &ExactOrigins);
+                let streamed = runner.run(
                     spec,
-                    workload.source(seed).as_mut(),
+                    || workload.source(seed),
+                    horizon,
                     &config,
                     &ExactOrigins,
                 );
@@ -861,15 +787,10 @@ mod tests {
                 });
                 for (horizon, (fault, byzantine), tau) in cases {
                     let spec = AlgorithmSpec::WaitingGreedy { tau };
-                    let config = TrialConfig {
-                        fault,
-                        byzantine,
-                        ..TrialConfig::default()
-                    };
+                    let config = TrialConfig { fault, byzantine };
                     seq.fill_from(&mut committed.stream(false), horizon);
-                    let materialized = runner.run(spec, &seq, &config, &ExactOrigins);
-                    let lookahead =
-                        runner.run_lookahead(spec, source, horizon, &config, &ExactOrigins);
+                    let materialized = filled(&mut runner, spec, &seq, &config);
+                    let lookahead = runner.run(spec, source, horizon, &config, &ExactOrigins);
                     assert_eq!(
                         lookahead, materialized,
                         "{spec} under {config:?} at n={n}, horizon={horizon}"
@@ -883,19 +804,6 @@ mod tests {
         assert!(
             outrun > 0,
             "some faulted trial must outrun its short source"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "which no lookahead answers")]
-    fn lookahead_trial_rejects_other_knowledge() {
-        let source = || UniformWorkload::new(6).source(0);
-        let _ = TrialRunner::new().run_lookahead(
-            AlgorithmSpec::OfflineOptimal,
-            source,
-            100,
-            &TrialConfig::default(),
-            &ExactOrigins,
         );
     }
 
@@ -932,14 +840,12 @@ mod tests {
     #[test]
     fn streamed_trial_runs_adaptive_adversaries() {
         let mut runner = TrialRunner::new();
-        let config = TrialConfig {
-            max_interactions: Some(5_000),
-            ..TrialConfig::default()
-        };
-        let mut isolator = doda_adversary::IsolatorAdversary::new(16);
-        let gathering = runner.run_streamed(
+        let config = TrialConfig::default();
+        let isolator = || doda_adversary::IsolatorAdversary::new(16);
+        let gathering = runner.run(
             AlgorithmSpec::Gathering,
-            &mut isolator,
+            isolator,
+            5_000,
             &config,
             &ExactOrigins,
         );
@@ -947,10 +853,10 @@ mod tests {
         assert!(gathering.data_conserved);
         assert_eq!(gathering.transmissions, 15);
 
-        let mut isolator = doda_adversary::IsolatorAdversary::new(16);
-        let waiting = runner.run_streamed(
+        let waiting = runner.run(
             AlgorithmSpec::Waiting,
-            &mut isolator,
+            isolator,
+            5_000,
             &config,
             &ExactOrigins,
         );
@@ -968,16 +874,16 @@ mod tests {
         let mut survivor_trials = 0;
         for seed in 0..8u64 {
             let config = TrialConfig {
-                max_interactions: Some(40_000),
                 fault: Some(FaultInjection {
                     profile: FaultProfile::crash(0.005),
                     seed: seed ^ 0xFA,
                 }),
                 ..TrialConfig::default()
             };
-            let result = runner.run_streamed(
+            let result = runner.run(
                 AlgorithmSpec::Gathering,
-                workload.source(seed).as_mut(),
+                || workload.source(seed),
+                40_000,
                 &config,
                 &ExactOrigins,
             );
@@ -1003,10 +909,7 @@ mod tests {
         let mut runner = TrialRunner::new();
         let workload = UniformWorkload::new(10);
         for seed in [1u64, 2, 3] {
-            let honest_config = TrialConfig {
-                max_interactions: Some(horizon as u64),
-                ..TrialConfig::default()
-            };
+            let honest_config = TrialConfig::default();
             let audited_config = TrialConfig {
                 byzantine: Some(ByzantineInjection {
                     profile: doda_core::byzantine::ByzantineProfile::forge(0.0),
@@ -1014,15 +917,17 @@ mod tests {
                 }),
                 ..honest_config
             };
-            let honest = runner.run_streamed(
+            let honest = runner.run(
                 AlgorithmSpec::Gathering,
-                workload.source(seed).as_mut(),
+                || workload.source(seed),
+                horizon,
                 &honest_config,
                 &ExactOrigins,
             );
-            let mut audited = runner.run_streamed(
+            let mut audited = runner.run(
                 AlgorithmSpec::Gathering,
-                workload.source(seed).as_mut(),
+                || workload.source(seed),
+                horizon,
                 &audited_config,
                 &ExactOrigins,
             );
@@ -1042,7 +947,6 @@ mod tests {
         let mut runner = TrialRunner::new();
         let workload = UniformWorkload::new(16);
         let config = TrialConfig {
-            max_interactions: Some(40_000),
             fault: Some(FaultInjection {
                 profile: FaultProfile::crash(0.002),
                 seed: 0xFA,
@@ -1051,11 +955,11 @@ mod tests {
                 profile: doda_core::byzantine::ByzantineProfile::forge(0.25),
                 seed: 0xB2,
             }),
-            ..TrialConfig::default()
         };
-        let result = runner.run_streamed(
+        let result = runner.run(
             AlgorithmSpec::Gathering,
-            workload.source(7).as_mut(),
+            || workload.source(7),
+            40_000,
             &config,
             &ExactOrigins,
         );
@@ -1073,6 +977,7 @@ mod tests {
         let _ = TrialRunner::new().run_lane_batch(
             AlgorithmSpec::Gathering,
             &mut sources,
+            100,
             &TrialConfig {
                 byzantine: Some(ByzantineInjection {
                     profile: doda_core::byzantine::ByzantineProfile::forge(0.5),
@@ -1093,56 +998,9 @@ mod tests {
         let _ = TrialRunner::new().run_lane_batch(
             AlgorithmSpec::Gathering,
             &mut sources,
+            100,
             &config,
             &family,
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot run streamed")]
-    fn streamed_trial_rejects_knowledge_based_specs() {
-        let workload = UniformWorkload::new(6);
-        let _ = TrialRunner::new().run_streamed(
-            AlgorithmSpec::OfflineOptimal,
-            workload.source(0).as_mut(),
-            &TrialConfig::default(),
-            &ExactOrigins,
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "cost is undefined")]
-    fn faulted_trial_rejects_cost_computation() {
-        use doda_core::fault::FaultProfile;
-
-        let seq = UniformWorkload::new(6).generate(500, 1);
-        let _ = TrialRunner::new().run(
-            AlgorithmSpec::Gathering,
-            &seq,
-            &TrialConfig {
-                compute_cost: true,
-                fault: Some(FaultInjection {
-                    profile: FaultProfile::crash(0.01),
-                    seed: 1,
-                }),
-                ..TrialConfig::default()
-            },
-            &ExactOrigins,
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "cost function needs the materialised sequence")]
-    fn streamed_trial_rejects_cost_computation() {
-        let workload = UniformWorkload::new(6);
-        let _ = TrialRunner::new().run_streamed(
-            AlgorithmSpec::Gathering,
-            workload.source(0).as_mut(),
-            &TrialConfig {
-                compute_cost: true,
-                ..TrialConfig::default()
-            },
-            &ExactOrigins,
         );
     }
 }

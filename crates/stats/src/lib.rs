@@ -8,8 +8,7 @@
 //!   from a seed ([`rng`]);
 //! * **closed-form quantities** the proofs use — harmonic numbers and the
 //!   expectations of the coupon-collector-like processes ([`harmonic`]);
-//! * **descriptive statistics** over repeated trials ([`descriptive`],
-//!   [`accumulator`]);
+//! * **descriptive statistics** over repeated trials ([`descriptive`]);
 //! * **scaling-law estimation** — fitting `T(n) ≈ c · n^α` on log–log axes
 //!   to check that Gathering grows like `n²`, Waiting Greedy like
 //!   `n^{3/2}`, the offline optimum like `n log n`, etc. ([`regression`]);
@@ -32,7 +31,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod accumulator;
 pub mod bootstrap;
 pub mod descriptive;
 pub mod harmonic;
@@ -41,7 +39,6 @@ pub mod rng;
 pub mod summary;
 pub mod weighted;
 
-pub use accumulator::OnlineStats;
 pub use descriptive::Descriptive;
 pub use regression::{fit_power_law, PowerLawFit};
 pub use rng::{seeded_rng, SeedSequence};

@@ -161,18 +161,16 @@ proptest! {
                     continue;
                 }
                 let trial_seed = SeedSequence::new(seed).seed(0);
+                let horizon = doda::adversary::RandomizedAdversary::default_horizon(n);
                 let config = TrialConfig {
-                    max_interactions: Some(
-                        doda::adversary::RandomizedAdversary::default_horizon(n) as u64,
-                    ),
                     byzantine: entry.byzantine_injection(trial_seed),
                     ..TrialConfig::default()
                 };
-                let mut source = entry.base.source(n, trial_seed);
-                prop_assert!(source.is_oblivious());
-                let burst = runner.run_streamed(spec, source.as_mut(), &config, &ExactOrigins);
-                let mut source = PerEvent(entry.base.source(n, trial_seed));
-                let per_event = runner.run_streamed(spec, &mut source, &config, &ExactOrigins);
+                let source = || entry.base.source(n, trial_seed);
+                prop_assert!(source().is_oblivious());
+                let burst = runner.run(spec, source, horizon, &config, &ExactOrigins);
+                let per_event = || PerEvent(source());
+                let per_event = runner.run(spec, per_event, horizon, &config, &ExactOrigins);
                 prop_assert_eq!(
                     &burst,
                     &per_event,

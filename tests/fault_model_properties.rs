@@ -156,11 +156,11 @@ proptest! {
         let workload = UniformWorkload::new(n);
         let mut runner = TrialRunner::new();
         for spec in STREAMABLE {
-            let result = runner.run_streamed(
+            let result = runner.run(
                 spec,
-                workload.source(seed).as_mut(),
+                || workload.source(seed),
+                8 * n * n,
                 &TrialConfig {
-                    max_interactions: Some((8 * n * n) as u64),
                     fault: Some(FaultInjection { profile, seed: fault_seed }),
                     ..TrialConfig::default()
                 },
@@ -235,17 +235,13 @@ proptest! {
             let seq = workload.generate(horizon, seed);
             for spec in STREAMABLE {
                 let config = TrialConfig {
-                    max_interactions: Some(horizon as u64),
                     fault: Some(injection),
                     ..TrialConfig::default()
                 };
-                let materialized = runner.run(spec, &seq, &config, &ExactOrigins);
-                let streamed = runner.run_streamed(
-                    spec,
-                    workload.source(seed).as_mut(),
-                    &config,
-                    &ExactOrigins,
-                );
+                let materialized =
+                    runner.run(spec, || seq.source(false), horizon, &config, &ExactOrigins);
+                let streamed =
+                    runner.run(spec, || workload.source(seed), horizon, &config, &ExactOrigins);
                 prop_assert_eq!(
                     &streamed,
                     &materialized,

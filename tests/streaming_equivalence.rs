@@ -40,16 +40,11 @@ proptest! {
         for workload in all_workloads(n) {
             let seq = workload.generate(horizon, seed);
             for spec in STREAMABLE {
-                let materialized = runner.run(spec, &seq, &TrialConfig::default(), &ExactOrigins);
-                let streamed = runner.run_streamed(
-                    spec,
-                    workload.source(seed).as_mut(),
-                    &TrialConfig {
-                        max_interactions: Some(horizon as u64),
-                        ..TrialConfig::default()
-                    },
-                    &ExactOrigins,
-                );
+                let config = TrialConfig::default();
+                let materialized =
+                    runner.run(spec, || seq.source(false), horizon, &config, &ExactOrigins);
+                let streamed =
+                    runner.run(spec, || workload.source(seed), horizon, &config, &ExactOrigins);
                 prop_assert_eq!(
                     &streamed,
                     &materialized,
@@ -82,7 +77,13 @@ proptest! {
                     let trial_seed =
                         doda::stats::rng::SeedSequence::new(seed).seed(trial as u64);
                     let seq = workload.generate(horizon, trial_seed);
-                    run_trial_on_sequence(spec, &seq, &TrialConfig::default())
+                    TrialRunner::new().run(
+                        spec,
+                        || seq.source(false),
+                        horizon,
+                        &TrialConfig::default(),
+                        &ExactOrigins,
+                    )
                 })
                 .collect();
             prop_assert_eq!(&via_runner, &manual, "{} diverged for seed {}", spec, seed);
